@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_output.hpp"
+#include "core/controller.hpp"
 #include "core/flow_memory.hpp"
 #include "openflow/flow_table.hpp"
 #include "sim/simulation.hpp"
@@ -41,23 +42,68 @@ void BM_EventQueueBurst(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueBurst)->Arg(100)->Arg(1000)->Arg(10000);
 
-void BM_FlowTableLookup(benchmark::State& state) {
-  const auto entries = static_cast<int>(state.range(0));
-  openflow::FlowTable table;
-  for (int i = 0; i < entries; ++i) {
+/// A flow table of `size` entries in the controller's four match shapes,
+/// installed round-robin: background {ip_dst} at priority 1,
+/// unregistered-destination {ip_dst} at 10, and the per-client forward
+/// {ip_src, ip_dst, ip_proto, tcp_dst} and reverse {ip_src, tcp_src, ip_dst,
+/// ip_proto} redirects at kRedirectPriority.  Returns the packet whose only
+/// match is the deepest entry in table order (the last background route),
+/// so a linear scan would walk the whole table and a classifier must probe
+/// every group.
+Packet controllerShapedTable(openflow::FlowTable& table, int size) {
+  const Endpoint service(Ipv4(203, 0, 113, 10), 80);
+  const Endpoint instance(Ipv4(10, 1, 0, 5), 30080);
+  const auto nth = [](Ipv4 base, int i) {
+    return Ipv4(base.value + static_cast<std::uint32_t>(i));
+  };
+  const auto client = [&nth](int i) { return nth(Ipv4(10, 2, 0, 0), i); };
+  Ipv4 deepest;
+  for (int i = 0; i < size; ++i) {
     openflow::FlowEntry entry;
-    entry.priority = static_cast<std::uint16_t>(i % 100);
-    entry.match.ipDst = Ipv4(203, 0, 113, static_cast<std::uint8_t>(i % 250 + 1));
-    entry.match.tcpDst = 80;
-    table.upsert(entry, SimTime::zero());
+    entry.actions = {openflow::OutputAction{1}};
+    switch (i % 4) {
+      case 0:
+        entry.priority = 1;
+        entry.match.ipDst = client(i);
+        deepest = client(i);
+        break;
+      case 1:
+        entry.priority = 10;
+        entry.match.ipDst = nth(Ipv4(203, 0, 114, 0), i);
+        break;
+      case 2:
+        entry.priority = core::kRedirectPriority;
+        entry.match = openflow::FlowMatch::anyToService(service);
+        entry.match.ipSrc = client(i);
+        break;
+      default:
+        entry.priority = core::kRedirectPriority;
+        entry.match.ipSrc = instance.ip;
+        entry.match.tcpSrc = instance.port;
+        entry.match.ipDst = client(i);
+        entry.match.ipProto = IpProto::kTcp;
+        break;
+    }
+    table.upsert(std::move(entry), SimTime::zero());
   }
-  const Packet packet = makeSyn(Mac(1), Endpoint(Ipv4(10, 0, 0, 1), 40000),
-                                Endpoint(Ipv4(203, 0, 113, 99), 80));
+  return makeSyn(Mac(1), Endpoint(Ipv4(10, 9, 9, 9), 40000),
+                 Endpoint(deepest, 80));
+}
+
+void BM_FlowTableLookup(benchmark::State& state) {
+  openflow::FlowTable table;
+  const Packet packet =
+      controllerShapedTable(table, static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(table.lookup(packet, 0, SimTime::zero()));
   }
 }
-BENCHMARK(BM_FlowTableLookup)->Arg(16)->Arg(128)->Arg(1024);
+BENCHMARK(BM_FlowTableLookup)
+    ->Arg(16)
+    ->Arg(128)
+    ->Arg(1024)
+    ->Arg(16384)
+    ->Arg(131072);
 
 void BM_YamlParseDeployment(benchmark::State& state) {
   const std::string yaml = R"(apiVersion: apps/v1

@@ -12,17 +12,23 @@ NetNode::NetNode(Network& network, std::string name)
 
 NodeId Network::registerNode(NetNode& node) {
   nodes_.push_back(&node);
+  ports_.emplace_back();
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
 Network::LinkPorts Network::connect(NetNode& a, NetNode& b, SimTime latency,
                                     BitRate bandwidth) {
+  ES_ASSERT_MSG(owns(a) && owns(b), "connect across networks");
   const PortId portA = a.allocatePort();
   const PortId portB = b.allocatePort();
   halves_.push_back(std::make_unique<HalfLink>(
       HalfLink{&a, portA, &b, portB, latency, bandwidth, SimTime::zero()}));
+  ports_[a.id()].resize(a.portCount(), nullptr);
+  ports_[a.id()][portA] = halves_.back().get();
   halves_.push_back(std::make_unique<HalfLink>(
       HalfLink{&b, portB, &a, portA, latency, bandwidth, SimTime::zero()}));
+  ports_[b.id()].resize(b.portCount(), nullptr);
+  ports_[b.id()][portB] = halves_.back().get();
   if (a.domain() != b.domain()) {
     // This link's propagation delay is the conservative lookahead bound
     // between the two domains (tightened to the minimum across links); the
@@ -33,16 +39,11 @@ Network::LinkPorts Network::connect(NetNode& a, NetNode& b, SimTime latency,
   return LinkPorts{portA, portB};
 }
 
-Network::HalfLink* Network::findHalf(const NetNode& node, PortId port) {
-  for (auto& half : halves_) {
-    if (half->from == &node && half->fromPort == port) return half.get();
-  }
-  return nullptr;
-}
-
-const Network::HalfLink* Network::findHalf(const NetNode& node,
-                                           PortId port) const {
-  return const_cast<Network*>(this)->findHalf(node, port);
+Network::HalfLink* Network::findHalf(const NetNode& node,
+                                     PortId port) const {
+  if (!owns(node)) return nullptr;
+  const auto& ports = ports_[node.id()];
+  return port < ports.size() ? ports[port] : nullptr;
 }
 
 NetNode* Network::peer(const NetNode& node, PortId port) const {

@@ -83,12 +83,19 @@ class Network {
     bool up = true;
   };
 
-  HalfLink* findHalf(const NetNode& node, PortId port);
-  const HalfLink* findHalf(const NetNode& node, PortId port) const;
+  /// The half-link leaving (`node`, `port`), or nullptr when the node is
+  /// not registered here or the port is not wired.  O(1): indexes the
+  /// node's port table.
+  HalfLink* findHalf(const NetNode& node, PortId port) const;
+  bool owns(const NetNode& node) const {
+    return node.id() < nodes_.size() && nodes_[node.id()] == &node;
+  }
 
   Simulation& sim_;
   std::vector<NetNode*> nodes_;
   std::vector<std::unique_ptr<HalfLink>> halves_;
+  /// Per node (by NodeId), the half-link leaving each port (by PortId).
+  std::vector<std::vector<HalfLink*>> ports_;
   // Atomic: deliveries execute in the RECEIVER's domain, which in parallel
   // runs is another thread.  (All other link state is sender-domain-owned.)
   std::atomic<std::uint64_t> delivered_{0};

@@ -205,10 +205,11 @@ void OpenFlowSwitch::requestFlowStats(StatsCallback cb) {
   if (!request) return;  // request lost: the callback never fires
   network().sim().schedule(*request, [this, cb = std::move(cb)] {
     if (rebooting_) return;  // switch down when the request lands
-    const std::vector<FlowEntry> snapshot = table_.entries();
+    std::vector<FlowEntry> snapshot = table_.snapshot();
     const auto reply = controlDelay(Direction::kToController);
     if (!reply) return;  // reply lost
-    network().sim().schedule(*reply, [cb, snapshot] { cb(snapshot); });
+    network().sim().schedule(
+        *reply, [cb, snapshot = std::move(snapshot)] { cb(snapshot); });
   });
 }
 

@@ -118,29 +118,32 @@ EventHandle EventDomain::schedule(SimTime delay, std::function<void()> fn) {
 EventHandle EventDomain::scheduleAt(SimTime when, std::function<void()> fn) {
   ES_ASSERT_MSG(when >= now_, "scheduling into the past");
   ES_ASSERT(fn != nullptr);
-  auto alive = std::make_shared<bool>(true);
-  EventHandle handle{std::weak_ptr<bool>(alive)};
-  queue_.push(Event{when, nextSeq_++, std::move(fn), std::move(alive)});
+  const std::uint32_t slot = slots_->acquire();
+  queue_.push(Event{when, nextSeq_++, std::move(fn), slot});
   queueSize_.fetch_add(1, std::memory_order_relaxed);
-  return handle;
+  return EventHandle{slots_, slot, slots_->generation(slot)};
+}
+
+bool EventDomain::popFront(Event* event) {
+  *event = std::move(const_cast<Event&>(queue_.top()));
+  queue_.pop();
+  queueSize_.fetch_sub(1, std::memory_order_relaxed);
+  // Freed before the event runs: its own handle no longer reports pending,
+  // and events it schedules may reuse the slot under a new generation.
+  return slots_->release(event->slot);
 }
 
 void EventDomain::dispatch(Event event) {
   setNow(event.when);
-  if (*event.alive) {
-    *event.alive = false;
-    processed_.fetch_add(1, std::memory_order_relaxed);
-    CurrentDomainScope scope(this);
-    event.fn();
-  }
+  processed_.fetch_add(1, std::memory_order_relaxed);
+  CurrentDomainScope scope(this);
+  event.fn();
 }
 
 bool EventDomain::step() {
+  Event event;
   while (!queue_.empty()) {
-    Event event = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    queueSize_.fetch_sub(1, std::memory_order_relaxed);
-    if (!*event.alive) continue;  // cancelled; skip without advancing
+    if (!popFront(&event)) continue;  // cancelled; skip without advancing
     dispatch(std::move(event));
     return true;
   }
@@ -148,10 +151,10 @@ bool EventDomain::step() {
 }
 
 SimTime EventDomain::nextEventTime() {
+  Event event;
   while (!queue_.empty()) {
-    if (*queue_.top().alive) return queue_.top().when;
-    queue_.pop();  // prune cancelled front entries
-    queueSize_.fetch_sub(1, std::memory_order_relaxed);
+    if (slots_->live(queue_.top().slot)) return queue_.top().when;
+    popFront(&event);  // prune cancelled front entries
   }
   return SimTime::max();
 }
@@ -185,10 +188,8 @@ std::size_t EventDomain::advance(SimTime horizon) {
     while (!queue_.empty()) {
       const Event& top = queue_.top();
       if (top.when > horizon || top.when >= bound) break;
-      Event event = std::move(const_cast<Event&>(queue_.top()));
-      queue_.pop();
-      queueSize_.fetch_sub(1, std::memory_order_relaxed);
-      if (!*event.alive) continue;
+      Event event;
+      if (!popFront(&event)) continue;
       dispatch(std::move(event));
       ++dispatched;
       ++ranThisRound;

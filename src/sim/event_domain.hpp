@@ -51,26 +51,85 @@ class DomainObserver;
 using DomainId = std::uint32_t;
 inline constexpr DomainId kControlDomain = 0;
 
+/// Liveness of one domain's queued events, without an allocation per event.
+/// Every queued event holds one slot from the moment it is scheduled until
+/// it leaves the queue (dispatched, or skipped because it was cancelled).
+/// Leaving bumps the slot's generation before the slot is reused, so a
+/// handle naming an older generation can neither cancel nor observe the
+/// slot's next occupant.  Owned by its EventDomain; only the domain's own
+/// thread may touch it (handles are cancelled where their events run).
+class EventSlots {
+ public:
+  /// Take a free slot for a newly queued event (live, current generation).
+  std::uint32_t acquire() {
+    std::uint32_t slot;
+    if (free_.empty()) {
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+    }
+    slots_[slot].live = true;
+    return slot;
+  }
+  /// The event left the queue: retire this generation and free the slot.
+  /// Returns whether the event was still live (not cancelled).
+  bool release(std::uint32_t slot) {
+    Slot& s = slots_[slot];
+    const bool wasLive = s.live;
+    s.live = false;
+    ++s.generation;
+    free_.push_back(slot);
+    return wasLive;
+  }
+  std::uint32_t generation(std::uint32_t slot) const {
+    return slots_[slot].generation;
+  }
+  bool live(std::uint32_t slot) const { return slots_[slot].live; }
+  bool pending(std::uint32_t slot, std::uint32_t generation) const {
+    return slot < slots_.size() && slots_[slot].generation == generation &&
+           slots_[slot].live;
+  }
+  void cancel(std::uint32_t slot, std::uint32_t generation) {
+    if (pending(slot, generation)) slots_[slot].live = false;
+  }
+
+ private:
+  struct Slot {
+    std::uint32_t generation = 0;
+    bool live = false;
+  };
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
+};
+
 /// Handle for cancelling a scheduled event.  Cheap to copy; cancelling an
-/// already-fired or already-cancelled event is a no-op.  Cross-domain
-/// deliveries return an inert handle: their liveness flag would be shared
-/// between threads, so they cannot be cancelled once sent.
+/// already-fired or already-cancelled event is a no-op, and so is any use
+/// after the owning Simulation is gone (the handle only weakly references
+/// its domain's slot table).  Cross-domain deliveries return an inert
+/// handle: their slot would live in another thread's table, so they cannot
+/// be cancelled once sent.
 class EventHandle {
  public:
   EventHandle() = default;
 
   void cancel() {
-    if (const auto alive = alive_.lock()) *alive = false;
+    if (const auto slots = slots_.lock()) slots->cancel(slot_, generation_);
   }
   bool pending() const {
-    const auto alive = alive_.lock();
-    return alive && *alive;
+    const auto slots = slots_.lock();
+    return slots && slots->pending(slot_, generation_);
   }
 
  private:
   friend class EventDomain;
-  explicit EventHandle(std::weak_ptr<bool> alive) : alive_(std::move(alive)) {}
-  std::weak_ptr<bool> alive_;
+  EventHandle(std::weak_ptr<EventSlots> slots, std::uint32_t slot,
+              std::uint32_t generation)
+      : slots_(std::move(slots)), slot_(slot), generation_(generation) {}
+  std::weak_ptr<EventSlots> slots_;
+  std::uint32_t slot_ = 0;
+  std::uint32_t generation_ = 0;
 };
 
 /// One direction of cross-domain delivery.  The sender (any phase, any
@@ -240,7 +299,7 @@ class EventDomain {
     SimTime when;
     std::uint64_t seq;
     std::function<void()> fn;
-    std::shared_ptr<bool> alive;
+    std::uint32_t slot = 0;  // held until the event leaves the queue
   };
   struct EventOrder {
     bool operator()(const Event& a, const Event& b) const {
@@ -249,6 +308,9 @@ class EventDomain {
     }
   };
 
+  /// Pop the queue head and free its slot; returns whether it was live.
+  bool popFront(Event* event);
+  /// Run a live event popped by popFront.
   void dispatch(Event event);
   void setNow(SimTime when) {
     now_ = when;
@@ -272,6 +334,7 @@ class EventDomain {
   Rng* rng_ = nullptr;
   std::unique_ptr<Rng> ownedRng_;
   std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  std::shared_ptr<EventSlots> slots_ = std::make_shared<EventSlots>();
   std::vector<DomainChannel*> inbound_;
   std::vector<DomainChannel*> outbound_;
   std::atomic<bool> idleAtHorizon_{false};

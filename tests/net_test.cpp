@@ -2,7 +2,9 @@
 // lightweight TCP (handshake, refusal, retransmission), and HTTP exchanges.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "net/host.hpp"
@@ -436,6 +438,106 @@ TEST(NetworkTopology, UnwiredPortDrops) {
   sim.run();
   EXPECT_EQ(net.droppedPackets(), 1u);
   EXPECT_EQ(net.deliveredPackets(), 0u);
+}
+
+
+/// A node that counts what reaches it, for topology tests.
+class CountingNode final : public NetNode {
+ public:
+  using NetNode::NetNode;
+  void receive(const Packet&, PortId) override { ++received; }
+  int received = 0;
+};
+
+TEST(NetworkTopology, OutOfRangePortDropsAndHasNoPeer) {
+  Simulation sim;
+  Network net(sim);
+  CountingNode a(net, "a");
+  CountingNode b(net, "b");
+  net.connect(a, b, 1_ms, 1_Gbps);
+  const auto p = makeSyn(Mac(1), Endpoint(Ipv4(1, 0, 0, 1), 1),
+                         Endpoint(Ipv4(1, 0, 0, 2), 80));
+  for (const PortId port : {PortId{1}, PortId{1000}, kInvalidPort}) {
+    EXPECT_EQ(net.peer(a, port), nullptr);
+    EXPECT_FALSE(net.linkUp(a, port));
+    net.transmit(a, port, p);
+  }
+  sim.run();
+  EXPECT_EQ(net.droppedPackets(), 3u);
+  EXPECT_EQ(net.deliveredPackets(), 0u);
+  EXPECT_EQ(b.received, 0);
+}
+
+TEST(NetworkTopology, UnwiredNodeHasNoPeerOrLink) {
+  Simulation sim;
+  Network net(sim);
+  CountingNode a(net, "a");
+  CountingNode b(net, "b");
+  CountingNode lonely(net, "lonely");  // registered, never wired
+  net.connect(a, b, 1_ms, 1_Gbps);
+  EXPECT_EQ(net.peer(lonely, 0), nullptr);
+  EXPECT_FALSE(net.linkUp(lonely, 0));
+  net.transmit(lonely, 0, makeSyn(Mac(1), Endpoint(Ipv4(1, 0, 0, 3), 1),
+                                  Endpoint(Ipv4(1, 0, 0, 2), 80)));
+  sim.run();
+  EXPECT_EQ(net.droppedPackets(), 1u);
+  EXPECT_EQ(b.received, 0);
+}
+
+TEST(NetworkTopology, NodeOfAnotherNetworkIsUnknown) {
+  // Same node id and port number as a wired node here, but registered with
+  // a different Network: it must not alias this network's link.
+  Simulation sim;
+  Network net(sim);
+  Network other(sim);
+  CountingNode a(net, "a");
+  CountingNode b(net, "b");
+  net.connect(a, b, 1_ms, 1_Gbps);
+  CountingNode stranger(other, "stranger");
+  ASSERT_EQ(stranger.id(), a.id());
+  EXPECT_EQ(net.peer(stranger, 0), nullptr);
+  EXPECT_FALSE(net.linkUp(stranger, 0));
+  net.transmit(stranger, 0, makeSyn(Mac(1), Endpoint(Ipv4(1, 0, 0, 9), 1),
+                                    Endpoint(Ipv4(1, 0, 0, 2), 80)));
+  sim.run();
+  EXPECT_EQ(net.droppedPackets(), 1u);
+  EXPECT_EQ(b.received, 0);
+}
+
+TEST(NetworkTopology, SetLinkUpFlipsBothDirectionsOnLargeTopology) {
+  // More than 256 links through one hub: every leaf's link must map to its
+  // own hub port in both directions.
+  constexpr int kLeaves = 300;
+  Simulation sim;
+  Network net(sim);
+  CountingNode hub(net, "hub");
+  std::vector<std::unique_ptr<CountingNode>> leaves;
+  std::vector<Network::LinkPorts> links;
+  for (int i = 0; i < kLeaves; ++i) {
+    leaves.push_back(
+        std::make_unique<CountingNode>(net, "leaf-" + std::to_string(i)));
+    links.push_back(net.connect(*leaves.back(), hub, 1_ms, 1_Gbps));
+  }
+  for (int i = 0; i < kLeaves; ++i) {
+    EXPECT_EQ(net.peer(hub, links[i].portB), leaves[i].get());
+    EXPECT_EQ(net.peer(*leaves[i], links[i].portA), &hub);
+  }
+  const int victim = 277;
+  net.setLinkUp(hub, links[victim].portB, false);
+  for (int i = 0; i < kLeaves; ++i) {
+    const bool up = i != victim;
+    EXPECT_EQ(net.linkUp(hub, links[i].portB), up) << i;
+    EXPECT_EQ(net.linkUp(*leaves[i], links[i].portA), up) << i;
+  }
+  net.setLinkUp(*leaves[victim], links[victim].portA, true);
+  EXPECT_TRUE(net.linkUp(hub, links[victim].portB));
+  EXPECT_TRUE(net.linkUp(*leaves[victim], links[victim].portA));
+
+  const auto p = makeSyn(Mac(1), Endpoint(Ipv4(1, 0, 0, 1), 1),
+                         Endpoint(Ipv4(1, 0, 0, 2), 80));
+  net.transmit(hub, links[victim].portB, p);
+  sim.run();
+  EXPECT_EQ(leaves[victim]->received, 1);
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "linear_flow_table.hpp"
 #include "net/host.hpp"
 #include "openflow/flow_table.hpp"
 #include "openflow/switch.hpp"
@@ -289,6 +291,170 @@ TEST_P(TablePriorityProperty, LookupReturnsMaxMatchingPriority) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TablePriorityProperty, ::testing::Range(1, 26));
+
+// Property: the indexed FlowTable behaves exactly like the original linear
+// table (tests/linear_flow_table.hpp) under random operation sequences --
+// same lookup results and stats, same entries() order, same FlowRemoved
+// (entry, reason) sequence.  Field values come from small pools so matches,
+// equal-priority ties and replace-in-place happen often.
+class FlowTableOracleProperty : public ::testing::TestWithParam<int> {};
+
+void expectSameEntry(const FlowEntry& a, const FlowEntry& b) {
+  EXPECT_EQ(a.priority, b.priority);
+  EXPECT_EQ(a.match, b.match);
+  EXPECT_EQ(a.actions, b.actions);
+  EXPECT_EQ(a.idleTimeout, b.idleTimeout);
+  EXPECT_EQ(a.hardTimeout, b.hardTimeout);
+  EXPECT_EQ(a.cookie, b.cookie);
+  EXPECT_EQ(a.notifyOnRemoval, b.notifyOnRemoval);
+  EXPECT_EQ(a.stats.packets, b.stats.packets);
+  EXPECT_EQ(a.stats.bytes, b.stats.bytes);
+  EXPECT_EQ(a.stats.created, b.stats.created);
+  EXPECT_EQ(a.stats.lastUsed, b.stats.lastUsed);
+}
+
+TEST_P(FlowTableOracleProperty, IndexedTableMatchesLinearReference) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()));
+  const auto pick = [&rng](const auto& pool) {
+    return pool[rng.uniformInt(0, pool.size() - 1)];
+  };
+  const std::vector<Ipv4> ips{Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2),
+                              Ipv4(10, 0, 1, 5), Ipv4(203, 0, 113, 10)};
+  const std::vector<std::uint16_t> ports{80, 30080, 40000, 40001};
+  const std::vector<std::uint16_t> priorities{1, 10, 50, 100, 100};
+
+  const auto randomMatch = [&] {
+    FlowMatch m;
+    switch (rng.uniformInt(0, 4)) {
+      case 0:  // background / unregistered destination
+        m.ipDst = pick(ips);
+        break;
+      case 1:  // forward redirect
+        m.ipSrc = pick(ips);
+        m.ipDst = pick(ips);
+        m.ipProto = IpProto::kTcp;
+        m.tcpDst = pick(ports);
+        break;
+      case 2:  // reverse redirect
+        m.ipSrc = pick(ips);
+        m.tcpSrc = pick(ports);
+        m.ipDst = pick(ips);
+        m.ipProto = IpProto::kTcp;
+        break;
+      default:  // any other shape, including in_port
+        if (rng.chance(0.4)) {
+          m.inPort = static_cast<PortId>(rng.uniformInt(0, 2));
+        }
+        if (rng.chance(0.5)) m.ipSrc = pick(ips);
+        if (rng.chance(0.5)) m.ipDst = pick(ips);
+        if (rng.chance(0.3)) m.ipProto = IpProto::kTcp;
+        if (rng.chance(0.4)) m.tcpSrc = pick(ports);
+        if (rng.chance(0.4)) m.tcpDst = pick(ports);
+        break;
+    }
+    return m;
+  };
+  const auto randomPacket = [&] {
+    Packet p = makeSyn(Mac(0x01), Endpoint(pick(ips), pick(ports)),
+                       Endpoint(pick(ips), pick(ports)));
+    p.payloadBytes = Bytes{rng.uniformInt(0, 1400)};
+    return p;
+  };
+
+  FlowTable indexed;
+  reference::LinearFlowTable linear;
+  using Removed = std::vector<std::pair<FlowEntry, RemovalReason>>;
+  Removed indexedRemoved;
+  Removed linearRemoved;
+  const auto recorder = [](Removed& log) {
+    return [&log](const FlowEntry& e, RemovalReason reason) {
+      log.emplace_back(e, reason);
+    };
+  };
+  indexed.setRemovalListener(recorder(indexedRemoved));
+  linear.setRemovalListener(recorder(linearRemoved));
+
+  std::vector<FlowEntry> installed;  // re-used for replaces and removes
+  SimTime now = SimTime::zero();
+  std::uint64_t nextCookie = 1;
+  for (int step = 0; step < 600; ++step) {
+    now = now + SimTime::millis(
+                    static_cast<std::int64_t>(rng.uniformInt(0, 400)));
+    const auto op = rng.uniformInt(0, 99);
+    if (op < 40) {
+      FlowEntry e;
+      if (!installed.empty() && rng.chance(0.3)) {
+        e = pick(installed);  // same match + priority: replace in place
+      } else {
+        e.priority = pick(priorities);
+        e.match = randomMatch();
+      }
+      e.actions = {OutputAction{static_cast<PortId>(rng.uniformInt(0, 5))}};
+      e.cookie = rng.chance(0.2) && !installed.empty() ? pick(installed).cookie
+                                                       : nextCookie++;
+      e.idleTimeout = SimTime::millis(static_cast<std::int64_t>(
+          pick(std::vector<int>{0, 1000, 3000})));
+      e.hardTimeout = SimTime::millis(static_cast<std::int64_t>(
+          pick(std::vector<int>{0, 0, 5000})));
+      e.notifyOnRemoval = rng.chance(0.8);
+      installed.push_back(e);
+      indexed.upsert(e, now);
+      linear.upsert(e, now);
+    } else if (op < 75) {
+      const Packet p = randomPacket();
+      const PortId inPort = static_cast<PortId>(rng.uniformInt(0, 2));
+      const FlowEntry* a = indexed.lookup(p, inPort, now);
+      const FlowEntry* b = linear.lookup(p, inPort, now);
+      ASSERT_EQ(a == nullptr, b == nullptr) << "step " << step;
+      if (a != nullptr) expectSameEntry(*a, *b);
+    } else if (op < 85 && !installed.empty()) {
+      const FlowEntry& e = pick(installed);
+      const std::uint64_t cookie = rng.chance(0.5) ? 0 : e.cookie;
+      EXPECT_EQ(indexed.remove(e.match, cookie),
+                linear.remove(e.match, cookie));
+    } else if (op < 90 && !installed.empty()) {
+      const std::uint64_t cookie = pick(installed).cookie;
+      EXPECT_EQ(indexed.removeByCookie(cookie), linear.removeByCookie(cookie));
+    } else if (op < 99) {
+      indexed.expire(now);
+      linear.expire(now);
+    } else {
+      indexed.clear();
+      linear.clear();
+    }
+
+    ASSERT_EQ(indexed.size(), linear.size()) << "step " << step;
+    const auto& got = indexed.entries();
+    const auto& want = linear.entries();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      expectSameEntry(got[i], want[i]);
+    }
+    ASSERT_EQ(indexedRemoved.size(), linearRemoved.size()) << "step " << step;
+    for (std::size_t i = 0; i < linearRemoved.size(); ++i) {
+      expectSameEntry(indexedRemoved[i].first, linearRemoved[i].first);
+      EXPECT_EQ(indexedRemoved[i].second, linearRemoved[i].second);
+    }
+    if (HasFailure()) FAIL() << "diverged at step " << step;
+  }
+  EXPECT_GT(indexedRemoved.size(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlowTableOracleProperty,
+                         ::testing::Range(1, 21));
+
+TEST(FlowTableTest, CopyIsIndependent) {
+  FlowTable table;
+  FlowEntry e;
+  e.priority = 100;
+  e.match = FlowMatch::clientToService(kClient, kService);
+  table.upsert(e, SimTime::zero());
+  FlowTable copy = table;
+  table.clear();
+  ASSERT_NE(copy.lookup(clientSyn(), 0, 1_ms), nullptr);
+  EXPECT_EQ(copy.entries()[0].stats.packets, 1u);
+  EXPECT_EQ(table.peek(clientSyn(), 0), nullptr);
+}
 
 // ----------------------------------------------- switch + controller ----
 

@@ -88,6 +88,52 @@ TEST(Simulation, CancelAfterFireIsNoop) {
   handle.cancel();  // must not crash
 }
 
+TEST(Simulation, HandleOutlivesSimulation) {
+  EventHandle handle;
+  {
+    Simulation sim;
+    handle = sim.schedule(1_ms, [] {});
+    EXPECT_TRUE(handle.pending());
+  }
+  EXPECT_FALSE(handle.pending());
+  handle.cancel();  // the simulation is gone: a safe no-op
+}
+
+TEST(Simulation, CancelInsideOwnHandlerIsNoop) {
+  Simulation sim;
+  EventHandle self;
+  bool pendingInside = true;
+  self = sim.schedule(1_ms, [&] {
+    pendingInside = self.pending();
+    self.cancel();
+  });
+  sim.run();
+  EXPECT_FALSE(pendingInside);
+  EXPECT_EQ(sim.processedEvents(), 1u);
+}
+
+TEST(Simulation, StaleHandleNeverTouchesReusedSlot) {
+  Simulation sim;
+  auto fired = sim.schedule(1_ms, [] {});
+  auto cancelled = sim.schedule(2_ms, [] {});
+  cancelled.cancel();
+  sim.run();
+  // Both slots are free again; new events take them over.
+  int ran = 0;
+  std::vector<EventHandle> fresh;
+  for (int i = 0; i < 4; ++i) {
+    fresh.push_back(sim.schedule(1_ms, [&ran] { ++ran; }));
+  }
+  for (auto* stale : {&fired, &cancelled}) {
+    EXPECT_FALSE(stale->pending());
+    stale->cancel();
+    stale->cancel();
+  }
+  for (const auto& handle : fresh) EXPECT_TRUE(handle.pending());
+  sim.run();
+  EXPECT_EQ(ran, 4);
+}
+
 TEST(Simulation, CancelFromAnotherEvent) {
   Simulation sim;
   bool ran = false;
