@@ -20,7 +20,7 @@
 // inbound channel's lookahead bound, over the run's makespan.  With
 // $EDGESIM_DOMAIN_OBS_OUT set, an extra instrumented 8-domain run exports
 // a domain trace (domain_trace.json) plus a telemetry snapshot pair for
-// tools/critical_path, domain_top and telemetry_top --lint (nightly CI).
+// tools/critical_path and telemetry_top (nightly CI).
 //
 // Output: BENCH_domain_scaling.json.  The committed baseline keeps the
 // domains/sec_per_kevent/* scalars (wall seconds per 1000 dispatched
@@ -96,7 +96,7 @@ RunResult runConfig(std::uint32_t domains) {
 
 /// Instrumented 8-domain run (metrics + trace recorder) exported into
 /// `dir` for the nightly observability smoke: domain_trace.json for
-/// critical_path, snapshot_000001.{json,prom} for domain_top / lint.
+/// critical_path, snapshot_000001.{json,prom} for telemetry_top.
 int exportObservabilityRun(const std::string& dir) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);

@@ -8,7 +8,7 @@
 #include <map>
 
 #include "experiment_common.hpp"
-#include "util/thread_pool.hpp"
+#include "util/lane_executor.hpp"
 
 using namespace edgesim;
 using namespace edgesim::bench;
@@ -63,7 +63,7 @@ int main() {
     jobs.push_back({key, ClusterMode::kK8sOnly});
   }
   std::vector<Samples> samples(jobs.size());
-  ThreadPool::parallelFor(jobs.size(), 0, [&](std::size_t i) {
+  LaneExecutor::parallelFor(jobs.size(), 0, [&](std::size_t i) {
     samples[i] = warmSamples(jobs[i].key, jobs[i].mode, 100);
   });
   metrics::BenchReport report("fig16_warm_requests");

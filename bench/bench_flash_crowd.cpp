@@ -10,7 +10,7 @@
 
 #include "experiment_common.hpp"
 #include "k8s/autoscaler.hpp"
-#include "util/thread_pool.hpp"
+#include "util/lane_executor.hpp"
 
 using namespace edgesim;
 using namespace edgesim::bench;
@@ -136,10 +136,13 @@ CrowdResult runCrowd(bool withAutoscaler) {
 int main() {
   CrowdResult with{};
   CrowdResult without{};
-  ThreadPool pool(2);
-  pool.submit([&with] { with = runCrowd(true); });
-  pool.submit([&without] { without = runCrowd(false); });
-  pool.wait();
+  LaneExecutor::parallelFor(2, 2, [&with, &without](std::size_t i) {
+    if (i == 0) {
+      with = runCrowd(true);
+    } else {
+      without = runCrowd(false);
+    }
+  });
 
   std::printf("Flash crowd: 5 -> 30 req/s for two minutes, one K8s replica "
               "initially, 40 ms/request service\n\n");

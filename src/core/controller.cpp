@@ -84,6 +84,36 @@ ControllerOptions ControllerOptions::fromConfig(const Config& config) {
   return options;
 }
 
+EdgeController::Ledger::Ledger(telemetry::MetricsRegistry& registry)
+    : packetIns(registry.counter("edgesim_packet_ins_total")),
+      submitted(registry.counter("edgesim_requests_submitted_total")),
+      resolved(registry.counter("edgesim_requests_total",
+                                {{"outcome", "resolved"}})),
+      failed(registry.counter("edgesim_requests_total",
+                              {{"outcome", "failed"}})),
+      shed(registry.counter("edgesim_requests_total", {{"outcome", "shed"}})),
+      degraded(registry.counter("edgesim_requests_total",
+                                {{"outcome", "degraded"}})),
+      warmHits(registry.counter("edgesim_warm_hits_total")),
+      scaleDowns(registry.counter("edgesim_scale_downs_total")),
+      removals(registry.counter("edgesim_removals_total")),
+      migrations(registry.counter("edgesim_migrations_total")),
+      handoversStarted(registry.counter("edgesim_handovers_total",
+                                        {{"outcome", "started"}})),
+      handoversCompleted(registry.counter("edgesim_handovers_total",
+                                          {{"outcome", "completed"}})),
+      handoversAborted(registry.counter("edgesim_handovers_total",
+                                        {{"outcome", "aborted_to_cloud"}})),
+      flowModsSent(
+          registry.counter("edgesim_ctrl_channel_flow_mods_sent_total")),
+      flowModsAcked(registry.counter("edgesim_ctrl_channel_acks_total",
+                                     {{"result", "acked"}})),
+      flowModsTimedOut(registry.counter("edgesim_ctrl_channel_acks_total",
+                                        {{"result", "timeout"}})),
+      flowModResends(registry.counter("edgesim_ctrl_channel_retries_total")),
+      flowModFailovers(
+          registry.counter("edgesim_ctrl_channel_failovers_total")) {}
+
 EdgeController::EdgeController(Simulation& sim, ControllerOptions options,
                                std::vector<ClusterAdapter*> adapters,
                                const AppProfileRegistry& profiles,
@@ -96,19 +126,17 @@ EdgeController::EdgeController(Simulation& sim, ControllerOptions options,
       recorder_(recorder),
       trace_(trace),
       telemetry_(telemetry),
+      ledger_(telemetry != nullptr ? *telemetry : ownRegistry_),
       memory_(options.memoryIdleTimeout,
               options.flowShards == 0 ? 1 : options.flowShards, telemetry),
       adapters_(std::move(adapters)) {
   if (telemetry_ != nullptr) {
     warmHist_ = &telemetry_->histogram("edgesim_resolve_seconds",
                                        {{"path", "warm"}});
-    resolvedCtr_ = &telemetry_->counter("edgesim_requests_total",
-                                        {{"outcome", "resolved"}});
-    failedCtr_ = &telemetry_->counter("edgesim_requests_total",
-                                      {{"outcome", "failed"}});
-    degradedCtr_ = &telemetry_->counter("edgesim_requests_total",
-                                        {{"outcome", "degraded"}});
-    scaleDownsCtr_ = &telemetry_->counter("edgesim_scale_downs_total");
+    hoLatencyHist_ =
+        &telemetry_->histogram("edgesim_handover_latency_seconds");
+    hoGapHist_ =
+        &telemetry_->histogram("edgesim_handover_continuity_gap_seconds");
   }
   if (options_.overload.enabled) {
     governor_ = std::make_unique<overload::OverloadGovernor>(
@@ -147,7 +175,7 @@ EdgeController::EdgeController(Simulation& sim, ControllerOptions options,
   dispatcher_->setBackgroundReadyListener(
       [this](Endpoint service, const std::string& cluster, Endpoint) {
         memory_.forgetServiceExcept(service, cluster);
-        ++migrations_;
+        ledger_.migrations.add();
         ES_INFO("controller", "BEST instance ready on %s; future requests "
                 "for %s will be re-scheduled there",
                 cluster.c_str(), service.toString().c_str());
@@ -201,28 +229,119 @@ EdgeController::~EdgeController() {
   reconciler_.reset();
 }
 
+// ---- the resolve pipeline ---------------------------------------------------
+
+EdgeController::RequestContext EdgeController::beginRequest(
+    Ipv4 client, Endpoint serviceAddress, const ServiceModel* service,
+    const Packet* packet, SimTime now) {
+  ledger_.submitted.add();
+  RequestContext request;
+  request.service = service;
+  request.startedAt = now;
+  // The deadline budget starts here: it rides through the lane queue
+  // (deadline-aware shedding), the FlowMemory lookup, and the dispatcher's
+  // deployment wait.
+  if (governor_ != nullptr &&
+      governor_->options().requestBudget > SimTime::zero()) {
+    request.deadline = now + governor_->options().requestBudget;
+  }
+  if (trace_ == nullptr || service == nullptr) return request;
+  // The request ID is allocated here, at entry: everything the request
+  // triggers downstream (FlowMemory lookup, scheduler decision, deployment
+  // phases, flow install) is stamped with it.  A packet-in also binds the
+  // flow, so the client-side timecurl measurement joins the request.
+  request.rid = trace_->newRequest();
+  trace::TraceArgs spanArgs{{"service", service->uniqueName}};
+  if (packet != nullptr) {
+    trace_->bindFlow(client, serviceAddress, request.rid);
+    trace_->instant(request.rid, "packet-in", "controller", now,
+                    {{"client", client.toString()},
+                     {"service", serviceAddress.toString()},
+                     {"packet", packet->summary()}});
+  } else {
+    spanArgs.emplace_back("client", client.toString());
+  }
+  request.span = trace_->beginSpan(request.rid, "resolve", "controller", now,
+                                   std::move(spanArgs));
+  return request;
+}
+
+void EdgeController::recordOutcome(const RequestContext& request,
+                                   const Result<Redirect>& result,
+                                   SimTime now, bool shed) {
+  const char* name = request.service != nullptr
+                         ? request.service->uniqueName.c_str()
+                         : "<unregistered>";
+  if (!result.ok()) {
+    if (shed) {
+      ledger_.shed.add();
+    } else {
+      // Sim thread only: lane workers never fail a request, they shed it.
+      ledger_.failed.add();
+      ES_WARN("controller", "resolve failed for %s: %s", name,
+              result.error().toString().c_str());
+    }
+    if (request.span != 0) {
+      trace_->endSpan(request.span, now,
+                      {{"ok", "false"}, {"error", result.error().toString()}});
+    }
+    return;
+  }
+  const Redirect& redirect = result.value();
+  if (shed || redirect.shed) {
+    // Terminated early by the governor: the redirect still points the
+    // client at the cloud, but the request counts as shed, not resolved.
+    ledger_.shed.add();
+  } else {
+    ledger_.resolved.add();
+    if (redirect.degraded) {
+      ledger_.degraded.add();
+      ES_INFO("controller", "degraded resolve for %s -> cloud instance %s",
+              name, redirect.instance.toString().c_str());
+    }
+    if (telemetry_ != nullptr) {
+      const double seconds = (now - request.startedAt).toSeconds();
+      if (redirect.fromMemory) {
+        warmHist_->observe(seconds);
+      } else {
+        if (const auto it = coldHists_.find(request.service->address);
+            it != coldHists_.end()) {
+          it->second->observe(seconds);
+        }
+        if (watchdog_ != nullptr) {
+          watchdog_->observeRequest(request.service->tag, seconds,
+                                    request.rid);
+        }
+      }
+    }
+  }
+  if (request.span != 0) {
+    trace_->endSpan(request.span, now,
+                    {{"ok", "true"},
+                     {"instance", redirect.instance.toString()},
+                     {"cluster", redirect.cluster},
+                     {"from_memory", redirect.fromMemory ? "true" : "false"},
+                     {"degraded", redirect.degraded ? "true" : "false"}});
+  }
+}
+
 void EdgeController::submitRequest(Ipv4 client, Endpoint serviceAddress,
                                    Dispatcher::ResolveCallback cb) {
   ES_ASSERT(cb != nullptr);
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  // The deadline budget starts at submit: it rides through the lane queue
-  // (deadline-aware shedding), the FlowMemory lookup, and the dispatcher's
-  // deployment wait.
-  SimTime deadline = SimTime::max();
-  if (governor_ != nullptr &&
-      governor_->options().requestBudget > SimTime::zero()) {
-    deadline = sim_.approxNow() + governor_->options().requestBudget;
-  }
+  const RequestContext request =
+      beginRequest(client, serviceAddress, serviceAt(serviceAddress),
+                   /*packet=*/nullptr, sim_.approxNow());
   if (pool_ == nullptr) {
-    handleSubmit(client, serviceAddress, std::move(cb), deadline);
+    handleSubmit(client, serviceAddress, request, std::move(cb));
     return;
   }
   // Lane = FlowMemory shard of (client, service): requests for the same
   // flow are handled in submission order; independent flows in parallel.
   const std::uint64_t lane = memory_.shardIndex(client, serviceAddress);
   if (governor_ == nullptr) {
-    pool_->post(lane, [this, client, serviceAddress, cb = std::move(cb)] {
-      handleSubmit(client, serviceAddress, std::move(cb), SimTime::max());
+    pool_->post(lane, [this, client, serviceAddress, request,
+                       cb = std::move(cb)]() mutable {
+      handleSubmit(client, serviceAddress, request, std::move(cb));
     });
     return;
   }
@@ -231,70 +350,62 @@ void EdgeController::submitRequest(Ipv4 client, Endpoint serviceAddress,
   auto shared =
       std::make_shared<Dispatcher::ResolveCallback>(std::move(cb));
   LaneExecutor::TaskMeta meta;
-  meta.deadlineNanos = deadline == SimTime::max() ? 0 : deadline.toNanos();
-  meta.onShed = [this, serviceAddress, shared] {
-    shedRequest(overload::ShedReason::kQueueFull, serviceAddress, *shared);
+  meta.deadlineNanos =
+      request.deadline == SimTime::max() ? 0 : request.deadline.toNanos();
+  meta.onShed = [this, serviceAddress, request, shared] {
+    shedRequest(overload::ShedReason::kQueueFull, serviceAddress, request,
+                *shared);
   };
   pool_->post(
       lane,
-      [this, client, serviceAddress, shared, deadline] {
-        handleSubmit(client, serviceAddress, std::move(*shared), deadline);
+      [this, client, serviceAddress, request, shared] {
+        handleSubmit(client, serviceAddress, request, std::move(*shared));
       },
       std::move(meta));
 }
 
 void EdgeController::shedRequest(overload::ShedReason reason,
                                  Endpoint serviceAddress,
+                                 const RequestContext& request,
                                  const Dispatcher::ResolveCallback& cb) {
-  shed_.fetch_add(1, std::memory_order_relaxed);
   governor_->noteShed(reason);
   // cloudRedirects_ is immutable after setup, so this lock-free read is
   // safe from any lane worker.
+  Result<Redirect> result =
+      makeError(Errc::kUnavailable,
+                "request shed (" + std::string(shedReasonName(reason)) +
+                    ") and no cloud instance hosts " +
+                    serviceAddress.toString());
   if (const auto it = cloudRedirects_.find(serviceAddress);
       it != cloudRedirects_.end()) {
-    cb(it->second);
-    return;
+    result = it->second;
   }
-  cb(makeError(Errc::kUnavailable,
-               "request shed (" + std::string(shedReasonName(reason)) +
-                   ") and no cloud instance hosts " +
-                   serviceAddress.toString()));
+  recordOutcome(request, result, sim_.approxNow(), /*shed=*/true);
+  cb(std::move(result));
 }
 
 void EdgeController::handleSubmit(Ipv4 client, Endpoint serviceAddress,
-                                  Dispatcher::ResolveCallback cb,
-                                  SimTime deadline) {
-  packetIns_.fetch_add(1, std::memory_order_relaxed);
-  if (governor_ != nullptr && deadline < SimTime::max() &&
-      sim_.approxNow() >= deadline) {
+                                  const RequestContext& request,
+                                  Dispatcher::ResolveCallback cb) {
+  ledger_.packetIns.add();
+  const SimTime now = sim_.approxNow();
+  if (budgetExpired(request, now)) {
     // The budget burned away while the request sat in the lane queue:
     // fail fast to the cloud instead of doing work nobody waits for.
-    shedRequest(overload::ShedReason::kBudgetExpired, serviceAddress, cb);
+    shedRequest(overload::ShedReason::kBudgetExpired, serviceAddress, request,
+                cb);
     return;
   }
   if (const auto memorized = memory_.lookup(client, serviceAddress)) {
     // Warm path: answered entirely on this worker.  The memorized instance
     // is trusted -- scale-down and migration invalidate FlowMemory before
     // the instance goes away (forgetInstance / forgetServiceExcept).
-    const SimTime now = sim_.approxNow();
     memory_.touch(client, serviceAddress, now);
-    warmHits_.fetch_add(1, std::memory_order_relaxed);
-    resolved_.fetch_add(1, std::memory_order_relaxed);
-    if (warmHist_ != nullptr) {
-      // Warm answers complete within the same sim instant; the series
-      // carries the count (and the registry's striped cells keep this
-      // worker-thread safe).
-      warmHist_->observe(0.0);
-      resolvedCtr_->add();
-    }
-    if (trace_ != nullptr) {
-      const trace::RequestId rid = trace_->newRequest();
-      trace_->instant(rid, "warm-hit", "controller", now,
-                      {{"client", client.toString()},
-                       {"instance", memorized->instance.toString()},
-                       {"cluster", memorized->cluster}});
-    }
-    cb(Redirect{memorized->instance, memorized->cluster, true});
+    ledger_.warmHits.add();
+    Result<Redirect> result =
+        Redirect{memorized->instance, memorized->cluster, true};
+    recordOutcome(request, result, now);
+    cb(std::move(result));
     return;
   }
   // Cold miss: deployment state lives on the simulation thread.  With no
@@ -304,116 +415,40 @@ void EdgeController::handleSubmit(Ipv4 client, Endpoint serviceAddress,
   // pending table then coalesces concurrent cold requests into a single
   // deployment.
   if (pool_ == nullptr) {
-    resolveCold(client, serviceAddress, std::move(cb), deadline);
+    resolveCold(client, serviceAddress, request, std::move(cb));
     return;
   }
   sim_.postExternal(
-      [this, client, serviceAddress, deadline, cb = std::move(cb)]() mutable {
-        resolveCold(client, serviceAddress, std::move(cb), deadline);
+      [this, client, serviceAddress, request, cb = std::move(cb)]() mutable {
+        resolveCold(client, serviceAddress, request, std::move(cb));
       });
 }
 
 void EdgeController::resolveCold(Ipv4 client, Endpoint serviceAddress,
-                                 Dispatcher::ResolveCallback cb,
-                                 SimTime deadline) {
-  if (governor_ != nullptr && deadline < SimTime::max() &&
-      sim_.now() >= deadline) {
+                                 const RequestContext& request,
+                                 Dispatcher::ResolveCallback cb) {
+  if (budgetExpired(request, sim_.now())) {
     // Budget burned between the worker's hand-off and this sim-thread
     // turn; same fail-fast answer as in the lane queue.
-    shedRequest(overload::ShedReason::kBudgetExpired, serviceAddress, cb);
+    shedRequest(overload::ShedReason::kBudgetExpired, serviceAddress, request,
+                cb);
     return;
   }
-  const ServiceModel* service = serviceAt(serviceAddress);
-  if (service == nullptr) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    if (failedCtr_ != nullptr) failedCtr_->add();
-    cb(makeError(Errc::kNotFound,
-                 "no service registered at " + serviceAddress.toString()));
+  if (request.service == nullptr) {
+    Result<Redirect> result = makeError(
+        Errc::kNotFound,
+        "no service registered at " + serviceAddress.toString());
+    recordOutcome(request, result, sim_.now());
+    cb(std::move(result));
     return;
   }
-  trace::RequestId rid = 0;
-  trace::SpanId span = 0;
-  if (trace_ != nullptr) {
-    rid = trace_->newRequest();
-    trace_->instant(rid, "submit-cold", "controller", sim_.now(),
-                    {{"client", client.toString()},
-                     {"service", serviceAddress.toString()}});
-    span = trace_->beginSpan(rid, "resolve", "controller", sim_.now(),
-                             {{"service", service->uniqueName}});
-  }
-  const SimTime startedAt = sim_.now();
-  const std::string tag = service->tag;
   dispatcher_->resolve(
-      *service, client,
-      [this, span, rid, startedAt, serviceAddress, tag,
-       cb = std::move(cb)](Result<Redirect> result) {
-        if (!result.ok()) {
-          failed_.fetch_add(1, std::memory_order_relaxed);
-          if (failedCtr_ != nullptr) failedCtr_->add();
-          if (trace_ != nullptr) {
-            trace_->endSpan(span, sim_.now(),
-                            {{"ok", "false"},
-                             {"error", result.error().toString()}});
-          }
-          cb(std::move(result));
-          return;
-        }
-        if (result.value().shed) {
-          // The dispatcher failed fast on an expired deadline budget; the
-          // governor already counted the reason -- the request lands in
-          // the shed bucket, not resolved.
-          shed_.fetch_add(1, std::memory_order_relaxed);
-          if (trace_ != nullptr) {
-            trace_->endSpan(span, sim_.now(),
-                            {{"ok", "true"},
-                             {"shed", "true"},
-                             {"instance", result.value().instance.toString()},
-                             {"cluster", result.value().cluster}});
-          }
-          cb(std::move(result));
-          return;
-        }
-        resolved_.fetch_add(1, std::memory_order_relaxed);
-        if (result.value().degraded) {
-          degraded_.fetch_add(1, std::memory_order_relaxed);
-        }
-        recordResolveOutcome(serviceAddress, tag, startedAt,
-                             result.value().fromMemory,
-                             result.value().degraded, rid);
-        if (trace_ != nullptr) {
-          trace_->endSpan(span, sim_.now(),
-                          {{"ok", "true"},
-                           {"instance", result.value().instance.toString()},
-                           {"cluster", result.value().cluster}});
-        }
+      *request.service, client,
+      [this, request, cb = std::move(cb)](Result<Redirect> result) {
+        recordOutcome(request, result, sim_.now());
         cb(std::move(result));
       },
-      rid, deadline);
-}
-
-telemetry::Histogram* EdgeController::coldHistogram(
-    Endpoint serviceAddress) const {
-  const auto it = coldHists_.find(serviceAddress);
-  return it == coldHists_.end() ? nullptr : it->second;
-}
-
-void EdgeController::recordResolveOutcome(Endpoint serviceAddress,
-                                          const std::string& tag,
-                                          SimTime startedAt, bool fromMemory,
-                                          bool degraded,
-                                          trace::RequestId rid) {
-  if (telemetry_ == nullptr) return;
-  const double seconds = (sim_.now() - startedAt).toSeconds();
-  if (fromMemory) {
-    warmHist_->observe(seconds);
-  } else if (auto* hist = coldHistogram(serviceAddress); hist != nullptr) {
-    hist->observe(seconds);
-  }
-  resolvedCtr_->add();
-  if (degraded) degradedCtr_->add();
-  if (!fromMemory && watchdog_ != nullptr) {
-    watchdog_->observeRequest(tag, seconds, rid);
-  }
+      request.rid, request.deadline);
 }
 
 Result<const ServiceModel*> EdgeController::registerService(
@@ -483,7 +518,7 @@ const ServiceModel* EdgeController::serviceAt(Endpoint address) const {
 }
 
 void EdgeController::onPacketIn(OpenFlowSwitch& sw, const PacketIn& event) {
-  ++packetIns_;
+  ledger_.packetIns.add();
   const Endpoint dst = event.packet.dstEndpoint();
   const ServiceModel* service = serviceAt(dst);
   if (service == nullptr) {
@@ -541,97 +576,36 @@ void EdgeController::handleRegisteredService(OpenFlowSwitch& sw,
     // Duplicate packet-in (e.g. a retransmitted SYN) while deployment is in
     // progress: buffered, will be released with the first one.
     if (trace_ != nullptr) {
-      trace_->instant(pending.rid, "packet-in-duplicate", "controller",
-                      sim_.now(), {{"buffer", strprintf("%u", event.bufferId)}});
+      trace_->instant(pending.request.rid, "packet-in-duplicate",
+                      "controller", sim_.now(),
+                      {{"buffer", strprintf("%u", event.bufferId)}});
     }
     return;
   }
   pending.resolving = true;
-  pending.startedAt = sim_.now();
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  SimTime deadline = SimTime::max();
-  if (governor_ != nullptr &&
-      governor_->options().requestBudget > SimTime::zero()) {
-    deadline = sim_.now() + governor_->options().requestBudget;
-  }
-
-  // Allocate the per-request trace ID here, at packet-in: everything the
-  // request triggers downstream (FlowMemory lookup, scheduler decision,
-  // deployment phases, flow install) is stamped with it, and the client-side
-  // timecurl measurement joins via the (client, service) flow binding.
-  if (trace_ != nullptr) {
-    pending.rid = trace_->newRequest();
-    trace_->bindFlow(client, service.address, pending.rid);
-    trace_->instant(pending.rid, "packet-in", "controller", sim_.now(),
-                    {{"client", client.toString()},
-                     {"service", service.address.toString()},
-                     {"packet", event.packet.summary()}});
-    pending.resolveSpan = trace_->beginSpan(
-        pending.rid, "resolve", "controller", sim_.now(),
-        {{"service", service.uniqueName}});
-  }
-  const trace::RequestId rid = pending.rid;
-
+  pending.request =
+      beginRequest(client, service.address, &service, &event.packet,
+                   sim_.now());
+  const RequestContext& request = pending.request;
   dispatcher_->resolve(
       service, client,
-      [this, key, &sw, &service](Result<Redirect> result) {
-        trace::SpanId resolveSpan = 0;
-        trace::RequestId rrid = 0;
-        SimTime startedAt = sim_.now();
-        if (const auto it = pendingRequests_.find(key);
-            it != pendingRequests_.end()) {
-          resolveSpan = it->second.resolveSpan;
-          rrid = it->second.rid;
-          startedAt = it->second.startedAt;
-        }
+      [this, key, &sw, &service, request](Result<Redirect> result) {
+        recordOutcome(request, result, sim_.now());
         if (!result.ok()) {
-          ++failed_;
-          if (failedCtr_ != nullptr) failedCtr_->add();
-          ES_WARN("controller", "resolve failed for %s: %s",
-                  service.uniqueName.c_str(),
-                  result.error().toString().c_str());
-          if (trace_ != nullptr) {
-            trace_->endSpan(resolveSpan, sim_.now(),
-                            {{"ok", "false"},
-                             {"error", result.error().toString()}});
-          }
           dropBuffered(key);
           return;
         }
         const Redirect& redirect = result.value();
-        if (redirect.shed) {
-          // Deadline budget expired mid-deployment: the redirect still
-          // points the client at the cloud (flows below), but the request
-          // counts as shed, not resolved.
-          ++shed_;
-        } else {
-          ++resolved_;
-          if (redirect.degraded) {
-            ++degraded_;
-            ES_INFO("controller",
-                    "degraded resolve for %s -> cloud instance %s",
-                    service.uniqueName.c_str(),
-                    redirect.instance.toString().c_str());
-          }
-          recordResolveOutcome(service.address, service.tag, startedAt,
-                               redirect.fromMemory, redirect.degraded, rrid);
-        }
         if (trace_ != nullptr) {
-          trace_->endSpan(resolveSpan, sim_.now(),
-                          {{"ok", "true"},
-                           {"instance", redirect.instance.toString()},
-                           {"cluster", redirect.cluster},
-                           {"from_memory",
-                            redirect.fromMemory ? "true" : "false"},
-                           {"degraded", redirect.degraded ? "true" : "false"}});
-          trace_->instant(rrid, "flow-install", "controller", sim_.now(),
+          trace_->instant(request.rid, "flow-install", "controller",
+                          sim_.now(),
                           {{"instance", redirect.instance.toString()},
                            {"cluster", redirect.cluster}});
         }
         installRedirectFlows(sw, key.client, service, redirect.instance);
         releaseBuffered(sw, key, service, redirect.instance);
       },
-      rid, deadline);
+      request.rid, request.deadline);
 }
 
 std::vector<FlowEntry> EdgeController::redirectEntries(
@@ -672,7 +646,7 @@ std::uint64_t EdgeController::installRedirectFlows(OpenFlowSwitch& sw,
                                                    Ipv4 client,
                                                    const ServiceModel& service,
                                                    Endpoint instance) {
-  const std::uint64_t cookie = cookieCounter_++;
+  const std::uint64_t cookie = nextCookie_++;
   std::vector<FlowEntry> entries = redirectEntries(sw, client, service,
                                                    instance);
   for (FlowEntry& entry : entries) entry.cookie = cookie;
@@ -701,7 +675,7 @@ void EdgeController::sendTrackedInstall(std::uint64_t cookie) {
   ++install.attempts;
   const std::uint64_t epoch = ++install.epoch;
   install.outstanding = static_cast<int>(install.entries.size());
-  flowModsSent_.fetch_add(install.entries.size(), std::memory_order_relaxed);
+  ledger_.flowModsSent.add(install.entries.size());
   for (const FlowEntry& entry : install.entries) {
     // Resends are safe because FlowMod is install-or-replace: a duplicate
     // upsert of the identical entry is a no-op apart from refreshed stats.
@@ -719,8 +693,7 @@ void EdgeController::onFlowModAck(std::uint64_t cookie, std::uint64_t epoch) {
     // an install that settled; discarding keeps the accounting exact.
     return;
   }
-  flowModsAcked_.fetch_add(1, std::memory_order_relaxed);
-  if (ctrlAckedCtr_ != nullptr) ctrlAckedCtr_->add();
+  ledger_.flowModsAcked.add();
   if (--it->second.outstanding > 0) return;
   it->second.deadline.cancel();
   pendingInstalls_.erase(it);
@@ -733,12 +706,9 @@ void EdgeController::onFlowModDeadline(std::uint64_t cookie) {
   // Every ack still missing is a timeout; bump the epoch immediately so a
   // late (stalled) ack of this attempt cannot also decrement the count.
   ++install.epoch;
-  ensureCtrlChannelTelemetry();
-  flowModsTimedOut_.fetch_add(install.outstanding, std::memory_order_relaxed);
-  if (ctrlTimeoutCtr_ != nullptr) ctrlTimeoutCtr_->add(install.outstanding);
+  ledger_.flowModsTimedOut.add(install.outstanding);
   if (install.attempts <= options_.flowModRetries) {
-    flowModResends_.fetch_add(1, std::memory_order_relaxed);
-    if (ctrlRetriesCtr_ != nullptr) ctrlRetriesCtr_->add();
+    ledger_.flowModResends.add();
     RetryPolicy policy;
     policy.maxRetries = options_.flowModRetries;
     policy.initialBackoff = options_.retryBackoff;
@@ -765,8 +735,7 @@ void EdgeController::failOverInstall(std::uint64_t cookie) {
   if (it == pendingInstalls_.end()) return;
   const PendingInstall install = std::move(it->second);
   pendingInstalls_.erase(it);
-  flowModFailovers_.fetch_add(1, std::memory_order_relaxed);
-  if (ctrlFailoversCtr_ != nullptr) ctrlFailoversCtr_->add();
+  ledger_.flowModFailovers.add();
   if (trace_ != nullptr) {
     trace_->instant(0, "flowmod_failover", "controller", sim_.now(),
                     {{"cookie", std::to_string(cookie)},
@@ -800,28 +769,13 @@ void EdgeController::failOverInstall(std::uint64_t cookie) {
     memory_.upsert(install.client, install.service, cloud.instance,
                    cloud.cluster, sim_.now());
   }
-  degraded_.fetch_add(1, std::memory_order_relaxed);
-  if (degradedCtr_ != nullptr) degradedCtr_->add();
+  ledger_.degraded.add();
   std::vector<FlowEntry> entries =
       redirectEntries(*install.sw, install.client, *service, cloud.instance);
   for (FlowEntry& entry : entries) {
     entry.cookie = cookie;
     install.sw->sendFlowMod(std::move(entry));
   }
-}
-
-void EdgeController::ensureCtrlChannelTelemetry() {
-  if (telemetry_ == nullptr || ctrlTimeoutCtr_ != nullptr) return;
-  ctrlAckedCtr_ = &telemetry_->counter("edgesim_ctrl_channel_acks_total",
-                                       {{"result", "acked"}});
-  ctrlTimeoutCtr_ = &telemetry_->counter("edgesim_ctrl_channel_acks_total",
-                                         {{"result", "timeout"}});
-  ctrlRetriesCtr_ = &telemetry_->counter("edgesim_ctrl_channel_retries_total");
-  ctrlFailoversCtr_ =
-      &telemetry_->counter("edgesim_ctrl_channel_failovers_total");
-  // Seed the acked series with the acks that arrived before the first
-  // timeout registered it, so acked+timeout reconciles with the atomics.
-  ctrlAckedCtr_->add(flowModsAcked_.load(std::memory_order_relaxed));
 }
 
 std::vector<EdgeController::IntendedFlow> EdgeController::intendedFlows(
@@ -953,8 +907,7 @@ void EdgeController::finishExpiry() {
     if (adapter == nullptr || adapter->isCloud()) continue;
     const ServiceModel* service = serviceAt(flow.service);
     if (service == nullptr) continue;
-    ++scaleDowns_;
-    if (scaleDownsCtr_ != nullptr) scaleDownsCtr_->add();
+    ledger_.scaleDowns.add();
     ES_INFO("controller", "scaling down idle service %s on %s",
             service->uniqueName.c_str(), flow.cluster.c_str());
     ClusterAdapter* adapterPtr = adapter;
@@ -982,7 +935,7 @@ void EdgeController::finishExpiry() {
     ClusterAdapter* adapter = dispatcher_->adapterByName(clusterName);
     const ServiceModel* service = serviceAt(address);
     if (adapter != nullptr && service != nullptr) {
-      ++removals_;
+      ledger_.removals.add();
       ES_INFO("controller", "removing long-idle service %s from %s",
               service->uniqueName.c_str(), clusterName.c_str());
       const bool deleteImages = options_.deleteImagesOnRemove;
@@ -1033,19 +986,6 @@ Status EdgeController::predeploy(Endpoint serviceAddress,
 // deploy (a missing target instance is deployed *before* the re-steer
 // commits, with the old binding answering meanwhile).
 
-void EdgeController::ensureHandoverTelemetry() {
-  if (telemetry_ == nullptr || hoStartedCtr_ != nullptr) return;
-  hoStartedCtr_ = &telemetry_->counter("edgesim_handovers_total",
-                                       {{"outcome", "started"}});
-  hoCompletedCtr_ = &telemetry_->counter("edgesim_handovers_total",
-                                         {{"outcome", "completed"}});
-  hoAbortedCtr_ = &telemetry_->counter("edgesim_handovers_total",
-                                       {{"outcome", "aborted_to_cloud"}});
-  hoLatencyHist_ = &telemetry_->histogram("edgesim_handover_latency_seconds");
-  hoGapHist_ =
-      &telemetry_->histogram("edgesim_handover_continuity_gap_seconds");
-}
-
 void EdgeController::requestHandover(Ipv4 client, Endpoint serviceAddress,
                                      const std::string& targetCluster,
                                      HandoverCallback cb) {
@@ -1094,9 +1034,7 @@ void EdgeController::startHandover(Ipv4 client, Endpoint serviceAddress,
     return;
   }
 
-  ensureHandoverTelemetry();
-  handoversStarted_.fetch_add(1, std::memory_order_relaxed);
-  if (hoStartedCtr_ != nullptr) hoStartedCtr_->add();
+  ledger_.handoversStarted.add();
   ActiveHandover& ah = handovers_[key];
   ah.startedAt = sim_.now();
   ah.oldInstance = memorized->instance;
@@ -1174,23 +1112,7 @@ void EdgeController::commitReSteer(const PendingKey& key,
                       sim_.now())) {
     // The flow expired while the target was deploying: nothing left to
     // re-steer.  Counts in the aborted bucket to keep the accounting exact.
-    HandoverResult result;
-    result.started = true;
-    result.abortedToCloud = true;
-    result.instance = ah.oldInstance;
-    result.cluster = ah.oldCluster;
-    result.latency = sim_.now() - ah.startedAt;
-    result.reason = "flow-expired";
-    handoversAborted_.fetch_add(1, std::memory_order_relaxed);
-    if (hoAbortedCtr_ != nullptr) hoAbortedCtr_->add();
-    if (hoLatencyHist_ != nullptr) {
-      hoLatencyHist_->observe(result.latency.toSeconds());
-    }
-    if (trace_ != nullptr) {
-      trace_->endSpan(ah.span, sim_.now(),
-                      {{"outcome", "aborted"}, {"reason", result.reason}});
-    }
-    finishHandover(key, std::move(result));
+    abortKeepingOldBinding(key, "flow-expired");
     return;
   }
   // The flow may have been scheduled for the Remove phase on the cluster it
@@ -1272,13 +1194,7 @@ void EdgeController::settleHandover(const PendingKey& key,
   result.continuityGap = now - ah.commitAt;
   result.latency = now - ah.startedAt;
   result.reason = reason;
-  if (degraded) {
-    handoversAborted_.fetch_add(1, std::memory_order_relaxed);
-    if (hoAbortedCtr_ != nullptr) hoAbortedCtr_->add();
-  } else {
-    handoversCompleted_.fetch_add(1, std::memory_order_relaxed);
-    if (hoCompletedCtr_ != nullptr) hoCompletedCtr_->add();
-  }
+  (degraded ? ledger_.handoversAborted : ledger_.handoversCompleted).add();
   if (hoLatencyHist_ != nullptr) {
     hoLatencyHist_->observe(result.latency.toSeconds());
     hoGapHist_->observe(result.continuityGap.toSeconds());
@@ -1303,8 +1219,7 @@ void EdgeController::settleHandover(const PendingKey& key,
     ClusterAdapter* old = dispatcher_->adapterByName(ah.oldCluster);
     const ServiceModel* servicePtr = serviceAt(key.service);
     if (old != nullptr && !old->isCloud() && servicePtr != nullptr) {
-      ++scaleDowns_;
-      if (scaleDownsCtr_ != nullptr) scaleDownsCtr_->add();
+      ledger_.scaleDowns.add();
       ES_INFO("controller", "scaling down vacated service %s on %s",
               servicePtr->uniqueName.c_str(), ah.oldCluster.c_str());
       ClusterAdapter* oldPtr = old;
@@ -1328,11 +1243,16 @@ void EdgeController::abortHandoverToCloud(const PendingKey& key,
                   cloudIt->second.cluster, /*degraded=*/true, reason);
     return;
   }
-  const auto it = handovers_.find(key);
-  if (it == handovers_.end()) return;
-  ActiveHandover& ah = it->second;
   // No cloud to degrade to: keep the old binding (still serving) rather
   // than strand the flow.
+  abortKeepingOldBinding(key, reason);
+}
+
+void EdgeController::abortKeepingOldBinding(const PendingKey& key,
+                                            const char* reason) {
+  const auto it = handovers_.find(key);
+  if (it == handovers_.end()) return;
+  const ActiveHandover& ah = it->second;
   HandoverResult result;
   result.started = true;
   result.abortedToCloud = true;
@@ -1340,8 +1260,7 @@ void EdgeController::abortHandoverToCloud(const PendingKey& key,
   result.cluster = ah.oldCluster;
   result.latency = sim_.now() - ah.startedAt;
   result.reason = reason;
-  handoversAborted_.fetch_add(1, std::memory_order_relaxed);
-  if (hoAbortedCtr_ != nullptr) hoAbortedCtr_->add();
+  ledger_.handoversAborted.add();
   if (hoLatencyHist_ != nullptr) {
     hoLatencyHist_->observe(result.latency.toSeconds());
   }

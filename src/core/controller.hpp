@@ -16,16 +16,28 @@
 //
 //   flow-removed (idle) -> FlowMemory bookkeeping; when the last memorized
 //   flow of a service instance expires, the instance is scaled down.
-//   Concurrent front-end (submitRequest, options.workers > 0): packet-in
-//   handling runs on a LaneExecutor pool, laned by the FlowMemory shard of
-//   (client, service) so same-flow requests stay ordered.  Warm requests
-//   (memorized flow) complete entirely on the worker -- shared-lock lookup,
-//   CAS touch, no simulation-thread involvement.  Cold requests marshal to
-//   the simulation thread (Simulation::postExternal), where the Dispatcher's
-//   per-(service, cluster) pending table serializes all deployment state.
+//
+// Both request entries -- packet-in and submitRequest -- run one pipeline:
+// beginRequest() counts the request, sets its deadline budget and opens its
+// trace span; recordOutcome() is the single exit that counts shed / failed
+// / resolved / degraded, observes the latency histogram, feeds the SLO
+// watchdog and ends the span.  Only the middle differs per entry:
+//   packet-in      buffers packets, resolves through Dispatcher::resolve
+//                  (which re-checks that a memorized instance is ready),
+//                  installs the redirect flows and releases the buffer.
+//   submitRequest  runs on a LaneExecutor pool (options.workers > 0; inline
+//                  otherwise), laned by the FlowMemory shard of (client,
+//                  service) so same-flow requests stay ordered.  Warm
+//                  requests are answered from FlowMemory on the worker
+//                  (shared-lock lookup, CAS touch); cold requests marshal to
+//                  the simulation thread (Simulation::postExternal), where
+//                  the Dispatcher's per-(service, cluster) pending table
+//                  serializes all deployment state.
+//
+// Every count lives in one place, a MetricsRegistry (DESIGN §9 "One
+// ledger"): the caller's, or a private one when the caller passes none.
 #pragma once
 
-#include <atomic>
 #include <deque>
 #include <map>
 #include <memory>
@@ -165,11 +177,13 @@ class RuleReconciler;
 
 class EdgeController : public openflow::ControllerApp {
  public:
-  /// `telemetry` (optional) instruments the whole request path: warm/cold
-  /// resolve latency histograms, request-outcome counters, per-shard
-  /// FlowMemory series, lane queue depth/wait, and per-cluster dispatcher
-  /// phase histograms.  Handles are resolved once up front; warm-path
-  /// increments are per-thread striped relaxed atomics.
+  /// `telemetry` (optional) holds every controller, dispatcher and
+  /// governor counter and adds the gated instruments: warm/cold resolve
+  /// latency histograms, handover histograms, per-shard FlowMemory series,
+  /// lane queue depth/wait, and per-cluster dispatcher phase histograms.
+  /// Without it the counters go to a private registry.  Handles are
+  /// resolved once up front; warm-path increments are per-thread striped
+  /// relaxed atomics.
   EdgeController(Simulation& sim, ControllerOptions options,
                  std::vector<ClusterAdapter*> adapters,
                  const AppProfileRegistry& profiles,
@@ -238,13 +252,13 @@ class EdgeController : public openflow::ControllerApp {
   }
 
   std::uint64_t handoversStarted() const {
-    return handoversStarted_.load(std::memory_order_relaxed);
+    return ledger_.handoversStarted.value();
   }
   std::uint64_t handoversCompleted() const {
-    return handoversCompleted_.load(std::memory_order_relaxed);
+    return ledger_.handoversCompleted.value();
   }
   std::uint64_t handoversAbortedToCloud() const {
-    return handoversAborted_.load(std::memory_order_relaxed);
+    return ledger_.handoversAborted.value();
   }
 
   /// The lane pool, or nullptr when options.workers == 0.
@@ -267,72 +281,53 @@ class EdgeController : public openflow::ControllerApp {
   FlowMemory& flowMemory() { return memory_; }
   Dispatcher& dispatcher() { return *dispatcher_; }
   GlobalScheduler& scheduler() { return *scheduler_; }
-  std::uint64_t packetInCount() const {
-    return packetIns_.load(std::memory_order_relaxed);
-  }
-  /// Every request handed to submitRequest().  At quiescence the overload
-  /// accounting invariant holds:
+  /// Packet-ins received plus submitRequest() calls not shed at admission.
+  std::uint64_t packetInCount() const { return ledger_.packetIns.value(); }
+  /// Every request that entered the pipeline (a first packet-in of a flow
+  /// or a submitRequest() call).  At quiescence the accounting invariant
+  /// holds:
   ///   requestsSubmitted() == requestsResolved() + requestsFailed()
   ///                          + requestsShed()
-  std::uint64_t requestsSubmitted() const {
-    return submitted_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t requestsSubmitted() const { return ledger_.submitted.value(); }
   /// Requests the governor terminated early: lane-queue admission rejects,
   /// deadline-budget expiries (including fail-fast cloud answers from the
   /// dispatcher).  Disjoint from resolved and failed.
-  std::uint64_t requestsShed() const {
-    return shed_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t requestsResolved() const {
-    return resolved_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t requestsFailed() const {
-    return failed_.load(std::memory_order_relaxed);
-  }
-  /// Resolves answered with a degraded (cloud-fallback) redirect; these
-  /// count toward requestsResolved() as well.
-  std::uint64_t requestsDegraded() const {
-    return degraded_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t scaleDowns() const {
-    return scaleDowns_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t removals() const {
-    return removals_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t requestsShed() const { return ledger_.shed.value(); }
+  std::uint64_t requestsResolved() const { return ledger_.resolved.value(); }
+  std::uint64_t requestsFailed() const { return ledger_.failed.value(); }
+  /// Resolves answered with a degraded (cloud-fallback) redirect, which
+  /// count toward requestsResolved() as well, plus installs failed over to
+  /// the cloud.
+  std::uint64_t requestsDegraded() const { return ledger_.degraded.value(); }
+  std::uint64_t scaleDowns() const { return ledger_.scaleDowns.value(); }
+  std::uint64_t removals() const { return ledger_.removals.value(); }
   /// BEST deployments that became ready and triggered flow migration.
-  std::uint64_t migrations() const {
-    return migrations_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t migrations() const { return ledger_.migrations.value(); }
   /// submitRequest() calls answered straight from FlowMemory on a worker.
-  std::uint64_t warmHits() const {
-    return warmHits_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t warmHits() const { return ledger_.warmHits.value(); }
 
   // ---- reliable installs (acked FlowMods) ---------------------------------
   /// Tracked FlowMods sent, counting every entry of every (re)send attempt.
   /// At quiescence the control-channel accounting invariant holds:
   ///   flowModsSent() == flowModsAcked() + flowModsTimedOut()
-  std::uint64_t flowModsSent() const {
-    return flowModsSent_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t flowModsSent() const { return ledger_.flowModsSent.value(); }
   std::uint64_t flowModsAcked() const {
-    return flowModsAcked_.load(std::memory_order_relaxed);
+    return ledger_.flowModsAcked.value();
   }
   /// Tracked FlowMods whose ack missed its deadline (each is then retried
   /// or failed over; late acks of a timed-out attempt are discarded by
   /// epoch, never double-counted).
   std::uint64_t flowModsTimedOut() const {
-    return flowModsTimedOut_.load(std::memory_order_relaxed);
+    return ledger_.flowModsTimedOut.value();
   }
   /// Resend rounds triggered by ack timeouts.
   std::uint64_t flowModResends() const {
-    return flowModResends_.load(std::memory_order_relaxed);
+    return ledger_.flowModResends.value();
   }
   /// Installs that exhausted their resend budget and failed over to the
   /// degraded cloud redirect.
   std::uint64_t flowModFailovers() const {
-    return flowModFailovers_.load(std::memory_order_relaxed);
+    return ledger_.flowModFailovers.value();
   }
   /// Install transactions still waiting for acks (0 at quiescence).
   std::size_t pendingInstallCount() const { return pendingInstalls_.size(); }
@@ -374,17 +369,25 @@ class EdgeController : public openflow::ControllerApp {
   }
 
  private:
+  /// One request in the resolve pipeline, from beginRequest() to its single
+  /// recordOutcome().
+  struct RequestContext {
+    /// nullptr for an unregistered address (submitRequest only).
+    const ServiceModel* service = nullptr;
+    /// Trace identity: the request ID and its open "resolve" span.
+    trace::RequestId rid = 0;
+    trace::SpanId span = 0;
+    /// Entry time; begin -> outcome is observed into the warm or cold
+    /// latency histogram.
+    SimTime startedAt;
+    /// Absolute deadline budget (SimTime::max() = none).
+    SimTime deadline = SimTime::max();
+  };
   struct PendingRequest {
     openflow::OpenFlowSwitch* sw = nullptr;
     std::vector<std::pair<openflow::BufferId, Packet>> buffered;
     bool resolving = false;
-    /// Trace identity: request ID allocated at the first packet-in and the
-    /// open "resolve" span it is measured under.
-    trace::RequestId rid = 0;
-    trace::SpanId resolveSpan = 0;
-    /// First packet-in time; packet_in -> flow-install latency is observed
-    /// into the warm or cold histogram when the resolve completes.
-    SimTime startedAt;
+    RequestContext request;
   };
   struct PendingKey {
     Ipv4 client;
@@ -451,9 +454,6 @@ class EdgeController : public openflow::ControllerApp {
   /// Resend budget exhausted: re-point FlowMemory (and, best-effort, the
   /// switch) at the degraded cloud redirect so the flow is never blackholed.
   void failOverInstall(std::uint64_t cookie);
-  /// Lazily register the edgesim_ctrl_channel_* series on the first ack
-  /// timeout so fault-free runs export exactly the pre-existing series set.
-  void ensureCtrlChannelTelemetry();
   // ---- handover state machine (sim thread) --------------------------------
   void startHandover(Ipv4 client, Endpoint serviceAddress,
                      const std::string& targetCluster, HandoverCallback cb);
@@ -472,36 +472,74 @@ class EdgeController : public openflow::ControllerApp {
   void abortHandoverToCloud(const PendingKey& key, const ServiceModel& service,
                             const char* reason);
   void finishHandover(const PendingKey& key, HandoverResult result);
-  /// Lazily register the edgesim_handover_* series on the first handover so
-  /// mobility-free runs export exactly the pre-mobility series set.
-  void ensureHandoverTelemetry();
+  /// Settle the handover as aborted with the flow left on its old binding.
+  void abortKeepingOldBinding(const PendingKey& key, const char* reason);
   void releaseBuffered(openflow::OpenFlowSwitch& sw, const PendingKey& key,
                        const ServiceModel& service, Endpoint instance);
   void dropBuffered(const PendingKey& key);
+  // ---- the resolve pipeline -------------------------------------------------
+  /// Shared entry step (thread-safe): count the request, set its deadline
+  /// budget, open its trace request and "resolve" span.  `packet` is the
+  /// packet-in that started it (bound to the flow and traced), or nullptr
+  /// for submitRequest.
+  RequestContext beginRequest(Ipv4 client, Endpoint serviceAddress,
+                              const ServiceModel* service,
+                              const Packet* packet, SimTime now);
+  /// Shared exit step (thread-safe), exactly once per beginRequest: count
+  /// the outcome (shed when `shed` or the redirect says so, else failed or
+  /// resolved + degraded), observe the latency histogram, feed the SLO
+  /// watchdog, end the span.
+  void recordOutcome(const RequestContext& request,
+                     const Result<Redirect>& result, SimTime now,
+                     bool shed = false);
+  static bool budgetExpired(const RequestContext& request, SimTime now) {
+    return now >= request.deadline;
+  }
+  // submitRequest's middle: lane worker (or inline), then sim thread.
   void handleSubmit(Ipv4 client, Endpoint serviceAddress,
-                    Dispatcher::ResolveCallback cb, SimTime deadline);
+                    const RequestContext& request,
+                    Dispatcher::ResolveCallback cb);
   void resolveCold(Ipv4 client, Endpoint serviceAddress,
-                   Dispatcher::ResolveCallback cb, SimTime deadline);
-  /// Terminate a shed request (thread-safe): bump the shed accounting and
-  /// answer `cb` immediately with the service's cached degraded cloud
-  /// redirect (an error when the service has none).  This is the "shed
-  /// requests get an immediate cloud redirect" half of admission control;
-  /// it deliberately touches no adapter state so lane workers may call it.
+                   const RequestContext& request,
+                   Dispatcher::ResolveCallback cb);
+  /// Terminate a shed request (thread-safe): note the reason, record the
+  /// outcome, and answer `cb` immediately with the service's cached
+  /// degraded cloud redirect (an error when the service has none).  This
+  /// is the "shed requests get an immediate cloud redirect" half of
+  /// admission control; it deliberately touches no adapter state so lane
+  /// workers may call it.
   void shedRequest(overload::ShedReason reason, Endpoint serviceAddress,
+                   const RequestContext& request,
                    const Dispatcher::ResolveCallback& cb);
-  /// Cold-path latency histogram for the service (per-service-tag series,
-  /// registered at registerService); nullptr when telemetry is off.
-  telemetry::Histogram* coldHistogram(Endpoint serviceAddress) const;
-  /// Observe a completed resolve: warm/cold latency histogram, outcome
-  /// counter, and (cold) the SLO watchdog's worst-request table.
-  void recordResolveOutcome(Endpoint serviceAddress, const std::string& tag,
-                            SimTime startedAt, bool fromMemory, bool degraded,
-                            trace::RequestId rid);
   void expireMemory();
   void finishExpiry();
   openflow::ActionList redirectActions(openflow::OpenFlowSwitch& sw,
                                        const ServiceModel& service,
                                        Endpoint instance) const;
+
+  /// The controller's counters, registered eagerly at construction: its
+  /// only count store.  Public accessors read these series.
+  struct Ledger {
+    explicit Ledger(telemetry::MetricsRegistry& registry);
+    telemetry::Counter& packetIns;
+    telemetry::Counter& submitted;
+    telemetry::Counter& resolved;
+    telemetry::Counter& failed;
+    telemetry::Counter& shed;
+    telemetry::Counter& degraded;
+    telemetry::Counter& warmHits;
+    telemetry::Counter& scaleDowns;
+    telemetry::Counter& removals;
+    telemetry::Counter& migrations;
+    telemetry::Counter& handoversStarted;
+    telemetry::Counter& handoversCompleted;
+    telemetry::Counter& handoversAborted;
+    telemetry::Counter& flowModsSent;
+    telemetry::Counter& flowModsAcked;
+    telemetry::Counter& flowModsTimedOut;
+    telemetry::Counter& flowModResends;
+    telemetry::Counter& flowModFailovers;
+  };
 
   Simulation& sim_;
   ControllerOptions options_;
@@ -509,16 +547,17 @@ class EdgeController : public openflow::ControllerApp {
   metrics::Recorder* recorder_;
   trace::TraceRecorder* trace_;
   telemetry::MetricsRegistry* telemetry_;
+  /// Counter store when the caller passed no registry.
+  telemetry::MetricsRegistry ownRegistry_;
+  Ledger ledger_;
   telemetry::SloWatchdog* watchdog_ = nullptr;
-  // Telemetry handles, resolved once at construction (nullptr when
+  // Latency histograms, resolved once at construction (nullptr when
   // telemetry is off).  The warm path touches only striped instruments.
   telemetry::Histogram* warmHist_ = nullptr;
-  telemetry::Counter* resolvedCtr_ = nullptr;
-  telemetry::Counter* failedCtr_ = nullptr;
-  telemetry::Counter* degradedCtr_ = nullptr;
-  telemetry::Counter* scaleDownsCtr_ = nullptr;
+  telemetry::Histogram* hoLatencyHist_ = nullptr;
+  telemetry::Histogram* hoGapHist_ = nullptr;
   /// Per-service cold-resolve histograms, filled at registerService (sim
-  /// thread; the cold path only runs there too).
+  /// thread, before traffic).
   std::unordered_map<Endpoint, telemetry::Histogram*> coldHists_;
   FlowMemory memory_;
   /// Created before the dispatcher (which borrows it); destroyed after the
@@ -531,12 +570,15 @@ class EdgeController : public openflow::ControllerApp {
   /// traffic starts, so lane workers read it without locks.
   std::unordered_map<Endpoint, Redirect> cloudRedirects_;
   std::vector<ClusterAdapter*> adapters_;
+  /// Immutable once traffic starts, so lane workers read it without locks.
   std::unordered_map<Endpoint, std::unique_ptr<ServiceModel>> services_;
   std::map<openflow::OpenFlowSwitch*, SwitchTopology> switches_;
   std::map<PendingKey, PendingRequest> pendingRequests_;
   std::map<PendingKey, ActiveHandover> handovers_;
   /// In-flight tracked installs by cookie (sim thread only).
   std::map<std::uint64_t, PendingInstall> pendingInstalls_;
+  /// Install cookie source (sim thread only).
+  std::uint64_t nextCookie_ = 1;
   /// Redirects the controller believes are live on each switch, keyed by
   /// (switch, client, service) and valued with the latest install cookie.
   /// Set when redirect flows are (re)sent, erased when the switch's
@@ -553,18 +595,6 @@ class EdgeController : public openflow::ControllerApp {
   /// Anti-entropy sweeper (options.reconcilePeriod > 0), started in the
   /// constructor; declared after switches_/memory_ so it tears down first.
   std::unique_ptr<RuleReconciler> reconciler_;
-  // Control-channel telemetry, registered lazily on the first ack timeout.
-  telemetry::Counter* ctrlAckedCtr_ = nullptr;
-  telemetry::Counter* ctrlTimeoutCtr_ = nullptr;
-  telemetry::Counter* ctrlRetriesCtr_ = nullptr;
-  telemetry::Counter* ctrlFailoversCtr_ = nullptr;
-  // Handover telemetry, registered lazily on the first handover (sim
-  // thread; registration is mutex-guarded but not hot-path safe).
-  telemetry::Counter* hoStartedCtr_ = nullptr;
-  telemetry::Counter* hoCompletedCtr_ = nullptr;
-  telemetry::Counter* hoAbortedCtr_ = nullptr;
-  telemetry::Histogram* hoLatencyHist_ = nullptr;
-  telemetry::Histogram* hoGapHist_ = nullptr;
   PeriodicTimer memoryScan_;
   /// (service address, cluster) -> when the service was scaled down; used
   /// to drive the Remove/Delete phases after prolonged idle.
@@ -572,27 +602,6 @@ class EdgeController : public openflow::ControllerApp {
   /// Request lane pool (options.workers > 0); destroyed first so no worker
   /// can touch controller state during teardown.
   std::unique_ptr<LaneExecutor> pool_;
-  // Counters are atomics: the warm path increments them from pool workers
-  // while the simulation thread serves cold requests and expiry.
-  std::atomic<std::uint64_t> packetIns_{0};
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> resolved_{0};
-  std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> degraded_{0};
-  std::atomic<std::uint64_t> scaleDowns_{0};
-  std::atomic<std::uint64_t> removals_{0};
-  std::atomic<std::uint64_t> migrations_{0};
-  std::atomic<std::uint64_t> warmHits_{0};
-  std::atomic<std::uint64_t> handoversStarted_{0};
-  std::atomic<std::uint64_t> handoversCompleted_{0};
-  std::atomic<std::uint64_t> handoversAborted_{0};
-  std::atomic<std::uint64_t> cookieCounter_{1};
-  std::atomic<std::uint64_t> flowModsSent_{0};
-  std::atomic<std::uint64_t> flowModsAcked_{0};
-  std::atomic<std::uint64_t> flowModsTimedOut_{0};
-  std::atomic<std::uint64_t> flowModResends_{0};
-  std::atomic<std::uint64_t> flowModFailovers_{0};
 };
 
 }  // namespace edgesim::core

@@ -32,39 +32,52 @@ Dispatcher::Dispatcher(Simulation& sim, FlowMemory& memory,
       trace_(trace),
       governor_(governor),
       options_(options),
-      localScheduler_(makeLocalScheduler(options.instancePolicy)) {
+      localScheduler_(makeLocalScheduler(options.instancePolicy)),
+      telemetry_(telemetry),
+      ledger_(telemetry != nullptr ? *telemetry : ownRegistry_) {
   ES_ASSERT(!adapters_.empty());
-  if (telemetry != nullptr) {
-    for (const ClusterAdapter* adapter : adapters_) {
-      const std::string name = adapter->name();
-      ClusterTelemetry& handles = clusterTelemetry_[name];
-      for (const char* phase : {"pull", "create", "scaleup-cmd", "wait"}) {
-        handles.phases[phase] = &telemetry->histogram(
-            "edgesim_deploy_phase_seconds",
-            {{"cluster", name}, {"phase", phase}});
-      }
-      handles.deployments =
-          &telemetry->counter("edgesim_deploys_total", {{"cluster", name}});
-      handles.retries = &telemetry->counter("edgesim_deploy_retries_total",
-                                            {{"cluster", name}});
-      handles.fallbacks = &telemetry->counter("edgesim_deploy_fallbacks_total",
-                                              {{"cluster", name}});
-      handles.quarantines = &telemetry->counter(
-          "edgesim_deploy_quarantines_total", {{"cluster", name}});
-      handles.decisionsFast =
-          &telemetry->counter("edgesim_scheduler_decisions_total",
-                              {{"cluster", name}, {"role", "fast"}});
-      handles.decisionsBest =
-          &telemetry->counter("edgesim_scheduler_decisions_total",
-                              {{"cluster", name}, {"role", "best"}});
-    }
+  for (const ClusterAdapter* adapter : adapters_) {
+    clusterTelemetry(adapter->name());
   }
 }
 
-Dispatcher::ClusterTelemetry* Dispatcher::clusterTelemetry(
+Dispatcher::ClusterTelemetry& Dispatcher::clusterTelemetry(
     const std::string& cluster) {
-  const auto it = clusterTelemetry_.find(cluster);
-  return it == clusterTelemetry_.end() ? nullptr : &it->second;
+  const auto [it, inserted] = clusterTelemetry_.try_emplace(cluster);
+  ClusterTelemetry& handles = it->second;
+  if (!inserted) return handles;
+  if (telemetry_ != nullptr) {
+    for (const char* phase : {"pull", "create", "scaleup-cmd", "wait"}) {
+      handles.phases[phase] = &telemetry_->histogram(
+          "edgesim_deploy_phase_seconds",
+          {{"cluster", cluster}, {"phase", phase}});
+    }
+  }
+  const telemetry::Labels labels{{"cluster", cluster}};
+  handles.deployments = &ledger_.counter("edgesim_deploys_total", labels);
+  handles.background =
+      &ledger_.counter("edgesim_background_deploys_total", labels);
+  handles.retries = &ledger_.counter("edgesim_deploy_retries_total", labels);
+  handles.fallbacks =
+      &ledger_.counter("edgesim_deploy_fallbacks_total", labels);
+  handles.quarantines =
+      &ledger_.counter("edgesim_deploy_quarantines_total", labels);
+  handles.decisionsFast =
+      &ledger_.counter("edgesim_scheduler_decisions_total",
+                       {{"cluster", cluster}, {"role", "fast"}});
+  handles.decisionsBest =
+      &ledger_.counter("edgesim_scheduler_decisions_total",
+                       {{"cluster", cluster}, {"role", "best"}});
+  return handles;
+}
+
+std::uint64_t Dispatcher::total(
+    telemetry::Counter* ClusterTelemetry::*counter) const {
+  std::uint64_t sum = 0;
+  for (const auto& [cluster, handles] : clusterTelemetry_) {
+    sum += (handles.*counter)->value();
+  }
+  return sum;
 }
 
 ClusterAdapter* Dispatcher::adapterByName(const std::string& name) const {
@@ -118,11 +131,9 @@ bool Dispatcher::answerFromCloud(const ServiceModel& service, Ipv4 client,
 void Dispatcher::recordPhase(const ServiceModel& service,
                              ClusterAdapter& cluster, const char* phase,
                              SimTime duration) {
-  if (ClusterTelemetry* handles = clusterTelemetry(cluster.name())) {
-    if (const auto it = handles->phases.find(phase);
-        it != handles->phases.end()) {
-      it->second->observe(duration.toSeconds());
-    }
+  const auto& phases = clusterTelemetry(cluster.name()).phases;
+  if (const auto it = phases.find(phase); it != phases.end()) {
+    it->second->observe(duration.toSeconds());
   }
   if (recorder_ == nullptr) return;
   recorder_->addSample(
@@ -192,14 +203,10 @@ void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
   // 3. FAST / BEST decision (quarantined clusters are filtered out).
   const GlobalDecision decision = scheduler_.schedule(request, sim_.now());
   if (decision.fast.has_value()) {
-    if (ClusterTelemetry* handles = clusterTelemetry(*decision.fast)) {
-      handles->decisionsFast->add();
-    }
+    clusterTelemetry(*decision.fast).decisionsFast->add();
   }
   if (decision.best.has_value()) {
-    if (ClusterTelemetry* handles = clusterTelemetry(*decision.best)) {
-      handles->decisionsBest->add();
-    }
+    clusterTelemetry(*decision.best).decisionsBest->add();
   }
   if (trace_ != nullptr) {
     trace_->completeSpan(
@@ -211,7 +218,7 @@ void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
   // 4. Background deployment for BEST ("without waiting", fig. 3).
   if (decision.deploysWithoutWaiting()) {
     if (ClusterAdapter* best = adapterByName(*decision.best)) {
-      ++background_;
+      clusterTelemetry(best->name()).background->add();
       ES_DEBUG("dispatcher", "background deployment of %s on %s",
                service.uniqueName.c_str(), best->name().c_str());
       if (trace_ != nullptr) {
@@ -281,7 +288,7 @@ void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
       governor_->brownoutActive(sim_.now()) &&
       answerFromCloud(service, client, cb, /*shed=*/false, rid,
                       "brownout-redirect")) {
-    if (auto* counter = governor_->brownoutRedirectCounter()) counter->add();
+    governor_->brownoutRedirectCounter().add();
     const SimTime deployStart = sim_.now();
     ensureReady(service, *fast,
                 [this, breaker, deployStart](Result<Endpoint> result) {
@@ -368,11 +375,7 @@ void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
                       cloud->name() != clusterName) {
                     const auto cloudReady = cloud->readyInstances(service);
                     if (!cloudReady.empty()) {
-                      ++fallbacks_;
-                      if (ClusterTelemetry* handles =
-                              clusterTelemetry(clusterName)) {
-                        handles->fallbacks->add();
-                      }
+                      clusterTelemetry(clusterName).fallbacks->add();
                       if (trace_ != nullptr) {
                         trace_->instant(
                             rid, "cloud-fallback", "deploy", sim_.now(),
@@ -480,10 +483,7 @@ void Dispatcher::ensureReady(const ServiceModel& service,
     finishDeploy(key, makeError(Errc::kTimeout, "deployment timed out"));
   });
   pending_.emplace(key, std::move(deploy));
-  ++deployments_;
-  if (ClusterTelemetry* handles = clusterTelemetry(cluster.name())) {
-    handles->deployments->add();
-  }
+  clusterTelemetry(cluster.name()).deployments->add();
   runPhases(service, cluster, key, /*epoch=*/0);
 }
 
@@ -517,10 +517,7 @@ void Dispatcher::onPhaseFailure(const ServiceModel& service,
   }
   const SimTime delay = options_.retry.backoff(deploy.retriesUsed);
   ++deploy.retriesUsed;
-  ++retries_;
-  if (ClusterTelemetry* handles = clusterTelemetry(cluster.name())) {
-    handles->retries->add();
-  }
+  clusterTelemetry(cluster.name()).retries->add();
   if (trace_ != nullptr) {
     trace_->instant(deploy.rid, "retry", "deploy", sim_.now(),
                     {{"attempt", strprintf("%d/%d", deploy.retriesUsed,
@@ -722,10 +719,7 @@ void Dispatcher::finishDeploy(const std::string& key,
     const bool isCloud = adapter != nullptr && adapter->isCloud();
     if (!isCloud && options_.quarantineCooldown > SimTime::zero()) {
       scheduler_.quarantine(cluster, sim_.now() + options_.quarantineCooldown);
-      ++quarantines_;
-      if (ClusterTelemetry* handles = clusterTelemetry(cluster)) {
-        handles->quarantines->add();
-      }
+      clusterTelemetry(cluster).quarantines->add();
       if (trace_ != nullptr) {
         trace_->instant(deployRid, "quarantine", "deploy", sim_.now(),
                         {{"cluster", cluster},

@@ -93,9 +93,11 @@ class Dispatcher {
   using ReadyCallback = std::function<void(Result<Endpoint>)>;
 
   /// `telemetry` (optional) registers per-cluster phase-duration histograms
-  /// plus deployment / retry / fallback / quarantine and scheduler-decision
-  /// counters; handles are resolved once here (deployment work is sim-thread
-  /// only, but the striped instruments stay safe to read at any time).
+  /// and holds the deployment / background / retry / fallback / quarantine
+  /// and scheduler-decision counters -- the dispatcher's only count store;
+  /// without it the counters go to a private registry.  Handles are
+  /// resolved once here (deployment work is sim-thread only, but the
+  /// striped instruments stay safe to read at any time).
   /// `governor` (optional) adds overload protection: deadline budgets fail
   /// fast to the cloud, per-cluster deploy tokens cap concurrent
   /// deployments, circuit-breaker outcomes are fed from deployment results,
@@ -157,14 +159,23 @@ class Dispatcher {
 
   /// Deployments currently in flight.
   std::size_t pendingDeployments() const { return pending_.size(); }
-  std::uint64_t deploymentsTriggered() const { return deployments_; }
-  std::uint64_t backgroundDeployments() const { return background_; }
+  /// Totals over every cluster's series.
+  std::uint64_t deploymentsTriggered() const {
+    return total(&ClusterTelemetry::deployments);
+  }
+  std::uint64_t backgroundDeployments() const {
+    return total(&ClusterTelemetry::background);
+  }
   /// Phase retries performed across all deployments.
-  std::uint64_t retries() const { return retries_; }
+  std::uint64_t retries() const { return total(&ClusterTelemetry::retries); }
   /// Resolves answered with a degraded cloud redirect.
-  std::uint64_t fallbacks() const { return fallbacks_; }
+  std::uint64_t fallbacks() const {
+    return total(&ClusterTelemetry::fallbacks);
+  }
   /// Clusters quarantined after an exhausted retry budget.
-  std::uint64_t quarantines() const { return quarantines_; }
+  std::uint64_t quarantines() const {
+    return total(&ClusterTelemetry::quarantines);
+  }
 
  private:
   struct PendingDeploy {
@@ -223,18 +234,21 @@ class Dispatcher {
                        const ResolveCallback& cb, bool shed,
                        trace::RequestId rid, const char* why);
 
-  /// Per-cluster telemetry handles, resolved at construction (empty map
-  /// when telemetry is off).
+  /// Per-cluster instruments, registered at construction for every
+  /// adapter (on first use for any other cluster).  Counters live in
+  /// ledger_; the phase histograms only exist with caller telemetry.
   struct ClusterTelemetry {
     std::map<std::string, telemetry::Histogram*> phases;  // by phase name
     telemetry::Counter* deployments = nullptr;
+    telemetry::Counter* background = nullptr;
     telemetry::Counter* retries = nullptr;
     telemetry::Counter* fallbacks = nullptr;
     telemetry::Counter* quarantines = nullptr;
     telemetry::Counter* decisionsFast = nullptr;
     telemetry::Counter* decisionsBest = nullptr;
   };
-  ClusterTelemetry* clusterTelemetry(const std::string& cluster);
+  ClusterTelemetry& clusterTelemetry(const std::string& cluster);
+  std::uint64_t total(telemetry::Counter* ClusterTelemetry::*counter) const;
 
   Simulation& sim_;
   /// The control lane: all deployment state (pending_, adapters, the
@@ -253,13 +267,12 @@ class Dispatcher {
   std::map<std::string, ClusterTelemetry> clusterTelemetry_;
   DispatcherOptions options_;
   std::unique_ptr<LocalScheduler> localScheduler_;
+  telemetry::MetricsRegistry* telemetry_;
+  /// Counter store: `telemetry`, or ownRegistry_ when that is null.
+  telemetry::MetricsRegistry ownRegistry_;
+  telemetry::MetricsRegistry& ledger_;
   std::map<std::string, PendingDeploy> pending_;
   BackgroundReadyListener backgroundListener_;
-  std::uint64_t deployments_ = 0;
-  std::uint64_t background_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t fallbacks_ = 0;
-  std::uint64_t quarantines_ = 0;
 };
 
 }  // namespace edgesim::core

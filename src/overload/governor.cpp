@@ -59,35 +59,32 @@ OverloadOptions OverloadOptions::fromConfig(const Config& config) {
 
 OverloadGovernor::OverloadGovernor(OverloadOptions options,
                                    telemetry::MetricsRegistry* telemetry)
-    : options_(std::move(options)), telemetry_(telemetry) {
+    : options_(std::move(options)),
+      telemetry_(telemetry),
+      ledger_(telemetry != nullptr ? *telemetry : ownRegistry_) {
+  for (std::size_t i = 0; i < kShedReasonCount; ++i) {
+    shedCtr_[i] = &ledger_.counter(
+        "edgesim_shed_total",
+        {{"reason", shedReasonName(static_cast<ShedReason>(i))}});
+  }
+  brownoutEnterCtr_ = &ledger_.counter("edgesim_brownout_transitions_total",
+                                       {{"to", "active"}});
+  brownoutExitCtr_ = &ledger_.counter("edgesim_brownout_transitions_total",
+                                      {{"to", "inactive"}});
+  brownoutRedirects_ = &ledger_.counter("edgesim_brownout_redirects_total");
   if (telemetry_ != nullptr) {
-    for (std::size_t i = 0; i < kShedReasonCount; ++i) {
-      shedCtr_[i] = &telemetry_->counter(
-          "edgesim_shed_total",
-          {{"reason", shedReasonName(static_cast<ShedReason>(i))}});
-    }
     brownoutGauge_ = &telemetry_->gauge("edgesim_brownout_active");
-    brownoutEnterCtr_ = &telemetry_->counter(
-        "edgesim_brownout_transitions_total", {{"to", "active"}});
-    brownoutExitCtr_ = &telemetry_->counter(
-        "edgesim_brownout_transitions_total", {{"to", "inactive"}});
-    brownoutRedirects_ =
-        &telemetry_->counter("edgesim_brownout_redirects_total");
     deployTokenGauge_ = &telemetry_->gauge("edgesim_deploy_tokens_in_use");
   }
 }
 
 void OverloadGovernor::noteShed(ShedReason reason) {
-  const auto index = static_cast<std::size_t>(reason);
-  shed_[index].fetch_add(1, std::memory_order_relaxed);
-  if (shedCtr_[index] != nullptr) shedCtr_[index]->add();
+  shedCtr_[static_cast<std::size_t>(reason)]->add();
 }
 
 std::uint64_t OverloadGovernor::shedCount() const {
   std::uint64_t total = 0;
-  for (const auto& counter : shed_) {
-    total += counter.load(std::memory_order_relaxed);
-  }
+  for (const telemetry::Counter* counter : shedCtr_) total += counter->value();
   return total;
 }
 
@@ -145,9 +142,8 @@ bool OverloadGovernor::brownoutActive(SimTime now) {
   if (over) brownoutLastOver_ = now;
   if (!brownout_ && over) {
     brownout_ = true;
-    ++brownoutEntries_;
+    brownoutEnterCtr_->add();
     if (brownoutGauge_ != nullptr) brownoutGauge_->set(1);
-    if (brownoutEnterCtr_ != nullptr) brownoutEnterCtr_->add();
     ES_WARN("overload", "BROWNOUT at t=%.3fs: %llu sheds within %.2fs "
             "(threshold %llu); forcing without-waiting redirects",
             now.toSeconds(), static_cast<unsigned long long>(inWindow),
@@ -156,8 +152,8 @@ bool OverloadGovernor::brownoutActive(SimTime now) {
   } else if (brownout_ && !over &&
              now - brownoutLastOver_ >= options_.brownoutMinDwell) {
     brownout_ = false;
+    brownoutExitCtr_->add();
     if (brownoutGauge_ != nullptr) brownoutGauge_->set(0);
-    if (brownoutExitCtr_ != nullptr) brownoutExitCtr_->add();
     ES_INFO("overload", "brownout cleared at t=%.3fs", now.toSeconds());
   }
   return brownout_;

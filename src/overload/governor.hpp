@@ -21,6 +21,10 @@
 // cold requests are answered from a ready (cloud) instance immediately
 // while the edge deployment proceeds in the background.
 //
+// Counts live only in the MetricsRegistry (shed by reason, brownout
+// transitions and redirects): the caller's registry, or a private one when
+// the caller passes none, so the accessors work either way.
+//
 // Thread model: shed accounting (noteShed / counters) is thread-safe --
 // lane shedding happens on whatever thread called submitRequest.  Breakers,
 // deploy tokens and brownout evaluation run on the simulation thread only
@@ -30,7 +34,6 @@
 // hook is a null check, so determinism goldens stay bit-identical.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -96,8 +99,9 @@ struct OverloadOptions {
 
 class OverloadGovernor {
  public:
-  /// `telemetry` (optional) exports shed / brownout / breaker series;
-  /// handles resolve once here so noteShed() stays hot-path safe.
+  /// `telemetry` (optional) exports the gauges and breaker series and
+  /// holds the counters; without it the counters go to a private registry.
+  /// Handles resolve once here so noteShed() stays hot-path safe.
   OverloadGovernor(OverloadOptions options,
                    telemetry::MetricsRegistry* telemetry = nullptr);
 
@@ -110,8 +114,7 @@ class OverloadGovernor {
   void noteShed(ShedReason reason);
   std::uint64_t shedCount() const;
   std::uint64_t shedCount(ShedReason reason) const {
-    return shed_[static_cast<std::size_t>(reason)].load(
-        std::memory_order_relaxed);
+    return shedCtr_[static_cast<std::size_t>(reason)]->value();
   }
 
   // ---- per-cluster breakers (simulation thread) ---------------------------
@@ -135,13 +138,15 @@ class OverloadGovernor {
   /// the rolling window crosses the threshold; exits `brownoutMinDwell`
   /// after the last window that was still over it.
   bool brownoutActive(SimTime now);
-  std::uint64_t brownoutEntries() const { return brownoutEntries_; }
+  std::uint64_t brownoutEntries() const { return brownoutEnterCtr_->value(); }
 
  private:
   OverloadOptions options_;
   telemetry::MetricsRegistry* telemetry_;
+  /// Counter store: `telemetry`, or ownRegistry_ when that is null.
+  telemetry::MetricsRegistry ownRegistry_;
+  telemetry::MetricsRegistry& ledger_;
 
-  std::atomic<std::uint64_t> shed_[kShedReasonCount] = {};
   telemetry::Counter* shedCtr_[kShedReasonCount] = {};
 
   std::map<std::string, std::unique_ptr<CircuitBreaker>> breakers_;
@@ -153,16 +158,14 @@ class OverloadGovernor {
   std::uint64_t shedAtWindowStart_ = 0;
   bool brownout_ = false;
   SimTime brownoutLastOver_;
-  std::uint64_t brownoutEntries_ = 0;
   telemetry::Gauge* brownoutGauge_ = nullptr;
   telemetry::Counter* brownoutEnterCtr_ = nullptr;
   telemetry::Counter* brownoutExitCtr_ = nullptr;
   telemetry::Counter* brownoutRedirects_ = nullptr;
 
  public:
-  /// Counter bumped by the dispatcher for each brownout-forced redirect
-  /// (nullptr when telemetry is off).
-  telemetry::Counter* brownoutRedirectCounter() { return brownoutRedirects_; }
+  /// Counter bumped by the dispatcher for each brownout-forced redirect.
+  telemetry::Counter& brownoutRedirectCounter() { return *brownoutRedirects_; }
 };
 
 }  // namespace edgesim::overload

@@ -118,6 +118,14 @@ void LaneExecutor::drain() {
   });
 }
 
+void LaneExecutor::parallelFor(std::size_t n, std::size_t threads,
+                               const std::function<void(std::size_t)>& fn) {
+  LaneExecutor pool(threads != 0 ? threads
+                                 : std::thread::hardware_concurrency());
+  for (std::size_t i = 0; i < n; ++i) pool.post(i, [&fn, i] { fn(i); });
+  pool.drain();
+}
+
 void LaneExecutor::workerLoop(Worker& worker) {
   while (true) {
     Task task;

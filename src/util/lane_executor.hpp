@@ -106,6 +106,13 @@ class LaneExecutor {
   /// post transitively) has finished.
   void drain();
 
+  /// Run fn(i) for every i in [0, n), one task per index on its own lane,
+  /// across `threads` workers (0 = hardware concurrency), and wait for all
+  /// of them.  For embarrassingly parallel sweeps: each task owns a private
+  /// Simulation, so tasks share nothing.
+  static void parallelFor(std::size_t n, std::size_t threads,
+                          const std::function<void(std::size_t)>& fn);
+
   std::size_t workerCount() const { return workers_.size(); }
   std::size_t queueCapacity() const { return options_.queueCapacity; }
   std::uint64_t tasksExecuted() const {

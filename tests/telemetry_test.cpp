@@ -2,16 +2,25 @@
 // concurrent writers (run under `ctest -L concurrency`, which the CI TSan
 // job builds with -fsanitize=thread), histogram bucket boundaries,
 // Prometheus / JSON golden serialization, lintPrometheus accept/reject
-// cases, the SLO watchdog trigger/no-trigger paths and the bounded
-// Recorder / TraceRecorder buffers.
+// cases, the SLO watchdog trigger/no-trigger paths, the bounded
+// Recorder / TraceRecorder buffers, and the one-ledger contract: every
+// controller, dispatcher and governor count is a registry series.
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <future>
+#include <map>
+#include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/testbed.hpp"
+#include "fault/fault_plan.hpp"
 #include "metrics/recorder.hpp"
 #include "sim/simulation.hpp"
 #include "telemetry/metrics_registry.hpp"
@@ -474,6 +483,215 @@ TEST(TraceRecorderCapTest, DisabledRecorderDoesNotCountDrops) {
     trace.instant(rid, "x", "test", SimTime::zero());
   }
   EXPECT_EQ(trace.droppedEvents(), 0u);
+}
+
+// ---- one ledger -------------------------------------------------------------
+
+using namespace edgesim::timeliterals;
+
+const Endpoint kLedgerNginx(Ipv4(203, 0, 113, 10), 80);
+
+/// Every controller, dispatcher and governor count, keyed by accessor.
+using Counts = std::map<std::string, std::uint64_t>;
+
+Counts accessorCounts(core::EdgeController& controller) {
+  core::Dispatcher& dispatcher = controller.dispatcher();
+  overload::OverloadGovernor& governor = *controller.governor();
+  using overload::ShedReason;
+  return {
+      {"packetInCount", controller.packetInCount()},
+      {"requestsSubmitted", controller.requestsSubmitted()},
+      {"requestsResolved", controller.requestsResolved()},
+      {"requestsFailed", controller.requestsFailed()},
+      {"requestsShed", controller.requestsShed()},
+      {"requestsDegraded", controller.requestsDegraded()},
+      {"warmHits", controller.warmHits()},
+      {"scaleDowns", controller.scaleDowns()},
+      {"removals", controller.removals()},
+      {"migrations", controller.migrations()},
+      {"handoversStarted", controller.handoversStarted()},
+      {"handoversCompleted", controller.handoversCompleted()},
+      {"handoversAbortedToCloud", controller.handoversAbortedToCloud()},
+      {"flowModsSent", controller.flowModsSent()},
+      {"flowModsAcked", controller.flowModsAcked()},
+      {"flowModsTimedOut", controller.flowModsTimedOut()},
+      {"flowModResends", controller.flowModResends()},
+      {"flowModFailovers", controller.flowModFailovers()},
+      {"deploymentsTriggered", dispatcher.deploymentsTriggered()},
+      {"backgroundDeployments", dispatcher.backgroundDeployments()},
+      {"retries", dispatcher.retries()},
+      {"fallbacks", dispatcher.fallbacks()},
+      {"quarantines", dispatcher.quarantines()},
+      {"shedCount", governor.shedCount()},
+      {"shedCount(queue_full)", governor.shedCount(ShedReason::kQueueFull)},
+      {"shedCount(budget_expired)",
+       governor.shedCount(ShedReason::kBudgetExpired)},
+      {"shedCount(deploy_cap)", governor.shedCount(ShedReason::kDeployCap)},
+      {"brownoutEntries", governor.brownoutEntries()},
+  };
+}
+
+/// The same counts, read from a snapshot alone.
+Counts seriesCounts(const TelemetrySnapshot& snap) {
+  const auto outcome = [&snap](const char* name) {
+    return snap.counterValue("edgesim_requests_total", {{"outcome", name}});
+  };
+  const auto handovers = [&snap](const char* name) {
+    return snap.counterValue("edgesim_handovers_total", {{"outcome", name}});
+  };
+  const auto acks = [&snap](const char* result) {
+    return snap.counterValue("edgesim_ctrl_channel_acks_total",
+                             {{"result", result}});
+  };
+  const auto shed = [&snap](const char* reason) {
+    return snap.counterValue("edgesim_shed_total", {{"reason", reason}});
+  };
+  return {
+      {"packetInCount", snap.counterTotal("edgesim_packet_ins_total")},
+      {"requestsSubmitted",
+       snap.counterTotal("edgesim_requests_submitted_total")},
+      {"requestsResolved", outcome("resolved")},
+      {"requestsFailed", outcome("failed")},
+      {"requestsShed", outcome("shed")},
+      {"requestsDegraded", outcome("degraded")},
+      {"warmHits", snap.counterTotal("edgesim_warm_hits_total")},
+      {"scaleDowns", snap.counterTotal("edgesim_scale_downs_total")},
+      {"removals", snap.counterTotal("edgesim_removals_total")},
+      {"migrations", snap.counterTotal("edgesim_migrations_total")},
+      {"handoversStarted", handovers("started")},
+      {"handoversCompleted", handovers("completed")},
+      {"handoversAbortedToCloud", handovers("aborted_to_cloud")},
+      {"flowModsSent",
+       snap.counterTotal("edgesim_ctrl_channel_flow_mods_sent_total")},
+      {"flowModsAcked", acks("acked")},
+      {"flowModsTimedOut", acks("timeout")},
+      {"flowModResends",
+       snap.counterTotal("edgesim_ctrl_channel_retries_total")},
+      {"flowModFailovers",
+       snap.counterTotal("edgesim_ctrl_channel_failovers_total")},
+      {"deploymentsTriggered", snap.counterTotal("edgesim_deploys_total")},
+      {"backgroundDeployments",
+       snap.counterTotal("edgesim_background_deploys_total")},
+      {"retries", snap.counterTotal("edgesim_deploy_retries_total")},
+      {"fallbacks", snap.counterTotal("edgesim_deploy_fallbacks_total")},
+      {"quarantines", snap.counterTotal("edgesim_deploy_quarantines_total")},
+      {"shedCount", snap.counterTotal("edgesim_shed_total")},
+      {"shedCount(queue_full)", shed("queue_full")},
+      {"shedCount(budget_expired)", shed("budget_expired")},
+      {"shedCount(deploy_cap)", shed("deploy_cap")},
+      {"brownoutEntries",
+       snap.counterValue("edgesim_brownout_transitions_total",
+                         {{"to", "active"}})},
+  };
+}
+
+/// Packet-in requests through a lossy controller->switch channel (ack
+/// timeouts, resends, one failover to the cloud), then pooled
+/// submitRequests against a one-slot lane queue (one admitted, the rest
+/// shed).  Returns at quiescence.
+std::unique_ptr<core::Testbed> runLedgerScenario(bool telemetry) {
+  core::TestbedOptions options;
+  options.clusterMode = core::ClusterMode::kDockerOnly;
+  options.telemetry = telemetry;
+  options.controller.workers = 1;
+  options.controller.overload.enabled = true;
+  options.controller.overload.laneQueueCapacity = 1;
+  options.controller.overload.requestBudget = SimTime::zero();
+  options.controller.overload.brownoutShedThreshold = 0;
+  auto bed = std::make_unique<core::Testbed>(options);
+  bed->warmImageCache("nginx");
+  EXPECT_TRUE(bed->registerCatalogService("nginx", kLedgerNginx).ok());
+
+  fault::FaultPlan plan(11);
+  fault::FaultSpec loss;
+  loss.site = fault::FaultSite::kControlChannelLoss;
+  loss.target = "ovs/c2s";
+  loss.maxTriggers = 20;
+  plan.add(loss);
+  bed->injectFaults(plan);
+
+  Simulation& sim = bed->sim();
+  bed->requestCatalog(0, "nginx", kLedgerNginx, "ledger");
+  sim.scheduleAt(30_s, [&bed] {
+    bed->requestCatalog(1, "nginx", kLedgerNginx, "ledger");
+    bed->requestCatalog(2, "nginx", kLedgerNginx, "ledger");
+  });
+  sim.runUntil(40_s);
+
+  // Occupy the only worker so the first submit fills the one-slot queue
+  // and every later one is shed at admission.
+  core::EdgeController& controller = bed->controller();
+  std::promise<void> gate;
+  std::promise<void> started;
+  controller.workerPool()->post(
+      0, [opened = gate.get_future().share(), &started] {
+        started.set_value();
+        opened.wait();
+      });
+  started.get_future().wait();
+  constexpr int kSubmits = 4;
+  std::atomic<int> answered{0};
+  for (int i = 0; i < kSubmits; ++i) {
+    controller.submitRequest(
+        bed->client(static_cast<std::size_t>(i % 3)).ip(), kLedgerNginx,
+        [&answered](Result<core::Redirect>) { answered.fetch_add(1); });
+  }
+  gate.set_value();
+  for (int guard = 0; answered.load() < kSubmits && guard < 50000; ++guard) {
+    sim.waitForExternal(std::chrono::microseconds(200));
+    sim.pump(10_ms);
+  }
+  EXPECT_EQ(answered.load(), kSubmits) << "pooled submits stalled";
+  controller.workerPool()->drain();
+  sim.runUntil(60_s);
+  return bed;
+}
+
+TEST(OneLedgerTest, AccessorsReadTheirSeriesAndTheSnapshotReconciles) {
+  auto bed = runLedgerScenario(/*telemetry=*/true);
+  core::EdgeController& controller = bed->controller();
+  const TelemetrySnapshot snap = bed->telemetry().snapshot(0.0);
+  const Counts counts = accessorCounts(controller);
+  EXPECT_EQ(counts, seriesCounts(snap));
+
+  // The scenario exercised every ledger path it claims to.
+  EXPECT_GE(counts.at("requestsShed"), 1u);
+  EXPECT_GE(counts.at("shedCount(queue_full)"), 1u);
+  EXPECT_GE(counts.at("warmHits"), 1u);
+  EXPECT_GE(counts.at("flowModsTimedOut"), 1u);
+  EXPECT_GE(counts.at("flowModResends"), 1u);
+  EXPECT_EQ(counts.at("flowModFailovers"), 1u);
+  EXPECT_GE(counts.at("deploymentsTriggered"), 1u);
+  EXPECT_EQ(controller.pendingInstallCount(), 0u);
+
+  // Both accounting invariants hold from the snapshot alone.
+  EXPECT_EQ(snap.counterTotal("edgesim_requests_submitted_total"),
+            snap.counterValue("edgesim_requests_total",
+                              {{"outcome", "resolved"}}) +
+                snap.counterValue("edgesim_requests_total",
+                                  {{"outcome", "failed"}}) +
+                snap.counterValue("edgesim_requests_total",
+                                  {{"outcome", "shed"}}));
+  EXPECT_EQ(snap.counterTotal("edgesim_ctrl_channel_flow_mods_sent_total"),
+            snap.counterTotal("edgesim_ctrl_channel_acks_total"));
+}
+
+TEST(OneLedgerTest, TelemetryOffKeepsCountsInAPrivateRegistry) {
+  auto on = runLedgerScenario(/*telemetry=*/true);
+  auto off = runLedgerScenario(/*telemetry=*/false);
+  EXPECT_EQ(accessorCounts(off->controller()),
+            accessorCounts(on->controller()));
+
+  // The caller's registry never sees a controller, dispatcher or governor
+  // series when telemetry is off.
+  std::set<std::string> ledgerSeries;
+  for (const auto& counter : on->telemetry().snapshot(0.0).counters) {
+    ledgerSeries.insert(counter.name);
+  }
+  ASSERT_TRUE(ledgerSeries.count("edgesim_requests_submitted_total") != 0);
+  for (const auto& counter : off->telemetry().snapshot(0.0).counters) {
+    EXPECT_EQ(ledgerSeries.count(counter.name), 0u) << counter.name;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit and property tests for the util module: rng, stats, strings, units,
-// config, table, thread pool, result.
+// config, table, lane executor as a task pool, result.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,12 +10,12 @@
 
 #include "util/config.hpp"
 #include "util/json.hpp"
+#include "util/lane_executor.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace edgesim {
@@ -376,30 +376,31 @@ TEST(Table, CsvEscaping) {
   EXPECT_NE(csv.find("\"has\"\"quote\""), std::string::npos);
 }
 
-// ---------------------------------------------------------- thread pool ----
+// ------------------------------------------------ lane executor as pool ----
 
-TEST(ThreadPool, RunsAllTasks) {
+TEST(LaneExecutorPool, RunsAllTasks) {
   std::atomic<int> counter{0};
   {
-    ThreadPool pool(4);
+    LaneExecutor pool(4);
     for (int i = 0; i < 100; ++i) {
-      pool.submit([&counter] { counter.fetch_add(1); });
+      pool.post(static_cast<std::uint64_t>(i),
+                [&counter] { counter.fetch_add(1); });
     }
-    pool.wait();
+    pool.drain();
     EXPECT_EQ(counter.load(), 100);
   }
 }
 
-TEST(ThreadPool, ParallelForCoversRange) {
+TEST(LaneExecutorPool, ParallelForCoversRange) {
   std::vector<std::atomic<int>> hits(64);
-  ThreadPool::parallelFor(64, 8, [&hits](std::size_t i) { hits[i]++; });
+  LaneExecutor::parallelFor(64, 8, [&hits](std::size_t i) { hits[i]++; });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, WaitWithNoTasksReturns) {
-  ThreadPool pool(2);
-  pool.wait();  // must not hang
-  SUCCEED();
+TEST(LaneExecutorPool, ParallelForWithNoTasksReturns) {
+  std::atomic<int> calls{0};
+  LaneExecutor::parallelFor(0, 2, [&calls](std::size_t) { calls++; });
+  EXPECT_EQ(calls.load(), 0);
 }
 
 // -------------------------------------------------------------- result ----
