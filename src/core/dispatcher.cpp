@@ -466,6 +466,8 @@ void Dispatcher::ensureReady(const ServiceModel& service,
   }
 
   PendingDeploy deploy;
+  deploy.service = std::make_shared<const ServiceModel>(service);
+  deploy.epoch = nextAttempt_++;
   deploy.waiters.push_back(std::move(cb));
   deploy.startedAt = sim_.now();
   deploy.cluster = cluster.name();
@@ -482,14 +484,16 @@ void Dispatcher::ensureReady(const ServiceModel& service,
   deploy.timeoutHandle = sim_.schedule(hardDeadline, [this, key] {
     finishDeploy(key, makeError(Errc::kTimeout, "deployment timed out"));
   });
+  const ModelPtr model = deploy.service;
+  const std::uint64_t epoch = deploy.epoch;
   pending_.emplace(key, std::move(deploy));
   clusterTelemetry(cluster.name()).deployments->add();
-  runPhases(service, cluster, key, /*epoch=*/0);
+  runPhases(model, cluster, key, epoch);
 }
 
-void Dispatcher::armPhaseTimer(const ServiceModel& service,
+void Dispatcher::armPhaseTimer(const ModelPtr& service,
                                ClusterAdapter& cluster, const std::string& key,
-                               int epoch) {
+                               std::uint64_t epoch) {
   const auto it = pending_.find(key);
   if (it == pending_.end()) return;
   it->second.phaseTimer.cancel();
@@ -503,14 +507,14 @@ void Dispatcher::armPhaseTimer(const ServiceModel& service,
       });
 }
 
-void Dispatcher::onPhaseFailure(const ServiceModel& service,
+void Dispatcher::onPhaseFailure(const ModelPtr& service,
                                 ClusterAdapter& cluster, const std::string& key,
-                                int epoch, Error error) {
+                                std::uint64_t epoch, Error error) {
   const auto it = pending_.find(key);
   if (it == pending_.end() || it->second.epoch != epoch) return;
   PendingDeploy& deploy = it->second;
   deploy.phaseTimer.cancel();
-  ++deploy.epoch;  // invalidate every callback of the failed attempt
+  deploy.epoch = nextAttempt_++;  // invalidate the failed attempt's callbacks
   if (deploy.retriesUsed >= options_.retry.maxRetries) {
     finishDeploy(key, std::move(error));
     return;
@@ -528,15 +532,15 @@ void Dispatcher::onPhaseFailure(const ServiceModel& service,
   }
   if (recorder_ != nullptr) {
     recorder_->addSample("retry", 1.0);
-    recorder_->addSample(strprintf("%s/%s/retry", service.tag.c_str(),
+    recorder_->addSample(strprintf("%s/%s/retry", service->tag.c_str(),
                                    cluster.name().c_str()),
                          delay.toSeconds());
   }
   ES_INFO("dispatcher", "retry %d/%d of %s on %s in %.3fs after: %s",
           deploy.retriesUsed, options_.retry.maxRetries,
-          service.uniqueName.c_str(), cluster.name().c_str(), delay.toSeconds(),
-          error.toString().c_str());
-  const int nextEpoch = deploy.epoch;
+          service->uniqueName.c_str(), cluster.name().c_str(),
+          delay.toSeconds(), error.toString().c_str());
+  const std::uint64_t nextEpoch = deploy.epoch;
   sim_.schedule(delay, [this, service, &cluster, key, nextEpoch] {
     runPhases(service, cluster, key, nextEpoch);
   });
@@ -581,12 +585,11 @@ void Dispatcher::probeOnCluster(ClusterAdapter& cluster, Endpoint instance,
                   });
 }
 
-void Dispatcher::runPhases(const ServiceModel& service,
-                           ClusterAdapter& cluster, const std::string& key,
-                           int epoch) {
+void Dispatcher::runPhases(const ModelPtr& service, ClusterAdapter& cluster,
+                           const std::string& key, std::uint64_t epoch) {
   const auto it = pending_.find(key);
   if (it == pending_.end() || it->second.epoch != epoch) return;
-  const ClusterView view = cluster.view(service);
+  const ClusterView view = cluster.view(*service);
   const SimTime phaseStart = sim_.now();
   armPhaseTimer(service, cluster, key, epoch);
 
@@ -596,12 +599,12 @@ void Dispatcher::runPhases(const ServiceModel& service,
     invokeOnCluster(
         cluster,
         [clusterPtr, service](ClusterAdapter::Callback cb) {
-          clusterPtr->pullImages(service, std::move(cb));
+          clusterPtr->pullImages(*service, std::move(cb));
         },
         [this, service, &cluster, key, epoch, phaseStart](Status status) {
           const auto pit = pending_.find(key);
           if (pit == pending_.end() || pit->second.epoch != epoch) return;
-          recordPhase(service, cluster, "pull", sim_.now() - phaseStart);
+          recordPhase(*service, cluster, "pull", sim_.now() - phaseStart);
           tracePhase(key, "pull", phaseStart, status.ok());
           if (!status.ok()) {
             onPhaseFailure(service, cluster, key, epoch, status.error());
@@ -617,12 +620,12 @@ void Dispatcher::runPhases(const ServiceModel& service,
     invokeOnCluster(
         cluster,
         [clusterPtr, service](ClusterAdapter::Callback cb) {
-          clusterPtr->createService(service, std::move(cb));
+          clusterPtr->createService(*service, std::move(cb));
         },
         [this, service, &cluster, key, epoch, phaseStart](Status status) {
           const auto pit = pending_.find(key);
           if (pit == pending_.end() || pit->second.epoch != epoch) return;
-          recordPhase(service, cluster, "create", sim_.now() - phaseStart);
+          recordPhase(*service, cluster, "create", sim_.now() - phaseStart);
           tracePhase(key, "create", phaseStart, status.ok());
           if (!status.ok()) {
             onPhaseFailure(service, cluster, key, epoch, status.error());
@@ -638,12 +641,12 @@ void Dispatcher::runPhases(const ServiceModel& service,
   invokeOnCluster(
       cluster,
       [clusterPtr, service](ClusterAdapter::Callback cb) {
-        clusterPtr->scaleUp(service, std::move(cb));
+        clusterPtr->scaleUp(*service, std::move(cb));
       },
       [this, service, &cluster, key, epoch, phaseStart](Status status) {
         const auto pit = pending_.find(key);
         if (pit == pending_.end() || pit->second.epoch != epoch) return;
-        recordPhase(service, cluster, "scaleup-cmd", sim_.now() - phaseStart);
+        recordPhase(*service, cluster, "scaleup-cmd", sim_.now() - phaseStart);
         tracePhase(key, "scaleup", phaseStart, status.ok());
         if (!status.ok()) {
           onPhaseFailure(service, cluster, key, epoch, status.error());
@@ -653,16 +656,16 @@ void Dispatcher::runPhases(const ServiceModel& service,
       });
 }
 
-void Dispatcher::pollUntilReady(const ServiceModel& service,
+void Dispatcher::pollUntilReady(const ModelPtr& service,
                                 ClusterAdapter& cluster, const std::string& key,
-                                SimTime scaledUpAt, int epoch) {
+                                SimTime scaledUpAt, std::uint64_t epoch) {
   // "Before setting up the flows, the controller continuously tests if the
   // respective port is open" (§VI).
   const auto it = pending_.find(key);
   if (it == pending_.end() || it->second.epoch != epoch) {
     return;  // timed out or superseded by a retry meanwhile
   }
-  const auto ready = cluster.readyInstances(service);
+  const auto ready = cluster.readyInstances(*service);
   if (!ready.empty()) {
     const Endpoint candidate = ready.front();
     probeOnCluster(
@@ -672,7 +675,7 @@ void Dispatcher::pollUntilReady(const ServiceModel& service,
           const auto pit = pending_.find(key);
           if (pit == pending_.end() || pit->second.epoch != epoch) return;
           if (open) {
-            recordPhase(service, cluster, "wait", sim_.now() - scaledUpAt);
+            recordPhase(*service, cluster, "wait", sim_.now() - scaledUpAt);
             tracePhase(key, "wait", scaledUpAt, /*ok=*/true);
             finishDeploy(key, candidate);
             return;

@@ -178,6 +178,8 @@ class Dispatcher {
   }
 
  private:
+  using ModelPtr = std::shared_ptr<const ServiceModel>;
+
   struct PendingDeploy {
     std::vector<ReadyCallback> waiters;
     SimTime startedAt;
@@ -187,9 +189,14 @@ class Dispatcher {
     trace::RequestId rid = 0;
     trace::SpanId span = 0;
     int retriesUsed = 0;
-    /// Bumped on every retry; callbacks from a superseded attempt carry a
-    /// stale epoch and are dropped on arrival.
-    int epoch = 0;
+    /// The one model copy the deployment's callbacks share: the caller's
+    /// model may be unregistered before the deployment ends.
+    ModelPtr service;
+    /// Identity of the current attempt, drawn from nextAttempt_ on creation
+    /// and on every retry.  Never reused, so callbacks of a superseded
+    /// attempt -- or of an earlier deployment of the same key that timed
+    /// out -- carry a stale epoch and are dropped on arrival.
+    std::uint64_t epoch = 0;
     /// This deployment holds one of the governor's per-cluster deploy
     /// tokens; finishDeploy() returns it.
     bool holdsToken = false;
@@ -209,15 +216,17 @@ class Dispatcher {
   /// probeInstance variant (bool payload instead of Status).
   void probeOnCluster(ClusterAdapter& cluster, Endpoint instance,
                       ClusterAdapter::ProbeCallback done);
-  void runPhases(const ServiceModel& service, ClusterAdapter& cluster,
-                 const std::string& key, int epoch);
-  void pollUntilReady(const ServiceModel& service, ClusterAdapter& cluster,
-                      const std::string& key, SimTime scaledUpAt, int epoch);
-  void armPhaseTimer(const ServiceModel& service, ClusterAdapter& cluster,
-                     const std::string& key, int epoch);
+  void runPhases(const ModelPtr& service, ClusterAdapter& cluster,
+                 const std::string& key, std::uint64_t epoch);
+  void pollUntilReady(const ModelPtr& service, ClusterAdapter& cluster,
+                      const std::string& key, SimTime scaledUpAt,
+                      std::uint64_t epoch);
+  void armPhaseTimer(const ModelPtr& service, ClusterAdapter& cluster,
+                     const std::string& key, std::uint64_t epoch);
   /// Retry after backoff if budget remains, else finish with `error`.
-  void onPhaseFailure(const ServiceModel& service, ClusterAdapter& cluster,
-                      const std::string& key, int epoch, Error error);
+  void onPhaseFailure(const ModelPtr& service, ClusterAdapter& cluster,
+                      const std::string& key, std::uint64_t epoch,
+                      Error error);
   void finishDeploy(const std::string& key, Result<Endpoint> result);
   void recordPhase(const ServiceModel& service, ClusterAdapter& cluster,
                    const char* phase, SimTime duration);
@@ -272,6 +281,8 @@ class Dispatcher {
   telemetry::MetricsRegistry ownRegistry_;
   telemetry::MetricsRegistry& ledger_;
   std::map<std::string, PendingDeploy> pending_;
+  /// Source of PendingDeploy::epoch values.
+  std::uint64_t nextAttempt_ = 0;
   BackgroundReadyListener backgroundListener_;
 };
 

@@ -7,8 +7,11 @@
 // constant.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -27,11 +30,29 @@ struct WatchEvent {
   T object;  // snapshot at event time
 };
 
+/// The owner reference a store indexes for `listByOwner` (nullptr: the
+/// kind has none).  Only pods are looked up by owner: the ReplicaSet
+/// controller's owned-pod scan.
+inline const std::string* ownerOf(const Pod& pod) {
+  return &pod.ownerReplicaSet;
+}
+template <typename T>
+const std::string* ownerOf(const T& /*object*/) {
+  return nullptr;
+}
+
 /// One typed object store (a "resource" in K8s terms).
+///
+/// Like a client-go informer's indexers, the store keeps a label index
+/// ((key, value) -> names) and an owner index (owner -> names), so selector
+/// and owner lookups cost time in proportion to the candidates, not the
+/// store size.  Both indexes hold names in std::set, i.e. in name order:
+/// the order list() returns and every caller's side effects follow.
 template <typename T>
 class Store {
  public:
   using Watcher = std::function<void(const WatchEvent<T>&)>;
+  using NameSet = std::set<std::string>;
 
   Store(Simulation& sim, const ControlPlaneParams& params, std::string kind)
       : sim_(sim), params_(params), kind_(std::move(kind)) {}
@@ -48,8 +69,10 @@ class Store {
       object.meta.uid = nextUid_++;
       object.meta.resourceVersion = ++resourceVersion_;
       object.meta.creationTime = sim_.now();
-      items_.emplace(name, object);
-      notify(WatchEventType::kAdded, object);
+      const T& stored = items_.emplace(name, object).first->second;
+      indexLabels(name, stored.meta.labels);
+      indexOwner(name, ownerOf(stored));
+      notify(WatchEventType::kAdded, std::move(object));
       if (cb) cb(Status());
     });
   }
@@ -65,9 +88,22 @@ class Store {
         if (cb) cb(makeError(Errc::kNotFound, kind_ + "/" + name));
         return;
       }
-      mutate(it->second);
-      it->second.meta.resourceVersion = ++resourceVersion_;
-      notify(WatchEventType::kModified, it->second);
+      T& object = it->second;
+      // `mutate` may relabel or re-own the object: re-index on a change.
+      const Labels labelsBefore = object.meta.labels;
+      const std::string* owner = ownerOf(object);
+      const std::string ownerBefore = owner != nullptr ? *owner : "";
+      mutate(object);
+      if (object.meta.labels != labelsBefore) {
+        unindexLabels(name, labelsBefore);
+        indexLabels(name, object.meta.labels);
+      }
+      if (owner != nullptr && *owner != ownerBefore) {
+        unindexOwner(name, &ownerBefore);
+        indexOwner(name, owner);
+      }
+      object.meta.resourceVersion = ++resourceVersion_;
+      notify(WatchEventType::kModified, object);
       if (cb) cb(Status());
     });
   }
@@ -80,9 +116,11 @@ class Store {
         if (cb) cb(makeError(Errc::kNotFound, kind_ + "/" + name));
         return;
       }
-      const T object = it->second;
+      T object = std::move(it->second);
       items_.erase(it);
-      notify(WatchEventType::kDeleted, object);
+      unindexLabels(name, object.meta.labels);
+      unindexOwner(name, ownerOf(object));
+      notify(WatchEventType::kDeleted, std::move(object));
       if (cb) cb(Status());
     });
   }
@@ -100,12 +138,33 @@ class Store {
     return out;
   }
 
+  /// Objects whose labels match every selector pair, in name order; an
+  /// empty selector matches everything.  Candidates come from the label
+  /// index of the selector's rarest pair.
   std::vector<const T*> listBySelector(const Labels& selector) const {
+    if (selector.empty()) return list();
+    const NameSet* candidates =
+        &labelled(selector.begin()->first, selector.begin()->second);
+    for (const auto& [key, value] : selector) {
+      const NameSet& names = labelled(key, value);
+      if (names.size() < candidates->size()) candidates = &names;
+    }
     std::vector<const T*> out;
-    for (const auto& [name, object] : items_) {
-      if (selectorMatches(selector, object.meta.labels)) {
-        out.push_back(&object);
-      }
+    for (const auto& name : *candidates) {
+      const T& object = items_.find(name)->second;
+      if (selectorMatches(selector, object.meta.labels)) out.push_back(&object);
+    }
+    return out;
+  }
+
+  /// Objects whose owner reference (see ownerOf) is `owner`, in name order.
+  std::vector<const T*> listByOwner(const std::string& owner) const {
+    std::vector<const T*> out;
+    const auto it = ownerIndex_.find(owner);
+    if (it == ownerIndex_.end()) return out;
+    out.reserve(it->second.size());
+    for (const auto& name : it->second) {
+      out.push_back(&items_.find(name)->second);
     }
     return out;
   }
@@ -116,19 +175,64 @@ class Store {
   std::size_t size() const { return items_.size(); }
 
  private:
-  void notify(WatchEventType type, const T& object) {
-    const WatchEvent<T> event{type, object};
-    for (const auto& watcher : watchers_) {
+  /// One shared snapshot per commit; each watcher's delivery event holds a
+  /// reference to it and to the watcher (deque: stable across watch()).
+  void notify(WatchEventType type, T object) {
+    if (watchers_.empty()) return;
+    const auto event = std::make_shared<const WatchEvent<T>>(
+        WatchEvent<T>{type, std::move(object)});
+    for (const Watcher& watcher : watchers_) {
       sim_.schedule(params_.watchLatency,
-                    [watcher, event] { watcher(event); });
+                    [&watcher, event] { watcher(*event); });
     }
+  }
+
+  /// Names of the objects labelled key=value (empty when there are none).
+  const NameSet& labelled(const std::string& key,
+                          const std::string& value) const {
+    static const NameSet kNone;
+    const auto byKey = labelIndex_.find(key);
+    if (byKey == labelIndex_.end()) return kNone;
+    const auto byValue = byKey->second.find(value);
+    return byValue == byKey->second.end() ? kNone : byValue->second;
+  }
+
+  void indexLabels(const std::string& name, const Labels& labels) {
+    for (const auto& [key, value] : labels) {
+      labelIndex_[key][value].insert(name);
+    }
+  }
+
+  void unindexLabels(const std::string& name, const Labels& labels) {
+    for (const auto& [key, value] : labels) {
+      const auto byKey = labelIndex_.find(key);
+      const auto byValue = byKey->second.find(value);
+      byValue->second.erase(name);
+      if (!byValue->second.empty()) continue;
+      byKey->second.erase(byValue);
+      if (byKey->second.empty()) labelIndex_.erase(byKey);
+    }
+  }
+
+  void indexOwner(const std::string& name, const std::string* owner) {
+    if (owner != nullptr && !owner->empty()) ownerIndex_[*owner].insert(name);
+  }
+
+  void unindexOwner(const std::string& name, const std::string* owner) {
+    if (owner == nullptr || owner->empty()) return;
+    const auto it = ownerIndex_.find(*owner);
+    it->second.erase(name);
+    if (it->second.empty()) ownerIndex_.erase(it);
   }
 
   Simulation& sim_;
   const ControlPlaneParams& params_;
   std::string kind_;
   std::map<std::string, T> items_;
-  std::vector<Watcher> watchers_;
+  /// label key -> label value -> names carrying that label.
+  std::map<std::string, std::map<std::string, NameSet>> labelIndex_;
+  std::map<std::string, NameSet> ownerIndex_;
+  std::deque<Watcher> watchers_;
   std::uint64_t nextUid_ = 1;
   std::uint64_t resourceVersion_ = 0;
 };

@@ -138,11 +138,8 @@ void ReplicaSetController::enqueue(const std::string& name) {
 void ReplicaSetController::reconcile(const std::string& name) {
   const ReplicaSet* rs = api_.replicaSets().get(name);
 
-  // Collect owned pods.
-  std::vector<const Pod*> owned;
-  for (const auto* pod : api_.pods().list()) {
-    if (pod->ownerReplicaSet == name) owned.push_back(pod);
-  }
+  // Owned pods, in name order (the order the removals below are issued).
+  const std::vector<const Pod*> owned = api_.pods().listByOwner(name);
 
   if (rs == nullptr) {
     for (const auto* pod : owned) api_.pods().remove(pod->meta.name);
@@ -219,9 +216,23 @@ EndpointsController::EndpointsController(Simulation& sim, ApiServer& api,
 }
 
 void EndpointsController::enqueueAll() {
+  // Every service not already queued, as one event rather than one per
+  // service: the per-service events would share one timestamp and take
+  // consecutive sequence numbers, so nothing could run between them and
+  // this batch runs the same reconciles in the same order.
+  std::vector<std::string> batch;
   for (const auto* service : api_.services().list()) {
-    enqueue(service->meta.name);
+    if (queued_.insert(service->meta.name).second) {
+      batch.push_back(service->meta.name);
+    }
   }
+  if (batch.empty()) return;
+  sim_.schedule(params_.endpointsSyncLatency, [this, batch = std::move(batch)] {
+    for (const auto& serviceName : batch) {
+      queued_.erase(serviceName);
+      reconcile(serviceName);
+    }
+  });
 }
 
 void EndpointsController::enqueue(const std::string& serviceName) {

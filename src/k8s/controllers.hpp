@@ -60,6 +60,10 @@ class EndpointsController {
                       const ControlPlaneParams& params);
 
  private:
+  /// Queue every service not already queued (on each pod event and at
+  /// resync).  Deliberately not narrowed to the services matching the pod:
+  /// a service queued by an unrelated pod event reconciles earlier and can
+  /// publish its Endpoints earlier (DESIGN.md §16).
   void enqueueAll();
   void enqueue(const std::string& serviceName);
   void reconcile(const std::string& serviceName);

@@ -343,6 +343,53 @@ TEST_F(DispatcherFixture, DeploymentTimeoutFiresWhenNeverReady) {
   EXPECT_EQ(dispatcher_->pendingDeployments(), 0u);
 }
 
+// A deployment erased by its hard deadline leaves its 50 ms poll chain
+// in flight.  A new deployment of the same service on the same cluster
+// must not be finished (or timed) by that stale chain: its attempt has an
+// identity of its own.
+TEST_F(DispatcherFixture, TimedOutDeploymentCallbacksIgnoreTheNextDeployment) {
+  DispatcherOptions options;
+  options.deployTimeout = 5_s;
+  options.retry.maxRetries = 0;
+  options.cloudFallback = false;
+  scheduler_ = makeProximityScheduler();
+  dispatcher_ = std::make_unique<Dispatcher>(
+      sim_, memory_, *scheduler_,
+      std::vector<ClusterAdapter*>{&near_, &far_, &cloud_}, &recorder_,
+      options);
+  near_.imageCached = true;
+  near_.created = true;
+  near_.neverReady = true;
+  near_.scaleUpDelay = 330_ms;
+  near_.readyDelay = 120_ms;
+
+  std::optional<Result<Endpoint>> first;
+  std::optional<Result<Endpoint>> second;
+  dispatcher_->ensureReady(model_, near_, [&](Result<Endpoint> r) {
+    first = std::move(r);
+    // Redeploy right away, on a cluster that now comes up.
+    near_.neverReady = false;
+    near_.scaleUpDelay = 300_ms;
+    dispatcher_->ensureReady(model_, near_, [&](Result<Endpoint> r2) {
+      second = std::move(r2);
+    });
+  });
+  sim_.runUntil(30_s);
+
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->error().code, Errc::kTimeout);
+  ASSERT_TRUE(second.has_value());
+  ASSERT_TRUE(second->ok());
+  // The second deployment's own wait: scale-up done at 5.3 s, port open
+  // at 5.42 s, seen by its own poll at 5.45 s (+1 ms probe).  The stale
+  // chain of the first deployment would record ~5.1 s here.
+  const auto* wait = recorder_.series("nginx/near/wait");
+  ASSERT_NE(wait, nullptr);
+  ASSERT_EQ(wait->count(), 1u);
+  EXPECT_LT(wait->median(), 1.0);
+  EXPECT_NEAR(wait->median(), 0.151, 1e-6);
+}
+
 TEST_F(DispatcherFixture, AdapterLookupHelpers) {
   makeDispatcher(makeProximityScheduler());
   EXPECT_EQ(dispatcher_->adapterByName("near"), &near_);
