@@ -3,12 +3,17 @@
 // parsing, RNG draws, and FlowMemory operations.
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "bench_output.hpp"
 #include "core/controller.hpp"
 #include "core/flow_memory.hpp"
 #include "openflow/flow_table.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "yamlite/parse.hpp"
 
 namespace {
@@ -16,8 +21,19 @@ namespace {
 using namespace edgesim;
 using namespace edgesim::timeliterals;
 
+/// Repetitions per benchmark: each is one sample of its series, so the
+/// reports carry a spread, not a single number.
+constexpr int kRepetitions = 5;
+
+/// Schedule one event and dispatch it, with `range(0)` far-future entries
+/// queued behind it: 60000 is the depth of warm_250's heap, which is
+/// mostly the 120 s TCP total timers every connection leaves behind.
 void BM_EventScheduleDispatch(benchmark::State& state) {
   Simulation sim;
+  const SimTime far = SimTime::seconds(1e6);
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    sim.schedule(far + SimTime::nanos(i), [] {});
+  }
   std::int64_t counter = 0;
   for (auto _ : state) {
     sim.schedule(1_us, [&counter] { ++counter; });
@@ -25,7 +41,10 @@ void BM_EventScheduleDispatch(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(counter);
 }
-BENCHMARK(BM_EventScheduleDispatch);
+BENCHMARK(BM_EventScheduleDispatch)
+    ->Repetitions(kRepetitions)
+    ->Arg(0)
+    ->Arg(60000);
 
 void BM_EventQueueBurst(benchmark::State& state) {
   const auto burst = static_cast<int>(state.range(0));
@@ -40,7 +59,11 @@ void BM_EventQueueBurst(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * burst);
 }
-BENCHMARK(BM_EventQueueBurst)->Arg(100)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_EventQueueBurst)
+    ->Repetitions(kRepetitions)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(10000);
 
 /// A flow table of `size` entries in the controller's four match shapes,
 /// installed round-robin: background {ip_dst} at priority 1,
@@ -99,6 +122,7 @@ void BM_FlowTableLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FlowTableLookup)
+    ->Repetitions(kRepetitions)
     ->Arg(16)
     ->Arg(128)
     ->Arg(1024)
@@ -133,7 +157,7 @@ spec:
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(yaml.size()));
 }
-BENCHMARK(BM_YamlParseDeployment);
+BENCHMARK(BM_YamlParseDeployment)->Repetitions(kRepetitions);
 
 void BM_RngUniform(benchmark::State& state) {
   Rng rng(1);
@@ -141,7 +165,7 @@ void BM_RngUniform(benchmark::State& state) {
     benchmark::DoNotOptimize(rng.uniform01());
   }
 }
-BENCHMARK(BM_RngUniform);
+BENCHMARK(BM_RngUniform)->Repetitions(kRepetitions);
 
 void BM_RngZipf(benchmark::State& state) {
   Rng rng(1);
@@ -149,7 +173,7 @@ void BM_RngZipf(benchmark::State& state) {
     benchmark::DoNotOptimize(rng.zipf(1000, 1.1));
   }
 }
-BENCHMARK(BM_RngZipf);
+BENCHMARK(BM_RngZipf)->Repetitions(kRepetitions);
 
 void BM_FlowMemoryLookup(benchmark::State& state) {
   core::FlowMemory memory(60_s);
@@ -165,26 +189,33 @@ void BM_FlowMemoryLookup(benchmark::State& state) {
         memory.lookup(Ipv4(10, 0, 2, 17), Endpoint(Ipv4(203, 0, 113, 10), 80)));
   }
 }
-BENCHMARK(BM_FlowMemoryLookup);
+BENCHMARK(BM_FlowMemoryLookup)->Repetitions(kRepetitions);
 
 /// Console output as usual, plus one BENCH_micro_substrates.json series per
-/// benchmark (adjusted real time, in seconds).
+/// benchmark whose samples are its repetitions (adjusted real time, in
+/// seconds); the mean/median/stddev rows are left out.
 class ReportingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
-      if (run.error_occurred) continue;
+      if (run.error_occurred || run.run_type == Run::RT_Aggregate) continue;
+      // Series keep the benchmark's name without its "/repeats:N" part.
+      benchmark::BenchmarkName name = run.run_name;
+      name.repetitions.clear();
       // Default time unit is nanoseconds; none of the benches override it.
-      report_.addScalar(run.benchmark_name(),
-                        run.GetAdjustedRealTime() * 1e-9);
+      samples_[name.str()].add(run.GetAdjustedRealTime() * 1e-9);
     }
     ConsoleReporter::ReportRuns(runs);
   }
 
-  const edgesim::metrics::BenchReport& report() const { return report_; }
+  edgesim::metrics::BenchReport report() const {
+    edgesim::metrics::BenchReport report{"micro_substrates"};
+    report.addSeriesMap(samples_);
+    return report;
+  }
 
  private:
-  edgesim::metrics::BenchReport report_{"micro_substrates"};
+  std::map<std::string, edgesim::Samples> samples_;
 };
 
 }  // namespace

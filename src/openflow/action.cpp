@@ -16,38 +16,35 @@ const char* fieldName(Field field) {
   return "?";
 }
 
-AppliedActions applyActions(const Packet& packet, const ActionList& actions) {
-  AppliedActions result;
-  result.packet = packet;
+bool applyActions(Packet& packet, const ActionList& actions) {
+  bool toController = false;
   for (const auto& action : actions) {
     if (const auto* set = std::get_if<SetFieldAction>(&action)) {
       switch (set->field) {
         case Field::kEthSrc:
-          result.packet.ethSrc = Mac(set->value);
+          packet.ethSrc = Mac(set->value);
           break;
         case Field::kEthDst:
-          result.packet.ethDst = Mac(set->value);
+          packet.ethDst = Mac(set->value);
           break;
         case Field::kIpSrc:
-          result.packet.ipSrc = Ipv4(static_cast<std::uint32_t>(set->value));
+          packet.ipSrc = Ipv4(static_cast<std::uint32_t>(set->value));
           break;
         case Field::kIpDst:
-          result.packet.ipDst = Ipv4(static_cast<std::uint32_t>(set->value));
+          packet.ipDst = Ipv4(static_cast<std::uint32_t>(set->value));
           break;
         case Field::kTcpSrc:
-          result.packet.tcpSrc = static_cast<std::uint16_t>(set->value);
+          packet.tcpSrc = static_cast<std::uint16_t>(set->value);
           break;
         case Field::kTcpDst:
-          result.packet.tcpDst = static_cast<std::uint16_t>(set->value);
+          packet.tcpDst = static_cast<std::uint16_t>(set->value);
           break;
       }
-    } else if (const auto* output = std::get_if<OutputAction>(&action)) {
-      result.outputs.push_back(output->port);
-    } else {
-      result.toController = true;
+    } else if (std::holds_alternative<ToControllerAction>(action)) {
+      toController = true;
     }
   }
-  return result;
+  return toController;
 }
 
 std::string actionsToString(const ActionList& actions) {

@@ -46,15 +46,11 @@ struct SetFieldAction {
 using Action = std::variant<SetFieldAction, OutputAction, ToControllerAction>;
 using ActionList = std::vector<Action>;
 
-/// Apply `actions` in order to a copy of `packet`; output/controller actions
-/// are returned as "effects" for the switch to execute.
-struct AppliedActions {
-  Packet packet;                 // rewritten packet
-  std::vector<PortId> outputs;   // ports to transmit on
-  bool toController = false;
-};
-
-AppliedActions applyActions(const Packet& packet, const ActionList& actions);
+/// Apply the set-field actions of `actions`, in order, to `packet` in
+/// place.  Returns whether the list also sends the packet to the
+/// controller.  Output actions are not effects here: the switch reads them
+/// straight from the list and transmits the rewritten packet on each.
+bool applyActions(Packet& packet, const ActionList& actions);
 
 std::string actionsToString(const ActionList& actions);
 

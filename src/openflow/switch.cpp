@@ -141,13 +141,14 @@ void OpenFlowSwitch::receive(const Packet& packet, PortId inPort) {
 
 void OpenFlowSwitch::execute(const Packet& packet, PortId inPort,
                              const ActionList& actions) {
-  const AppliedActions applied = applyActions(packet, actions);
-  if (applied.toController) {
+  Packet rewritten = packet;
+  if (applyActions(rewritten, actions)) {
     sendPacketInToController(packet, inPort);
   }
-  for (const PortId out : applied.outputs) {
-    if (out == inPort) continue;  // no hairpin in this model
-    network().transmit(*this, out, applied.packet);
+  for (const auto& action : actions) {
+    const auto* output = std::get_if<OutputAction>(&action);
+    if (output == nullptr || output->port == inPort) continue;  // no hairpin
+    network().transmit(*this, output->port, rewritten);
   }
 }
 
@@ -203,13 +204,15 @@ void OpenFlowSwitch::requestFlowStats(StatsCallback cb) {
   ES_ASSERT(cb != nullptr);
   const auto request = controlDelay(Direction::kToSwitch);
   if (!request) return;  // request lost: the callback never fires
-  network().sim().schedule(*request, [this, cb = std::move(cb)] {
+  network().sim().schedule(*request, [this, cb = std::move(cb)]() mutable {
     if (rebooting_) return;  // switch down when the request lands
     std::vector<FlowEntry> snapshot = table_.snapshot();
     const auto reply = controlDelay(Direction::kToController);
     if (!reply) return;  // reply lost
     network().sim().schedule(
-        *reply, [cb, snapshot = std::move(snapshot)] { cb(snapshot); });
+        *reply, [cb = std::move(cb), snapshot = std::move(snapshot)] {
+          cb(snapshot);
+        });
   });
 }
 

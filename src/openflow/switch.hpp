@@ -113,7 +113,7 @@ class OpenFlowSwitch : public NetNode {
   /// delivered after a full control-channel round trip.  The controller's
   /// FlowMemory uses this to observe traffic on long-lived entries that
   /// never idle out (§V).
-  using StatsCallback = std::function<void(std::vector<FlowEntry>)>;
+  using StatsCallback = std::function<void(const std::vector<FlowEntry>&)>;
   void requestFlowStats(StatsCallback cb);
 
   // -- introspection ------------------------------------------------------

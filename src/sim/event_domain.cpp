@@ -118,43 +118,48 @@ EventHandle EventDomain::schedule(SimTime delay, std::function<void()> fn) {
 EventHandle EventDomain::scheduleAt(SimTime when, std::function<void()> fn) {
   ES_ASSERT_MSG(when >= now_, "scheduling into the past");
   ES_ASSERT(fn != nullptr);
-  const std::uint32_t slot = slots_->acquire();
-  queue_.push(Event{when, nextSeq_++, std::move(fn), slot});
+  const std::uint32_t slot = slots_->acquire(std::move(fn));
+  heap_.push_back(Key{when, nextSeq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), KeyAfter{});
   queueSize_.fetch_add(1, std::memory_order_relaxed);
   return EventHandle{slots_, slot, slots_->generation(slot)};
 }
 
-bool EventDomain::popFront(Event* event) {
-  *event = std::move(const_cast<Event&>(queue_.top()));
-  queue_.pop();
+EventDomain::Key EventDomain::popKey() {
+  const Key front = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), KeyAfter{});
+  heap_.pop_back();
   queueSize_.fetch_sub(1, std::memory_order_relaxed);
-  // Freed before the event runs: its own handle no longer reports pending,
-  // and events it schedules may reuse the slot under a new generation.
-  return slots_->release(event->slot);
+  return front;
 }
 
-void EventDomain::dispatch(Event event) {
-  setNow(event.when);
+bool EventDomain::runFront() {
+  const Key front = popKey();
+  // The closure leaves its slot before the slot is freed and before it
+  // runs: a handler that schedules may reallocate the slot table or reuse
+  // this very slot, and its own handle no longer reports pending.
+  std::function<void()> fn;
+  if (!slots_->release(front.slot, fn)) return false;  // cancelled
+  setNow(front.when);
   processed_.fetch_add(1, std::memory_order_relaxed);
   CurrentDomainScope scope(this);
-  event.fn();
+  fn();
+  return true;
 }
 
 bool EventDomain::step() {
-  Event event;
-  while (!queue_.empty()) {
-    if (!popFront(&event)) continue;  // cancelled; skip without advancing
-    dispatch(std::move(event));
-    return true;
+  while (!heap_.empty()) {
+    if (runFront()) return true;  // cancelled entries skip the clock
   }
   return false;
 }
 
 SimTime EventDomain::nextEventTime() {
-  Event event;
-  while (!queue_.empty()) {
-    if (slots_->live(queue_.top().slot)) return queue_.top().when;
-    popFront(&event);  // prune cancelled front entries
+  while (!heap_.empty()) {
+    const Key& front = heap_.front();
+    if (slots_->live(front.slot)) return front.when;
+    std::function<void()> cancelled;  // prune the cancelled front entry
+    slots_->release(popKey().slot, cancelled);
   }
   return SimTime::max();
 }
@@ -185,12 +190,10 @@ std::size_t EventDomain::advance(SimTime horizon) {
 
     bool progressed = false;
     std::size_t ranThisRound = 0;
-    while (!queue_.empty()) {
-      const Event& top = queue_.top();
-      if (top.when > horizon || top.when >= bound) break;
-      Event event;
-      if (!popFront(&event)) continue;
-      dispatch(std::move(event));
+    while (!heap_.empty()) {
+      const Key& front = heap_.front();
+      if (front.when > horizon || front.when >= bound) break;
+      if (!runFront()) continue;
       ++dispatched;
       ++ranThisRound;
       progressed = true;

@@ -30,8 +30,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -51,17 +51,20 @@ class DomainObserver;
 using DomainId = std::uint32_t;
 inline constexpr DomainId kControlDomain = 0;
 
-/// Liveness of one domain's queued events, without an allocation per event.
-/// Every queued event holds one slot from the moment it is scheduled until
-/// it leaves the queue (dispatched, or skipped because it was cancelled).
+/// Closures and liveness of one domain's queued events, without an
+/// allocation per event beyond the closure's own.  Every queued event holds
+/// one slot from the moment it is scheduled until it leaves the queue
+/// (dispatched, or skipped because it was cancelled); the slot parks the
+/// event's closure meanwhile, so the heap itself orders only small keys.
 /// Leaving bumps the slot's generation before the slot is reused, so a
 /// handle naming an older generation can neither cancel nor observe the
 /// slot's next occupant.  Owned by its EventDomain; only the domain's own
 /// thread may touch it (handles are cancelled where their events run).
 class EventSlots {
  public:
-  /// Take a free slot for a newly queued event (live, current generation).
-  std::uint32_t acquire() {
+  /// Take a free slot for a newly queued event (live, current generation)
+  /// and park its closure there.
+  std::uint32_t acquire(std::function<void()> fn) {
     std::uint32_t slot;
     if (free_.empty()) {
       slot = static_cast<std::uint32_t>(slots_.size());
@@ -70,13 +73,19 @@ class EventSlots {
       slot = free_.back();
       free_.pop_back();
     }
-    slots_[slot].live = true;
+    Slot& s = slots_[slot];
+    s.fn = std::move(fn);
+    s.live = true;
     return slot;
   }
-  /// The event left the queue: retire this generation and free the slot.
-  /// Returns whether the event was still live (not cancelled).
-  bool release(std::uint32_t slot) {
+  /// The event left the queue: move its closure into the empty `fn`, retire
+  /// this generation and free the slot.  Returns whether the event was
+  /// still live (not cancelled).  The closure leaves the table first, so
+  /// whatever the caller then does with it -- run it, or destroy it -- may
+  /// schedule events (growing the table) and reuse the slot.
+  bool release(std::uint32_t slot, std::function<void()>& fn) {
     Slot& s = slots_[slot];
+    fn.swap(s.fn);
     const bool wasLive = s.live;
     s.live = false;
     ++s.generation;
@@ -97,6 +106,7 @@ class EventSlots {
 
  private:
   struct Slot {
+    std::function<void()> fn;  // parked while queued, empty when free
     std::uint32_t generation = 0;
     bool live = false;
   };
@@ -242,9 +252,9 @@ class EventDomain {
   /// when empty -- bug-compatible with the historical runUntil loop, which
   /// peeks without pruning.
   SimTime peekWhenRaw() const {
-    return queue_.empty() ? SimTime::max() : queue_.top().when;
+    return heap_.empty() ? SimTime::max() : heap_.front().when;
   }
-  bool queueEmpty() const { return queue_.empty(); }
+  bool queueEmpty() const { return heap_.empty(); }
   /// Earliest LIVE event time (prunes cancelled front entries); max() when
   /// none.  Owning thread only (mutates the queue).
   SimTime nextEventTime();
@@ -295,23 +305,28 @@ class EventDomain {
   friend class Simulation;
   friend class DomainChannel;
 
-  struct Event {
+  /// One heap entry: trivially copyable, so sifting moves 24 bytes and
+  /// never a closure (that stays parked in `slot`).  (when, seq) is a
+  /// total order -- seq is unique -- so dispatch order does not depend on
+  /// the heap's layout.
+  struct Key {
     SimTime when;
     std::uint64_t seq;
-    std::function<void()> fn;
-    std::uint32_t slot = 0;  // held until the event leaves the queue
+    std::uint32_t slot;  // held until the event leaves the queue
   };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const {
+  static_assert(std::is_trivially_copyable_v<Key> && sizeof(Key) == 24);
+  struct KeyAfter {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.when != b.when) return a.when > b.when;  // min-heap
       return a.seq > b.seq;
     }
   };
 
-  /// Pop the queue head and free its slot; returns whether it was live.
-  bool popFront(Event* event);
-  /// Run a live event popped by popFront.
-  void dispatch(Event event);
+  /// Remove the heap's earliest key (its slot is still held).
+  Key popKey();
+  /// Pop the earliest event and free its slot, then run it if it was live.
+  /// Returns whether it ran.
+  bool runFront();
   void setNow(SimTime when) {
     now_ = when;
     nowNanos_.store(when.toNanos(), std::memory_order_release);
@@ -333,7 +348,7 @@ class EventDomain {
   /// Domain 0 aliases the Simulation's master RNG; others own a fork.
   Rng* rng_ = nullptr;
   std::unique_ptr<Rng> ownedRng_;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  std::vector<Key> heap_;  // binary min-heap under KeyAfter
   std::shared_ptr<EventSlots> slots_ = std::make_shared<EventSlots>();
   std::vector<DomainChannel*> inbound_;
   std::vector<DomainChannel*> outbound_;

@@ -408,7 +408,8 @@ TEST_F(K8sFixture, EndpointsTimelineUnderChurnIsPinned) {
     std::string line = strprintf("%.3f %s", sim_.now().toMillis(),
                                  event.object.meta.name.c_str());
     for (const auto& address : event.object.addresses) {
-      line += " " + address.toString();
+      line += ' ';
+      line += address.toString();
     }
     timeline.push_back(std::move(line));
   });

@@ -25,6 +25,17 @@ const Endpoint kInstance{Ipv4(10, 0, 1, 5), 30080};   // edge instance
 
 Packet clientSyn() { return makeSyn(Mac(0x01), kClient, kService); }
 
+/// The ports a switch transmits on for `actions`, in list order.
+std::vector<PortId> outputPorts(const ActionList& actions) {
+  std::vector<PortId> ports;
+  for (const auto& action : actions) {
+    if (const auto* output = std::get_if<OutputAction>(&action)) {
+      ports.push_back(output->port);
+    }
+  }
+  return ports;
+}
+
 // ---------------------------------------------------------------- match ----
 
 TEST(FlowMatch, WildcardsMatchEverything) {
@@ -68,12 +79,13 @@ TEST(Actions, SetFieldRewritesCopy) {
       SetFieldAction::ethDst(Mac(0xbeef)),
       OutputAction{4},
   };
-  const auto applied = applyActions(original, actions);
-  EXPECT_EQ(applied.packet.ipDst, kInstance.ip);
-  EXPECT_EQ(applied.packet.tcpDst, kInstance.port);
-  EXPECT_EQ(applied.packet.ethDst, Mac(0xbeef));
-  EXPECT_EQ(applied.outputs, (std::vector<PortId>{4}));
-  EXPECT_FALSE(applied.toController);
+  Packet rewritten = original;
+  const bool toController = applyActions(rewritten, actions);
+  EXPECT_EQ(rewritten.ipDst, kInstance.ip);
+  EXPECT_EQ(rewritten.tcpDst, kInstance.port);
+  EXPECT_EQ(rewritten.ethDst, Mac(0xbeef));
+  EXPECT_EQ(outputPorts(actions), (std::vector<PortId>{4}));
+  EXPECT_FALSE(toController);
   // Source packet untouched.
   EXPECT_EQ(original.ipDst, kService.ip);
 }
@@ -87,15 +99,16 @@ TEST(Actions, ReverseRewriteRestoresServiceAddress) {
       SetFieldAction::tcpSrc(kService.port),
       OutputAction{1},
   };
-  const auto applied = applyActions(reply, actions);
-  EXPECT_EQ(applied.packet.srcEndpoint(), kService);
-  EXPECT_EQ(applied.packet.dstEndpoint(), kClient);
+  applyActions(reply, actions);
+  EXPECT_EQ(reply.srcEndpoint(), kService);
+  EXPECT_EQ(reply.dstEndpoint(), kClient);
 }
 
 TEST(Actions, ToControllerFlag) {
-  const auto applied = applyActions(clientSyn(), {ToControllerAction{}});
-  EXPECT_TRUE(applied.toController);
-  EXPECT_TRUE(applied.outputs.empty());
+  const ActionList actions{ToControllerAction{}};
+  Packet packet = clientSyn();
+  EXPECT_TRUE(applyActions(packet, actions));
+  EXPECT_TRUE(outputPorts(actions).empty());
 }
 
 TEST(Actions, ToStringRendering) {
@@ -688,7 +701,7 @@ TEST_F(SwitchFixture, FlowStatsSnapshotTakenAtRequestArrival) {
 
   std::optional<std::vector<FlowEntry>> snapshot;
   switch_.requestFlowStats(
-      [&](std::vector<FlowEntry> entries) { snapshot = std::move(entries); });
+      [&](const std::vector<FlowEntry>& entries) { snapshot = entries; });
 
   FlowEntry after = before;
   after.priority = 20;
@@ -717,8 +730,8 @@ TEST_F(SwitchFixture, FlowStatsSnapshotSurvivesMutationBeforeDelivery) {
 
   std::optional<std::vector<FlowEntry>> snapshot;
   SimTime deliveredAt;
-  switch_.requestFlowStats([&](std::vector<FlowEntry> entries) {
-    snapshot = std::move(entries);
+  switch_.requestFlowStats([&](const std::vector<FlowEntry>& entries) {
+    snapshot = entries;
     deliveredAt = sim_.now();
   });
   // The remove is sent one channel latency later: it reaches the switch

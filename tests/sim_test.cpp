@@ -2,7 +2,14 @@
 // determinism, periodic timers, and time formatting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <map>
+#include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -232,6 +239,318 @@ TEST_P(EventOrderProperty, NondecreasingExecutionTimes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventOrderProperty, ::testing::Range(1, 16));
+
+// ---- key-only heap: reference oracle, slot-table growth, closure lifetime
+
+/// Reference model of one domain's queue: every queued entry in (when, seq)
+/// order -- cancelled ones included, since cancellation is lazy -- and the
+/// live subset.  Mirrors EventDomain::step and the single-domain runUntil,
+/// which peeks the raw front entry (see Simulation::runUntil).
+class ReferenceQueue {
+ public:
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (when ns, seq)
+
+  Key schedule(std::int64_t delayNs) {
+    const Key key{now_ + delayNs, nextSeq_++};
+    queued_.insert(key);
+    live_.insert(key);
+    return key;
+  }
+  void cancel(const Key& key) { live_.erase(key); }
+  /// Skip cancelled entries, then dispatch the first live one.
+  std::optional<Key> step() {
+    while (!queued_.empty()) {
+      const Key key = *queued_.begin();
+      queued_.erase(queued_.begin());
+      if (live_.erase(key) == 0) continue;
+      now_ = key.first;
+      return key;
+    }
+    return std::nullopt;
+  }
+  bool frontAtOrBefore(std::int64_t until) const {
+    return !queued_.empty() && queued_.begin()->first <= until;
+  }
+  void finishAt(std::int64_t until) { now_ = std::max(now_, until); }
+  bool live(const Key& key) const { return live_.count(key) != 0; }
+  std::size_t queued() const { return queued_.size(); }
+  std::int64_t now() const { return now_; }
+
+ private:
+  std::set<Key> queued_;
+  std::set<Key> live_;
+  std::int64_t now_ = 0;
+  std::uint64_t nextSeq_ = 0;
+};
+
+/// Drives a Simulation and a ReferenceQueue through the same random
+/// operations.  Handlers schedule children; the real handler picks them
+/// (ids and delays) and the reference replays that plan when it dispatches
+/// the same id, so any divergence shows in the dispatch sequence.
+class QueueOracle {
+ public:
+  explicit QueueOracle(std::uint64_t seed) : sim_(seed), rng_(seed * 31 + 7) {}
+
+  void scheduleTop() {
+    const int id = nextId_++;
+    const std::int64_t delay = drawDelay();
+    handles_[id] = sim_.schedule(SimTime::nanos(delay), handler(id));
+    track(id, reference_.schedule(delay));
+  }
+  void cancelOne() {
+    if (keys_.empty()) return;
+    // Half the picks aim at a live handle; the rest hit any id, so fired
+    // and already-cancelled (stale) handles are cancelled too.
+    auto it = keys_.begin();
+    std::advance(it, static_cast<long>(rng_.uniformInt(0, keys_.size() - 1)));
+    if (rng_.chance(0.5)) {
+      for (int tries = 0; tries < 8 && !reference_.live(it->second); ++tries) {
+        it = keys_.begin();
+        std::advance(it,
+                     static_cast<long>(rng_.uniformInt(0, keys_.size() - 1)));
+      }
+    }
+    handles_[it->first].cancel();
+    reference_.cancel(it->second);
+  }
+  void step() {
+    const bool ran = sim_.step();
+    const auto key = reference_.step();
+    if (key) dispatchReference(*key);
+    EXPECT_EQ(ran, key.has_value());
+  }
+  void runUntil() {
+    const std::int64_t until =
+        sim_.now().toNanos() +
+        static_cast<std::int64_t>(rng_.uniformInt(0, 6'000));
+    sim_.runUntil(SimTime::nanos(until));
+    while (reference_.frontAtOrBefore(until)) {
+      if (const auto key = reference_.step()) dispatchReference(*key);
+    }
+    reference_.finishAt(until);
+  }
+  void drain() {
+    sim_.run();
+    while (const auto key = reference_.step()) dispatchReference(*key);
+  }
+
+  /// Same dispatch sequence, clock, queue size and handle states.
+  void check() {
+    ASSERT_EQ(ran_, expected_);
+    ASSERT_EQ(sim_.now().toNanos(), reference_.now());
+    ASSERT_EQ(sim_.pendingEvents(), reference_.queued());
+    for (const auto& [id, key] : keys_) {
+      ASSERT_EQ(handles_.at(id).pending(), reference_.live(key)) << "id " << id;
+    }
+  }
+
+  Rng& rng() { return rng_; }
+  std::size_t dispatched() const { return ran_.size(); }
+
+ private:
+  struct Spawn {
+    int id;
+    std::int64_t delayNs;
+  };
+
+  /// Mostly a few microseconds, drawn from a small set so times tie often.
+  std::int64_t drawDelay() {
+    static constexpr std::array<std::int64_t, 6> kDelays{0, 1'000, 1'000,
+                                                         2'000, 3'000, 5'000};
+    return kDelays[rng_.uniformInt(0, kDelays.size() - 1)];
+  }
+
+  std::function<void()> handler(int id) {
+    return [this, id] {
+      ran_.push_back(id);
+      if (!rng_.chance(0.3)) return;
+      auto& plan = children_[id];
+      const auto count = rng_.uniformInt(1, 2);
+      for (std::uint64_t i = 0; i < count; ++i) {
+        const Spawn child{nextId_++, drawDelay()};
+        plan.push_back(child);
+        handles_[child.id] =
+            sim_.schedule(SimTime::nanos(child.delayNs), handler(child.id));
+      }
+    };
+  }
+  void track(int id, ReferenceQueue::Key key) {
+    keys_[id] = key;
+    ids_[key] = id;
+  }
+  void dispatchReference(const ReferenceQueue::Key& key) {
+    const int id = ids_.at(key);
+    expected_.push_back(id);
+    const auto plan = children_.find(id);
+    if (plan == children_.end()) return;
+    for (const Spawn& child : plan->second) {
+      track(child.id, reference_.schedule(child.delayNs));
+    }
+  }
+
+  Simulation sim_;
+  ReferenceQueue reference_;
+  Rng rng_;
+  int nextId_ = 0;
+  std::map<int, EventHandle> handles_;
+  std::map<int, ReferenceQueue::Key> keys_;
+  std::map<ReferenceQueue::Key, int> ids_;
+  std::map<int, std::vector<Spawn>> children_;
+  std::vector<int> ran_;
+  std::vector<int> expected_;
+};
+
+class EventQueueOracleProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(EventQueueOracleProperty, MatchesOrderedSetReference) {
+  QueueOracle oracle(static_cast<std::uint64_t>(GetParam()));
+  for (int op = 0; op < 600; ++op) {
+    const auto pick = oracle.rng().uniformInt(0, 99);
+    if (pick < 40) {
+      oracle.scheduleTop();
+    } else if (pick < 60) {
+      oracle.cancelOne();
+    } else if (pick < 85) {
+      oracle.step();
+    } else {
+      oracle.runUntil();
+    }
+    oracle.check();
+    if (HasFatalFailure()) return;
+  }
+  oracle.drain();
+  oracle.check();
+  EXPECT_GT(oracle.dispatched(), 100u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueOracleProperty,
+                         ::testing::Range(1, 21));
+
+/// A handler's captures, filled from one tag: a closure that reads another
+/// closure's storage sees the wrong tag.
+struct Payload {
+  explicit Payload(std::uint64_t tag)
+      : name(64, static_cast<char>('a' + tag % 26)) {
+    for (std::size_t i = 0; i < words.size(); ++i) words[i] = tag * 1000 + i;
+  }
+  bool operator==(const Payload&) const = default;
+  std::array<std::uint64_t, 32> words{};
+  std::string name;
+};
+
+/// A closure too large for std::function's in-place buffer.  With `spawn`
+/// set it schedules that many children of its own type (same size, so a
+/// freed handler closure is the next child's allocation), then checks its
+/// captures; a child checks its captures when it runs.
+struct LargeSpawner {
+  Simulation* sim;
+  int* intactChildren;
+  bool* intact;
+  std::uint64_t tag;
+  int spawn;
+  Payload payload{tag};
+
+  void operator()() const {
+    if (spawn == 0) {
+      *intactChildren += payload == Payload(tag) ? 1 : 0;
+      return;
+    }
+    for (int i = 0; i < spawn; ++i) {
+      const std::uint64_t childTag = tag + 1 + static_cast<std::uint64_t>(i);
+      sim->schedule(1_ms,
+                    LargeSpawner{sim, intactChildren, intact, childTag, 0});
+    }
+    *intact = payload == Payload(tag);
+  }
+};
+
+// A running handler that schedules enough events to reallocate its domain's
+// slot table -- the first of them reusing the handler's own, already freed,
+// slot -- still reads its own captures: the closure left the table before
+// it ran.  Covers closures std::function keeps on the heap (large) and in
+// place (small and trivially copyable).
+TEST(Simulation, HandlerGrowingTheSlotTableKeepsLargeCaptures) {
+  Simulation sim;
+  int intactChildren = 0;
+  bool intact = false;
+  sim.schedule(1_ms, LargeSpawner{&sim, &intactChildren, &intact, 7, 4096});
+  sim.run();
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(intactChildren, 4096);
+}
+
+TEST(Simulation, HandlerGrowingTheSlotTableKeepsSmallCaptures) {
+  struct Probe {
+    Simulation* sim;
+    std::uint64_t seen = 0;
+    std::uint64_t children = 0;
+  };
+  Simulation sim;
+  Probe probe{&sim};
+  constexpr std::uint64_t kToken = 0x5eedcafef00dbeefULL;
+  // Two trivially copyable words: std::function keeps them in the slot.
+  sim.schedule(1_ms, [probe = &probe, token = kToken] {
+    for (std::uint64_t i = 0; i < 4096; ++i) {
+      probe->sim->schedule(1_ms, [probe, i] { probe->children += i; });
+    }
+    probe->seen = token;
+  });
+  sim.run();
+  EXPECT_EQ(probe.seen, kToken);
+  EXPECT_EQ(probe.children, 4095u * 4096u / 2);
+}
+
+/// Counts live copies of each closure's capture, by closure id.
+class Tracked {
+ public:
+  Tracked(std::map<int, int>* live, int id) : live_(live), id_(id) {
+    ++(*live_)[id_];
+  }
+  Tracked(const Tracked& other) : live_(other.live_), id_(other.id_) {
+    ++(*live_)[id_];
+  }
+  Tracked& operator=(const Tracked&) = delete;
+  ~Tracked() { --(*live_)[id_]; }
+
+ private:
+  std::map<int, int>* live_;
+  int id_;
+};
+
+// Every closure is destroyed exactly once: right after it runs, when it
+// leaves the queue cancelled, or with the Simulation if still queued.
+TEST(Simulation, EveryClosureIsDestroyedExactlyOnce) {
+  std::map<int, int> live;
+  std::vector<int> ran;
+  {
+    Simulation sim;
+    const auto tracked = [&live, &ran](int id) {
+      return [capture = Tracked(&live, id), &ran, id] { ran.push_back(id); };
+    };
+    sim.schedule(1_ms, tracked(0));
+    auto cancelled = sim.schedule(2_ms, tracked(1));
+    sim.schedule(3_ms, [&sim, &tracked, capture = Tracked(&live, 2)] {
+      sim.schedule(1_ms, tracked(3));  // scheduled from a handler
+    });
+    auto cancelledFromHandler = sim.schedule(5_ms, tracked(4));
+    sim.schedule(4_ms, [&cancelledFromHandler] {
+      cancelledFromHandler.cancel();
+    });
+    sim.schedule(6_ms, tracked(7));
+    sim.schedule(10_s, tracked(5));
+    auto cancelledQueued = sim.schedule(20_s, tracked(6));
+    cancelled.cancel();
+    cancelledQueued.cancel();
+    for (const int id : {0, 1, 2, 4, 5, 6, 7}) EXPECT_EQ(live[id], 1) << id;
+
+    sim.runUntil(6_ms);
+    EXPECT_EQ(ran, (std::vector<int>{0, 3, 7}));
+    for (const int id : {0, 1, 2, 3, 4, 7}) EXPECT_EQ(live[id], 0) << id;
+    EXPECT_EQ(live[5], 1);  // still queued
+    EXPECT_EQ(live[6], 1);  // cancelled, but not yet at the front
+  }
+  for (const auto& [id, count] : live) EXPECT_EQ(count, 0) << id;
+}
 
 TEST(PeriodicTimer, FiresAtPeriodUntilStopped) {
   Simulation sim;
