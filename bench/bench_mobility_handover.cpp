@@ -78,7 +78,7 @@ WaveResult runWave(bool predeployTarget) {
   wave.travelTime = 10_s;
   const auto paths = workload::commuteWavePaths(wave);
   for (std::size_t i = 0; i < kClients; ++i) {
-    model.setPath(Ipv4(10, 0, 2, static_cast<std::uint8_t>(i + 1)), paths[i]);
+    model.setPath(clientAddress(i), paths[i]);
   }
 
   mobility::AttachmentManager attachments(bed.sim(), model,

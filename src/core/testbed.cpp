@@ -33,8 +33,8 @@ Testbed::Testbed(TestbedOptions options)
   // Per-cluster partition: each edge site's substrate and host advance in
   // their own EventDomain; the site link latencies (egsLatency,
   // farEdgeLatency) become the cross-domain lookahead bounds when the links
-  // are wired below.  kSingle leaves everything in the control domain --
-  // the bit-identical historical engine.
+  // are wired below.  kSingle leaves everything in the control domain, on
+  // one event queue.
   const bool perCluster =
       options_.domainPartition == DomainPartition::kPerCluster;
   const DomainId egsDomain = perCluster ? sim_.addDomain("egs")
@@ -47,7 +47,7 @@ Testbed::Testbed(TestbedOptions options)
   for (std::size_t i = 0; i < options_.clientCount; ++i) {
     clients_.push_back(std::make_unique<Host>(
         *net_, strprintf("rpi-%02zu", i),
-        Ipv4(10, 0, 2, static_cast<std::uint8_t>(i + 1)),
+        clientAddress(i),
         Mac(0x020000000000ULL + i)));
   }
   egs_ = std::make_unique<Host>(*net_, "egs", Ipv4(10, 0, 1, 1), Mac(0x10));

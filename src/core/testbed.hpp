@@ -31,8 +31,8 @@ enum class ClusterMode { kDockerOnly, kK8sOnly, kBoth, kServerlessOnly };
 
 /// How the simulation's event queue is partitioned into time domains.
 enum class DomainPartition {
-  /// Everything in the control domain -- the historical single-queue
-  /// engine, bit-identical to the determinism goldens.
+  /// Everything in the control domain: one event queue.  The default, and
+  /// the layout the determinism goldens were recorded with.
   kSingle,
   /// Each edge site (EGS, far edge) gets its own EventDomain: cluster
   /// substrate (containerd, Docker engine, kubelets, reconcile loops) and

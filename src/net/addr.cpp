@@ -2,6 +2,7 @@
 
 #include <charconv>
 
+#include "util/assert.hpp"
 #include "util/strings.hpp"
 
 namespace edgesim {
@@ -21,6 +22,18 @@ std::optional<Ipv4> Ipv4::parse(std::string_view text) {
     value = (value << 8) | octet;
   }
   return Ipv4(value);
+}
+
+Ipv4 clientAddress(std::size_t index) {
+  constexpr std::size_t kSubnetClients = 255;  // 10.0.2.1 .. 10.0.2.255
+  constexpr std::size_t kOverflowClients = std::size_t{1} << 23;  // a /9
+  if (index < kSubnetClients) {
+    return Ipv4(10, 0, 2, static_cast<std::uint8_t>(index + 1));
+  }
+  const std::size_t overflow = index - kSubnetClients;
+  ES_ASSERT_MSG(overflow < kOverflowClients, "client addresses exhausted");
+  return Ipv4(Ipv4(10, 128, 0, 0).value +
+              static_cast<std::uint32_t>(overflow));
 }
 
 std::string Ipv4::toString() const {

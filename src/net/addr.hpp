@@ -56,6 +56,14 @@ struct Endpoint {
   constexpr auto operator<=>(const Endpoint&) const = default;
 };
 
+/// Address of client `index` (0-based), the one client numbering shared by
+/// the testbed, the workloads and the mobility models.  Indices 0..254 map
+/// to 10.0.2.1..10.0.2.255 (the paper's client subnet); higher ones count
+/// on through 10.128.0.0/9, a block no testbed host (10.0.1.1 EGS,
+/// 10.0.3.1 far edge, 198.51.100.1 cloud) and no service address uses.
+/// Asserts when both ranges are exhausted.
+Ipv4 clientAddress(std::size_t index);
+
 /// TCP connection 4-tuple as seen from one side.
 struct FourTuple {
   Endpoint local;

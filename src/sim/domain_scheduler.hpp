@@ -36,7 +36,7 @@ class DomainScheduler {
   /// Advance every domain to `until` on `pool` workers.  Blocks until all
   /// domains are quiescent at the horizon; afterwards every domain's clock
   /// reads `until`, matching Simulation::runUntil's end state.  Single-
-  /// domain simulations fall back to the sequential (bit-identical) path.
+  /// domain simulations run Simulation::runUntil instead.
   /// Caller must be outside any event dispatch; external posts arriving
   /// during the run are admitted into the control domain as usual.
   void runParallel(LaneExecutor& pool, SimTime until);

@@ -13,8 +13,8 @@ namespace {
 // EventDomain::current().
 thread_local EventDomain* tlsCurrentDomain = nullptr;
 
-// RAII guard so nested dispatch (the sequential multi-domain driver runs
-// several domains on one thread) restores the outer domain.
+// RAII guard so nested dispatch (the sequential driver runs several domains
+// on one thread) restores the outer domain.
 class CurrentDomainScope {
  public:
   explicit CurrentDomainScope(EventDomain* domain)
@@ -147,23 +147,6 @@ bool EventDomain::runFront() {
   return true;
 }
 
-bool EventDomain::step() {
-  while (!heap_.empty()) {
-    if (runFront()) return true;  // cancelled entries skip the clock
-  }
-  return false;
-}
-
-SimTime EventDomain::nextEventTime() {
-  while (!heap_.empty()) {
-    const Key& front = heap_.front();
-    if (slots_->live(front.slot)) return front.when;
-    std::function<void()> cancelled;  // prune the cancelled front entry
-    slots_->release(popKey().slot, cancelled);
-  }
-  return SimTime::max();
-}
-
 std::size_t EventDomain::advance(SimTime horizon) {
   DomainObserver* const observer = observer_;
   std::chrono::steady_clock::time_point wallStart;
@@ -209,7 +192,7 @@ std::size_t EventDomain::advance(SimTime horizon) {
     }
     if (!progressed) break;
   }
-  const bool idle = now_ >= horizon && !hasEventAtOrBefore(horizon);
+  const bool idle = now_ >= horizon && nextEventTime() > horizon;
   idleAtHorizon_.store(idle, std::memory_order_release);
   if (observer != nullptr) {
     DomainObserver::AdvanceInfo info;

@@ -4,9 +4,7 @@
 // owns its OWN priority queue, clock, sequence counter, and RNG stream.  A
 // Simulation always has at least domain 0 (the control domain); partitioned
 // setups add one domain per cluster/region and wire DomainChannels between
-// them.  Events within a domain execute in (timestamp, sequence) order
-// exactly like the historical single-queue engine -- a single-domain
-// Simulation IS the historical engine, bit for bit.
+// them.  Events within a domain execute in (timestamp, sequence) order.
 //
 // Cross-domain events travel through latency-stamped DomainChannels.  Each
 // channel declares a LOOKAHEAD bound L > 0 (in the network partition this is
@@ -21,8 +19,9 @@
 // clock published through a shared atomic instead of explicit null messages.
 // Equal-timestamp events within one domain keep deterministic order; ties
 // BETWEEN domains arriving over different channels have unspecified relative
-// order in parallel runs (use the sequential multi-domain driver for a
-// canonical order; workloads keep outcomes order-independent).
+// order in parallel runs (use the sequential driver, Simulation::run/
+// runUntil/step, for a canonical order; workloads keep outcomes
+// order-independent).
 #pragma once
 
 #include <atomic>
@@ -243,22 +242,18 @@ class EventDomain {
   /// Schedule `fn` in THIS domain at an absolute time (>= this domain's now).
   EventHandle scheduleAt(SimTime when, std::function<void()> fn);
 
-  /// Execute at most one event; returns false if the queue was empty.
-  /// (Skips cancelled entries, then runs the first live one -- identical to
-  /// the historical Simulation::step.)
-  bool step();
-
-  /// Raw earliest queue entry (cancelled entries included), SimTime::max()
-  /// when empty -- bug-compatible with the historical runUntil loop, which
-  /// peeks without pruning.
-  SimTime peekWhenRaw() const {
-    return heap_.empty() ? SimTime::max() : heap_.front().when;
-  }
-  bool queueEmpty() const { return heap_.empty(); }
   /// Earliest LIVE event time (prunes cancelled front entries); max() when
-  /// none.  Owning thread only (mutates the queue).
-  SimTime nextEventTime();
-  bool hasEventAtOrBefore(SimTime when) { return nextEventTime() <= when; }
+  /// none.  Owning thread only (mutates the queue).  Inline: the sequential
+  /// driver calls it once per event.
+  SimTime nextEventTime() {
+    while (!heap_.empty()) {
+      const Key& front = heap_.front();
+      if (slots_->live(front.slot)) return front.when;
+      std::function<void()> cancelled;  // prune the cancelled front entry
+      slots_->release(popKey().slot, cancelled);
+    }
+    return SimTime::max();
+  }
 
   /// Conservative advance toward `horizon` (parallel driver): repeatedly
   /// [read channel bounds -> drain channels -> run every local event with
@@ -275,8 +270,8 @@ class EventDomain {
     return idleAtHorizon_.load(std::memory_order_acquire);
   }
 
-  /// Lift the clock to at least `when` (end-of-run normalisation, the
-  /// historical `now() == min(until, drain time)` contract).
+  /// Lift the clock to at least `when` (end-of-run normalisation: after
+  /// runUntil(until) or runParallel(.., until), now() == until).
   void finishAt(SimTime when) {
     if (now_ < when) setNow(when);
   }

@@ -205,67 +205,36 @@ void Simulation::drainAllChannels() {
   for (const auto& channel : channels_) channel->drainInto(channel->to());
 }
 
-EventDomain* Simulation::earliestDomain(SimTime* when) {
+bool Simulation::stepUntil(SimTime until) {
+  drainAllChannels();
   EventDomain* next = nullptr;
-  SimTime best = SimTime::max();
+  SimTime when = SimTime::max();
   for (const auto& domain : domains_) {
     const SimTime t = domain->nextEventTime();
-    if (t < best) {
-      best = t;
+    if (t < when) {
+      when = t;
       next = domain.get();
     }
   }
-  if (when != nullptr) *when = best;
-  return next;
+  // nextEventTime pruned the cancelled front entries, so runFront runs a
+  // live event.
+  return next != nullptr && when <= until && next->runFront();
 }
 
 void Simulation::run() {
   stopped_ = false;
-  if (domains_.size() == 1) {
-    while (!stopped_ && domains_.front()->step()) {
-    }
-    return;
-  }
-  while (!stopped_) {
-    drainAllChannels();
-    EventDomain* next = earliestDomain(nullptr);
-    if (next == nullptr) break;
-    next->step();
+  while (!stopped_ && stepUntil(SimTime::max())) {
   }
 }
 
 void Simulation::runUntil(SimTime until) {
   stopped_ = false;
-  if (domains_.size() == 1) {
-    // Historical single-queue loop, verbatim (peeks the raw heap top, so a
-    // cancelled front entry at <= until still admits the next live event
-    // even when that event lies beyond `until` -- goldens depend on it).
-    EventDomain& d = *domains_.front();
-    while (!stopped_ && !d.queueEmpty()) {
-      if (d.peekWhenRaw() > until) break;
-      d.step();
-    }
-    d.finishAt(until);
-    return;
-  }
-  // Sequential multi-domain: one thread, globally earliest live event first
-  // -- the canonical total order parallel runs are validated against.
-  while (!stopped_) {
-    drainAllChannels();
-    SimTime best = SimTime::max();
-    EventDomain* next = earliestDomain(&best);
-    if (next == nullptr || best > until) break;
-    next->step();
+  while (!stopped_ && stepUntil(until)) {
   }
   for (const auto& domain : domains_) domain->finishAt(until);
 }
 
-bool Simulation::step() {
-  if (domains_.size() == 1) return domains_.front()->step();
-  drainAllChannels();
-  EventDomain* next = earliestDomain(nullptr);
-  return next != nullptr && next->step();
-}
+bool Simulation::step() { return stepUntil(SimTime::max()); }
 
 void Simulation::beginParallel() {
   ES_ASSERT_MSG(!parallel_.exchange(true, std::memory_order_acq_rel),

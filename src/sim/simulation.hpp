@@ -2,14 +2,14 @@
 // domains (see sim/event_domain.hpp).
 //
 // A Simulation is a set of EventDomains sharing one logical experiment.  The
-// default configuration has exactly ONE domain, and then the engine is the
-// historical single-queue machine, bit for bit: determinism goldens assert
-// identical output.  Partitioned setups call addDomain()/connectDomains()
-// during construction; domains then advance either
+// default configuration has exactly ONE domain.  Partitioned setups call
+// addDomain()/connectDomains() during construction; domains then advance
+// either
 //
-//   * sequentially (run/runUntil/step): one thread executes the globally
-//     earliest event across all domains -- a canonical total order, used by
-//     determinism tests as the reference for parallel runs; or
+//   * sequentially (run/runUntil/step): one loop, whatever the domain count,
+//     executes the globally earliest live event across all domains -- a
+//     canonical total order, used by determinism tests as the reference for
+//     parallel runs; or
 //   * in parallel (DomainScheduler::runParallel): each domain advances on a
 //     LaneExecutor worker under the conservative lookahead rule.
 //
@@ -162,15 +162,16 @@ class Simulation {
   /// safe from any thread -- feeds the external-inbox-depth gauge).
   std::size_t externalQueueDepth() const;
 
-  /// Run until every domain's queue drains or `stop()` is called.
-  /// Sequential: multi-domain setups execute the globally earliest event.
+  /// Run until every domain's queue drains or `stop()` is called, always
+  /// executing the globally earliest live event next.
   void run();
-  /// Run while events exist at time <= `until`; afterwards every domain's
-  /// now() == until (or beyond, matching the historical engine's behaviour
-  /// when the last executed event overshoots).
+  /// Run every live event due at or before `until`, earliest first; no
+  /// event beyond `until` runs.  Afterwards every domain's now() == until,
+  /// also when stop() ended the run early (due events it skipped stay
+  /// queued).
   void runUntil(SimTime until);
-  /// Execute at most one event (globally earliest across domains); returns
-  /// false if all queues were empty.
+  /// Execute the globally earliest live event, if any; returns false if no
+  /// live event was queued.
   bool step();
 
   void stop() { stopped_ = true; }
@@ -197,8 +198,11 @@ class Simulation {
 
   DomainChannel* channelBetween(DomainId from, DomainId to) const;
   void drainAllChannels();
-  /// Globally earliest live event across domains (sequential drivers).
-  EventDomain* earliestDomain(SimTime* when);
+  /// The one sequential loop body behind run/runUntil/step: admit channel
+  /// messages, then run the globally earliest live event (across all
+  /// domains) if it is due at or before `until`.  Returns whether an event
+  /// ran.
+  bool stepUntil(SimTime until);
   void beginParallel();
   void endParallel();
   bool parallelPhase() const {

@@ -87,7 +87,7 @@ Trace generateBigFlows(const BigFlowsParams& params) {
     // Raspberry Pis; each request is attributed to one of them).
     std::vector<TcpConversation> perClient(params.clientCount);
     for (std::size_t c = 0; c < params.clientCount; ++c) {
-      perClient[c].srcIp = Ipv4(10, 0, 2, static_cast<std::uint8_t>(c + 1));
+      perClient[c].srcIp = clientAddress(c);
       perClient[c].dst = dst;
     }
     for (const double t : times) {
@@ -107,8 +107,7 @@ Trace generateBigFlows(const BigFlowsParams& params) {
   for (std::size_t i = 0; i < params.noiseConversationsOtherPorts; ++i) {
     TcpConversation conversation;
     conversation.srcIp =
-        Ipv4(10, 0, 2, static_cast<std::uint8_t>(
-                           rng.uniformInt(1, params.clientCount)));
+        clientAddress(rng.uniformInt(0, params.clientCount - 1));
     conversation.dst = Endpoint(
         Ipv4(198, 19, 1, static_cast<std::uint8_t>(i % 250 + 1)),
         rng.chance(0.7) ? 443 : static_cast<std::uint16_t>(
@@ -126,8 +125,7 @@ Trace generateBigFlows(const BigFlowsParams& params) {
   for (std::size_t i = 0; i < params.noiseDestinationsBelowMinimum; ++i) {
     TcpConversation conversation;
     conversation.srcIp =
-        Ipv4(10, 0, 2, static_cast<std::uint8_t>(
-                           rng.uniformInt(1, params.clientCount)));
+        clientAddress(rng.uniformInt(0, params.clientCount - 1));
     conversation.dst =
         Endpoint(Ipv4(198, 20, 1, static_cast<std::uint8_t>(i % 250 + 1)), 80);
     const auto requestCount =

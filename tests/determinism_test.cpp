@@ -66,7 +66,7 @@ ScenarioResult runMobilityScenario(std::uint64_t seed) {
   wave.travelTime = 4_s;
   const auto paths = workload::commuteWavePaths(wave);
   for (std::size_t i = 0; i < wave.clients; ++i) {
-    model.setPath(Ipv4(10, 0, 2, static_cast<std::uint8_t>(i + 1)), paths[i]);
+    model.setPath(clientAddress(i), paths[i]);
   }
   mobility::AttachmentManager attachments(bed.sim(), model,
                                           {.scanPeriod = 500_ms});

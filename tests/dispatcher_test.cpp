@@ -210,12 +210,10 @@ TEST_F(DispatcherFixture, ConcurrentResolvesCoalesceIntoOneDeployment) {
   makeDispatcher(makeProximityScheduler());
   int completions = 0;
   for (int i = 0; i < 8; ++i) {
-    dispatcher_->resolve(model_,
-                         Ipv4(10, 0, 2, static_cast<std::uint8_t>(i + 1)),
-                         [&](Result<Redirect> r) {
-                           ASSERT_TRUE(r.ok());
-                           ++completions;
-                         });
+    dispatcher_->resolve(model_, clientAddress(i), [&](Result<Redirect> r) {
+      ASSERT_TRUE(r.ok());
+      ++completions;
+    });
   }
   sim_.run();
   EXPECT_EQ(completions, 8);

@@ -4,7 +4,9 @@
 // of fig. 11, and failure paths.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
+#include <set>
 
 #include "core/testbed.hpp"
 
@@ -132,6 +134,38 @@ TEST(Integration, SecondRequestServedWarmAndFast) {
   // ~1 ms total (fig. 16) vs. hundreds of ms for the first request.
   EXPECT_LT(*second, 0.05);
   EXPECT_GT(*first / *second, 20.0);
+}
+
+TEST(Integration, TenThousandClientsGetDistinctAddresses) {
+  // Were addresses to wrap every 256 clients, client 9999 would share
+  // 10.0.2.16 with client 15 and one of the two would go unanswered.
+  TestbedOptions options;
+  options.clusterMode = ClusterMode::kDockerOnly;
+  options.clientCount = 10'000;
+  Testbed bed(options);
+  std::set<Ipv4> addresses;
+  for (std::size_t i = 0; i < bed.clientCount(); ++i) {
+    addresses.insert(bed.client(i).ip());
+  }
+  EXPECT_EQ(addresses.size(), 10'000u);
+  ASSERT_TRUE(bed.registerCatalogService("nginx", kNginxAddr).ok());
+  bed.warmImageCache("nginx");
+
+  std::map<std::size_t, Result<HttpExchange>> got;
+  for (const std::size_t client : {std::size_t{15}, std::size_t{9'999}}) {
+    bed.requestCatalog(client, "nginx", kNginxAddr, "wrap",
+                       [&got, client](Result<HttpExchange> r) {
+                         got.emplace(client, std::move(r));
+                       });
+  }
+  bed.sim().runUntil(30_s);
+
+  ASSERT_EQ(got.size(), 2u);
+  for (const auto& [client, result] : got) {
+    EXPECT_TRUE(result.ok()) << "client " << client << ": "
+                             << result.error().toString();
+  }
+  EXPECT_EQ(bed.controller().requestsResolved(), 2u);
 }
 
 TEST(Integration, DifferentClientReusesRunningInstance) {

@@ -41,10 +41,6 @@ using workload::Waypoint;
 
 const Endpoint kNginxAddr{Ipv4(203, 0, 113, 10), 80};
 
-Ipv4 clientIp(std::size_t index) {
-  return Ipv4(10, 0, 2, static_cast<std::uint8_t>(index + 1));
-}
-
 double dist(Position a, Position b) {
   return std::hypot(a.x - b.x, a.y - b.y);
 }
@@ -197,7 +193,7 @@ MobilityPath hopPath(SimTime when, Position from, Position to) {
 TEST(AttachmentTest, DetectsAttachmentChanges) {
   Simulation sim;
   MobilityModel model(twoStations());
-  const Ipv4 client = clientIp(0);
+  const Ipv4 client = clientAddress(0);
   model.setPath(client, hopPath(2_s, {0.0, 0.0}, {1000.0, 0.0}));
 
   AttachmentManager manager(sim, model, {.scanPeriod = 100_ms});
@@ -228,7 +224,7 @@ TEST(AttachmentTest, DetectsAttachmentChanges) {
 TEST(AttachmentTest, ProximityRanksTrackTheClient) {
   Simulation sim;
   MobilityModel model(twoStations());
-  const Ipv4 client = clientIp(0);
+  const Ipv4 client = clientAddress(0);
   model.setPath(client, hopPath(2_s, {0.0, 0.0}, {1000.0, 0.0}));
   AttachmentManager manager(sim, model, {.scanPeriod = 100_ms});
 
@@ -243,7 +239,7 @@ TEST(AttachmentTest, ProximityRanksTrackTheClient) {
   EXPECT_EQ(manager.distanceRank(client, "docker-egs"), 1);
   EXPECT_EQ(manager.distanceRank(client, "docker-far"), 0);
   // A client the model does not know keeps static ranks too.
-  EXPECT_EQ(manager.distanceRank(clientIp(9), "docker-egs"), -1);
+  EXPECT_EQ(manager.distanceRank(clientAddress(9), "docker-egs"), -1);
 }
 
 // ---- handover state machine ------------------------------------------------
@@ -304,14 +300,14 @@ TEST(HandoverTest, WarmReSteerBoundedByOneRuleInstallRtt) {
   ASSERT_FALSE(h.bed.farEdgeAdapter()->readyInstances(
       *h.bed.controller().serviceAt(kNginxAddr)).empty());
   h.establishFlow(0);
-  const auto before = h.bed.controller().flowMemory().lookup(clientIp(0),
-                                                             kNginxAddr);
+  const auto before =
+      h.bed.controller().flowMemory().lookup(clientAddress(0), kNginxAddr);
   ASSERT_TRUE(before.has_value());
   EXPECT_EQ(before->cluster, "docker-egs");
 
   std::optional<HandoverResult> result;
   h.bed.controller().requestHandover(
-      clientIp(0), kNginxAddr, "docker-far",
+      clientAddress(0), kNginxAddr, "docker-far",
       [&](const HandoverResult& r) { result = r; });
   h.bed.sim().runUntil(h.bed.sim().now() + 5_s);
 
@@ -329,8 +325,8 @@ TEST(HandoverTest, WarmReSteerBoundedByOneRuleInstallRtt) {
 
   // FlowMemory was re-bound; the client's next request is warm and served
   // by the far-edge instance end to end.
-  const auto after = h.bed.controller().flowMemory().lookup(clientIp(0),
-                                                            kNginxAddr);
+  const auto after =
+      h.bed.controller().flowMemory().lookup(clientAddress(0), kNginxAddr);
   ASSERT_TRUE(after.has_value());
   EXPECT_EQ(after->cluster, "docker-far");
   bool served = false;
@@ -353,7 +349,7 @@ TEST(HandoverTest, ColdHandoverDeploysTheTargetFirst) {
 
   std::optional<HandoverResult> result;
   h.bed.controller().requestHandover(
-      clientIp(0), kNginxAddr, "docker-far",
+      clientAddress(0), kNginxAddr, "docker-far",
       [&](const HandoverResult& r) { result = r; });
   ASSERT_TRUE(h.runUntilTrue([&] { return result.has_value(); }, 120_s));
 
@@ -371,7 +367,7 @@ TEST(HandoverTest, NoOpWithoutMemorizedFlow) {
   HandoverBed h;
   std::optional<HandoverResult> result;
   h.bed.controller().requestHandover(
-      clientIp(2), kNginxAddr, "docker-far",
+      clientAddress(2), kNginxAddr, "docker-far",
       [&](const HandoverResult& r) { result = r; });
   h.bed.sim().runUntil(1_s);
   ASSERT_TRUE(result.has_value());
@@ -385,7 +381,7 @@ TEST(HandoverTest, NoOpWhenAlreadyOnTheTarget) {
   h.establishFlow(0);
   std::optional<HandoverResult> result;
   h.bed.controller().requestHandover(
-      clientIp(0), kNginxAddr, "docker-egs",
+      clientAddress(0), kNginxAddr, "docker-egs",
       [&](const HandoverResult& r) { result = r; });
   h.bed.sim().runUntil(h.bed.sim().now() + 1_s);
   ASSERT_TRUE(result.has_value());
@@ -410,7 +406,7 @@ TEST(HandoverTest, DeployFailureDegradesToCloud) {
   h.establishFlow(0);
   std::optional<HandoverResult> result;
   h.bed.controller().requestHandover(
-      clientIp(0), kNginxAddr, "docker-far",
+      clientAddress(0), kNginxAddr, "docker-far",
       [&](const HandoverResult& r) { result = r; });
   ASSERT_TRUE(h.runUntilTrue([&] { return result.has_value(); }, 120_s));
 
@@ -420,8 +416,8 @@ TEST(HandoverTest, DeployFailureDegradesToCloud) {
   EXPECT_STREQ(result->reason, "deploy-failed");
   EXPECT_EQ(result->cluster, "cloud");
   // Never stranded: the flow now points at the cloud instance.
-  const auto flow = h.bed.controller().flowMemory().lookup(clientIp(0),
-                                                           kNginxAddr);
+  const auto flow =
+      h.bed.controller().flowMemory().lookup(clientAddress(0), kNginxAddr);
   ASSERT_TRUE(flow.has_value());
   EXPECT_EQ(flow->cluster, "cloud");
   EXPECT_EQ(h.bed.controller().handoversStarted(), 1u);
@@ -443,7 +439,7 @@ TEST(HandoverTest, GovernorVetoDegradesToCloud) {
 
   std::optional<HandoverResult> result;
   h.bed.controller().requestHandover(
-      clientIp(0), kNginxAddr, "docker-far",
+      clientAddress(0), kNginxAddr, "docker-far",
       [&](const HandoverResult& r) { result = r; });
   h.bed.sim().runUntil(h.bed.sim().now() + 5_s);
 
@@ -466,7 +462,7 @@ TEST(HandoverTest, ScalesDownTheVacatedInstance) {
   const std::uint64_t scaleDownsBefore = h.bed.controller().scaleDowns();
   std::optional<HandoverResult> result;
   h.bed.controller().requestHandover(
-      clientIp(0), kNginxAddr, "docker-far",
+      clientAddress(0), kNginxAddr, "docker-far",
       [&](const HandoverResult& r) { result = r; });
   h.bed.sim().runUntil(h.bed.sim().now() + 30_s);
 
@@ -488,10 +484,10 @@ TEST(HandoverTest, AccountingStaysExactAcrossAMix) {
   // Trip the far cluster AFTER one warm handover already landed there.
   std::size_t callbacks = 0;
   const auto count = [&](const HandoverResult&) { ++callbacks; };
-  h.bed.controller().requestHandover(clientIp(0), kNginxAddr, "docker-far",
-                                     count);
-  h.bed.controller().requestHandover(clientIp(1), kNginxAddr, "no-such-cluster",
-                                     count);
+  h.bed.controller().requestHandover(clientAddress(0), kNginxAddr,
+                                     "docker-far", count);
+  h.bed.controller().requestHandover(clientAddress(1), kNginxAddr,
+                                     "no-such-cluster", count);
   h.bed.sim().runUntil(h.bed.sim().now() + 10_s);
 
   EXPECT_EQ(callbacks, 2u);
@@ -522,7 +518,7 @@ TEST(MobilityIntegration, CommuteWaveMovesFlowsToTheFarEdge) {
   wave.travelTime = 5_s;
   const auto paths = commuteWavePaths(wave);
   for (std::size_t i = 0; i < wave.clients; ++i) {
-    model.setPath(clientIp(i), paths[i]);
+    model.setPath(clientAddress(i), paths[i]);
   }
 
   AttachmentManager attachments(h.bed.sim(), model, {.scanPeriod = 250_ms});
@@ -536,7 +532,7 @@ TEST(MobilityIntegration, CommuteWaveMovesFlowsToTheFarEdge) {
   for (std::size_t i = 0; i < wave.clients; ++i) h.establishFlow(i);
   for (std::size_t i = 0; i < wave.clients; ++i) {
     const auto flow =
-        h.bed.controller().flowMemory().lookup(clientIp(i), kNginxAddr);
+        h.bed.controller().flowMemory().lookup(clientAddress(i), kNginxAddr);
     ASSERT_TRUE(flow.has_value());
     EXPECT_EQ(flow->cluster, "docker-egs");
   }
@@ -554,7 +550,7 @@ TEST(MobilityIntegration, CommuteWaveMovesFlowsToTheFarEdge) {
                 h.bed.controller().handoversAbortedToCloud());
   for (std::size_t i = 0; i < wave.clients; ++i) {
     const auto flow =
-        h.bed.controller().flowMemory().lookup(clientIp(i), kNginxAddr);
+        h.bed.controller().flowMemory().lookup(clientAddress(i), kNginxAddr);
     ASSERT_TRUE(flow.has_value());
     EXPECT_EQ(flow->cluster, "docker-far");
   }

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,22 @@ TEST(Addr, EndpointOrderingAndHash) {
   EXPECT_LT(a, b);
   EXPECT_LT(a, c);
   EXPECT_EQ(std::hash<Endpoint>{}(a), std::hash<Endpoint>{}(Endpoint(Ipv4(10, 0, 0, 1), 80)));
+}
+
+TEST(Addr, ClientAddressesStayDistinctPastTheSubnet) {
+  EXPECT_EQ(clientAddress(0), Ipv4(10, 0, 2, 1));
+  EXPECT_EQ(clientAddress(254), Ipv4(10, 0, 2, 255));
+  EXPECT_EQ(clientAddress(255), Ipv4(10, 128, 0, 0));
+  EXPECT_EQ(clientAddress(255 + 70'000), Ipv4(10, 129, 17, 112));
+  EXPECT_EQ(clientAddress(254 + (1u << 23)), Ipv4(10, 255, 255, 255));
+  const std::set<Ipv4> hosts{Ipv4(10, 0, 1, 1), Ipv4(10, 0, 3, 1),
+                             Ipv4(198, 51, 100, 1)};
+  std::set<Ipv4> seen;
+  for (std::size_t i = 0; i < 100'000; ++i) {
+    const Ipv4 ip = clientAddress(i);
+    EXPECT_TRUE(seen.insert(ip).second) << "index " << i;
+    EXPECT_EQ(hosts.count(ip), 0u) << "index " << i;
+  }
 }
 
 // -------------------------------------------------------------- packet ----

@@ -334,7 +334,7 @@ TEST_P(FaultInvariant, EveryResolveTerminatesInBoundedTime) {
                                                      &outcomes] {
       outcomes[i].issuedAt = bed.sim().now();
       bed.controller().dispatcher().resolve(
-          *model, Ipv4(10, 0, 2, static_cast<std::uint8_t>(i + 1)),
+          *model, clientAddress(i),
           [&bed, i, &outcomes](Result<core::Redirect> r) {
             outcomes[i].done = true;
             outcomes[i].ok = r.ok();
@@ -539,8 +539,7 @@ TEST_P(HandoverContinuity, NoRequestLostUnderMobilityAndFaults) {
                                 {rng.uniform(0.0, 1000.0),
                                  rng.uniform(-100.0, 100.0)}});
     }
-    model.setPath(Ipv4(10, 0, 2, static_cast<std::uint8_t>(c + 1)),
-                  std::move(path));
+    model.setPath(clientAddress(c), std::move(path));
   }
   mobility::AttachmentManager attachments(bed.sim(), model,
                                           {.scanPeriod = SimTime::millis(250)});
@@ -582,8 +581,8 @@ TEST_P(HandoverContinuity, NoRequestLostUnderMobilityAndFaults) {
   EXPECT_EQ(bed.controller().dispatcher().pendingDeployments(), 0u);
   // Every memorized flow that survived points at a live binding.
   for (std::size_t c = 0; c < clientCount; ++c) {
-    const auto flow = bed.controller().flowMemory().lookup(
-        Ipv4(10, 0, 2, static_cast<std::uint8_t>(c + 1)), addr);
+    const auto flow =
+        bed.controller().flowMemory().lookup(clientAddress(c), addr);
     if (!flow.has_value()) continue;  // idled out, fine
     EXPECT_FALSE(flow->cluster.empty());
     EXPECT_NE(flow->instance.port, 0);

@@ -165,6 +165,33 @@ TEST(Simulation, RunUntilStopsAtBoundary) {
   EXPECT_EQ(count, 10);
 }
 
+TEST(Simulation, RunUntilNeverDispatchesPastUntil) {
+  // A cancelled entry at or before `until` must not let the next live event
+  // run when that event lies beyond `until`, whichever domain holds it.
+  for (const bool twoDomains : {false, true}) {
+    SCOPED_TRACE(twoDomains ? "two domains" : "one domain");
+    Simulation sim;
+    const DomainId edge = twoDomains ? sim.addDomain("edge") : kControlDomain;
+    bool early = false;
+    bool late = false;
+    EventHandle cancelled;
+    {
+      Simulation::DomainScope scope(sim, edge);
+      cancelled = sim.schedule(1_ms, [&] { early = true; });
+    }
+    sim.schedule(10_ms, [&] { late = true; });
+    cancelled.cancel();
+    sim.runUntil(5_ms);
+    EXPECT_FALSE(early);
+    EXPECT_FALSE(late);
+    EXPECT_EQ(sim.now(), 5_ms);
+    EXPECT_EQ(sim.domain(edge).now(), 5_ms);
+    sim.runUntil(10_ms);
+    EXPECT_TRUE(late);
+    EXPECT_EQ(sim.now(), 10_ms);
+  }
+}
+
 TEST(Simulation, RunUntilWithEmptyQueueAdvancesClock) {
   Simulation sim;
   sim.runUntil(1_s);
@@ -244,8 +271,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EventOrderProperty, ::testing::Range(1, 16));
 
 /// Reference model of one domain's queue: every queued entry in (when, seq)
 /// order -- cancelled ones included, since cancellation is lazy -- and the
-/// live subset.  Mirrors EventDomain::step and the single-domain runUntil,
-/// which peeks the raw front entry (see Simulation::runUntil).
+/// live subset.  Mirrors the sequential driver: step and runUntil prune the
+/// cancelled front entries, then run the earliest live one, and runUntil
+/// stops at the first live entry beyond `until`.
 class ReferenceQueue {
  public:
   using Key = std::pair<std::int64_t, std::uint64_t>;  // (when ns, seq)
@@ -268,7 +296,12 @@ class ReferenceQueue {
     }
     return std::nullopt;
   }
-  bool frontAtOrBefore(std::int64_t until) const {
+  /// Drop cancelled front entries; true when the earliest live entry is
+  /// due at or before `until`.
+  bool liveAtOrBefore(std::int64_t until) {
+    while (!queued_.empty() && live_.count(*queued_.begin()) == 0) {
+      queued_.erase(queued_.begin());
+    }
     return !queued_.empty() && queued_.begin()->first <= until;
   }
   void finishAt(std::int64_t until) { now_ = std::max(now_, until); }
@@ -324,7 +357,7 @@ class QueueOracle {
         sim_.now().toNanos() +
         static_cast<std::int64_t>(rng_.uniformInt(0, 6'000));
     sim_.runUntil(SimTime::nanos(until));
-    while (reference_.frontAtOrBefore(until)) {
+    while (reference_.liveAtOrBefore(until)) {
       if (const auto key = reference_.step()) dispatchReference(*key);
     }
     reference_.finishAt(until);
