@@ -1,10 +1,10 @@
 // Warm-path cost of the telemetry registry: the acceptance gate for the
 // striped-counter design is < 3% overhead on the controller's warm resolve.
 //
-// Protocol: workers = 0 keeps submitRequest inline on the calling thread,
-// so the measurement is pure hot-path work -- FlowMemory shared-lock
-// lookup + CAS touch + (with telemetry) two striped counter bumps and one
-// histogram observe.  Requests alternate between telemetry-enabled and
+// Protocol: submitRequest answers a FlowMemory hit inline on the calling
+// (simulation) thread, so the measurement is pure hot-path work --
+// FlowMemory lookup + touch + (with telemetry) two striped counter bumps
+// and one histogram observe.  Requests alternate between telemetry-enabled and
 // telemetry-disabled testbeds in interleaved repetitions; the best (min)
 // rep per arm cancels scheduler noise, and the whole measurement retries a
 // few times before declaring failure, because a 3% gate on wall time is
@@ -13,7 +13,6 @@
 // Output: BENCH_telemetry_overhead.json -- the committed baseline keeps
 // warm/sec_per_kreq/{telemetry_on,telemetry_off} (lower-is-better; gated
 // loosely, the binary itself enforces the ratio).
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -43,26 +42,20 @@ std::unique_ptr<Testbed> makeBed(bool telemetry) {
   options.clusterMode = ClusterMode::kDockerOnly;
   options.tracing = false;     // isolate the registry cost
   options.telemetry = telemetry;
-  options.controller.workers = 0;  // inline warm path, no pool hand-off
   options.controller.memoryIdleTimeout = SimTime::seconds(3600.0);
   auto bed = std::make_unique<Testbed>(options);
   bed->warmImageCache("nginx");
   ES_ASSERT(bed->registerCatalogService("nginx", kServiceAddr).ok());
 
   // Prime one cold request so every measured submitRequest is a warm hit.
-  std::atomic<bool> primed{false};
+  bool primed = false;
   bed->controller().submitRequest(kClient, kServiceAddr,
                                   [&primed](Result<Redirect> result) {
                                     ES_ASSERT(result.ok());
-                                    primed.store(true,
-                                                 std::memory_order_release);
+                                    primed = true;
                                   });
-  int guard = 0;
-  while (!primed.load(std::memory_order_acquire)) {
-    bed->sim().waitForExternal(std::chrono::microseconds(200));
-    bed->sim().pump(10_ms);
-    ES_ASSERT(++guard < 100000);
-  }
+  bed->sim().runUntil(10_s);
+  ES_ASSERT(primed);
   return bed;
 }
 

@@ -60,7 +60,13 @@ int main(int argc, char** argv) {
   TestbedOptions options;
   options.clusterMode = ClusterMode::kDockerOnly;
   options.farEdge = true;
-  options.controller = ControllerOptions::fromConfig(config);
+  auto controllerOptions = ControllerOptions::fromConfig(config);
+  if (!controllerOptions.ok()) {
+    std::fprintf(stderr, "config error: %s\n",
+                 controllerOptions.error().toString().c_str());
+    return 1;
+  }
+  options.controller = std::move(controllerOptions).value();
   Testbed bed(options);
   std::printf("controller scheduler: %s\n",
               bed.controller().scheduler().name());

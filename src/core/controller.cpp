@@ -18,69 +18,48 @@ using openflow::OutputAction;
 using openflow::PacketIn;
 using openflow::SetFieldAction;
 
-ControllerOptions ControllerOptions::fromConfig(const Config& config) {
+Result<ControllerOptions> ControllerOptions::fromConfig(
+    const Config& config) {
   ControllerOptions options;
-  options.scheduler = config.getStringOr("scheduler", options.scheduler);
-  options.switchIdleTimeout = SimTime::millis(
-      config.getIntOr("switch_idle_timeout_ms",
-                      options.switchIdleTimeout.toNanos() / 1000000));
-  options.memoryIdleTimeout = SimTime::millis(
-      config.getIntOr("memory_idle_timeout_ms",
-                      options.memoryIdleTimeout.toNanos() / 1000000));
-  options.scaleDownIdleServices =
-      config.getBoolOr("scale_down_idle", options.scaleDownIdleServices);
-  options.portPollInterval = SimTime::millis(
-      config.getIntOr("port_poll_interval_ms",
-                      options.portPollInterval.toNanos() / 1000000));
-  options.localScheduler =
-      config.getStringOr("local_scheduler", options.localScheduler);
-  options.instancePolicy =
-      config.getStringOr("instance_policy", options.instancePolicy);
-  options.removeIdleAfter = SimTime::millis(
-      config.getIntOr("remove_idle_after_ms",
-                      options.removeIdleAfter.toNanos() / 1000000));
-  options.deleteImagesOnRemove =
-      config.getBoolOr("delete_images_on_remove", options.deleteImagesOnRemove);
-  options.deployTimeout = SimTime::millis(
-      config.getIntOr("deploy_timeout_ms",
-                      options.deployTimeout.toNanos() / 1000000));
-  options.phaseTimeout = SimTime::millis(
-      config.getIntOr("phase_timeout_ms",
-                      options.phaseTimeout.toNanos() / 1000000));
-  options.deployRetries = static_cast<int>(
-      config.getIntOr("deploy_retries", options.deployRetries));
-  options.retryBackoff = SimTime::millis(
-      config.getIntOr("retry_backoff_ms",
-                      options.retryBackoff.toNanos() / 1000000));
-  options.cloudFallback =
-      config.getBoolOr("cloud_fallback", options.cloudFallback);
-  options.quarantineCooldown = SimTime::millis(
-      config.getIntOr("quarantine_cooldown_ms",
-                      options.quarantineCooldown.toNanos() / 1000000));
-  options.flowShards = static_cast<std::size_t>(
-      config.getIntOr("flow_shards", static_cast<long long>(options.flowShards)));
-  options.workers = static_cast<std::size_t>(
-      config.getIntOr("workers", static_cast<long long>(options.workers)));
-  options.overload = overload::OverloadOptions::fromConfig(config);
-  options.reliableFlowMods =
-      config.getBoolOr("reliable_flow_mods", options.reliableFlowMods);
-  options.flowModAckTimeout = SimTime::millis(
-      config.getIntOr("flow_mod_ack_timeout_ms",
-                      options.flowModAckTimeout.toNanos() / 1000000));
-  options.flowModRetries = static_cast<int>(
-      config.getIntOr("flow_mod_retries", options.flowModRetries));
+  Config overloadKeys;
+  Config ownKeys;
+  for (const auto& [key, value] : config.entries()) {
+    (key.rfind("overload_", 0) == 0 ? overloadKeys : ownKeys).set(key, value);
+  }
+  auto overload = overload::OverloadOptions::fromConfig(overloadKeys);
+  if (!overload.ok()) return overload.error();
+  options.overload = std::move(overload).value();
+
+  ConfigReader reader(ownKeys);
+  reader.read("scheduler", options.scheduler);
+  reader.readMillis("switch_idle_timeout_ms", options.switchIdleTimeout);
+  reader.readMillis("memory_idle_timeout_ms", options.memoryIdleTimeout);
+  reader.read("scale_down_idle", options.scaleDownIdleServices);
+  reader.readMillis("remove_idle_after_ms", options.removeIdleAfter);
+  reader.read("delete_images_on_remove", options.deleteImagesOnRemove);
+  reader.readMillis("port_poll_interval_ms", options.portPollInterval);
+  reader.readMillis("deploy_timeout_ms", options.deployTimeout);
+  reader.readMillis("phase_timeout_ms", options.phaseTimeout);
+  reader.read("deploy_retries", options.deployRetries);
+  reader.readMillis("retry_backoff_ms", options.retryBackoff);
+  reader.read("cloud_fallback", options.cloudFallback);
+  reader.readMillis("quarantine_cooldown_ms", options.quarantineCooldown);
+  reader.read("local_scheduler", options.localScheduler);
+  reader.read("instance_policy", options.instancePolicy);
+  reader.read("reliable_flow_mods", options.reliableFlowMods);
+  reader.readMillis("flow_mod_ack_timeout_ms", options.flowModAckTimeout);
+  reader.read("flow_mod_retries", options.flowModRetries);
   // Reconciliation is keyed twice: `reconcile_enabled: true` turns it on at
   // the default 1s period, `reconcile_period_ms` sets (and implies) it.
-  options.reconcilePeriod = SimTime::millis(
-      config.getIntOr("reconcile_period_ms",
-                      options.reconcilePeriod.toNanos() / 1000000));
-  if (config.getBoolOr("reconcile_enabled", false) &&
-      options.reconcilePeriod == SimTime::zero()) {
+  bool reconcileEnabled = false;
+  reader.read("reconcile_enabled", reconcileEnabled);
+  reader.readMillis("reconcile_period_ms", options.reconcilePeriod);
+  if (reconcileEnabled && options.reconcilePeriod == SimTime::zero()) {
     options.reconcilePeriod = SimTime::seconds(1.0);
   }
-  options.reconcileSweepTimeout = SimTime::millis(
-      config.getIntOr("reconcile_sweep_timeout_ms",
-                      options.reconcileSweepTimeout.toNanos() / 1000000));
+  reader.readMillis("reconcile_sweep_timeout_ms",
+                    options.reconcileSweepTimeout);
+  if (Status status = reader.finish(); !status.ok()) return status.error();
   return options;
 }
 
@@ -127,8 +106,7 @@ EdgeController::EdgeController(Simulation& sim, ControllerOptions options,
       trace_(trace),
       telemetry_(telemetry),
       ledger_(telemetry != nullptr ? *telemetry : ownRegistry_),
-      memory_(options.memoryIdleTimeout,
-              options.flowShards == 0 ? 1 : options.flowShards, telemetry),
+      memory_(options.memoryIdleTimeout, telemetry),
       adapters_(std::move(adapters)) {
   if (telemetry_ != nullptr) {
     warmHist_ = &telemetry_->histogram("edgesim_resolve_seconds",
@@ -186,33 +164,6 @@ EdgeController::EdgeController(Simulation& sim, ControllerOptions options,
     return true;
   }, options_.memoryScanPeriod);
 
-  if (options_.workers > 0) {
-    LaneExecutorOptions poolOptions;
-    poolOptions.workers = options_.workers;
-    if (governor_ != nullptr) {
-      poolOptions.queueCapacity = options_.overload.laneQueueCapacity;
-      poolOptions.shedPolicy =
-          options_.overload.shedPolicy == "deadline-aware"
-              ? ShedPolicy::kDeadlineAware
-              : ShedPolicy::kRejectNewest;
-    }
-    pool_ = std::make_unique<LaneExecutor>(poolOptions);
-    if (telemetry_ != nullptr) {
-      auto* waitHist = &telemetry_->histogram("edgesim_lane_wait_seconds");
-      auto* depth = &telemetry_->gauge("edgesim_lane_queue_depth");
-      LaneExecutor::TaskObserver observer;
-      observer.onTaskStart = [waitHist, depth](double waitSeconds,
-                                               std::int64_t inFlight) {
-        waitHist->observe(waitSeconds);
-        depth->set(inFlight);
-      };
-      observer.onTaskShed = [depth](std::int64_t inFlight) {
-        depth->set(inFlight);
-      };
-      pool_->setTaskObserver(std::move(observer));
-    }
-  }
-
   if (options_.reconcilePeriod > SimTime::zero()) {
     ReconcilerOptions reconcilerOptions;
     reconcilerOptions.period = options_.reconcilePeriod;
@@ -223,11 +174,7 @@ EdgeController::EdgeController(Simulation& sim, ControllerOptions options,
   }
 }
 
-EdgeController::~EdgeController() {
-  // Join the workers before any member they touch is destroyed.
-  pool_.reset();
-  reconciler_.reset();
-}
+EdgeController::~EdgeController() { reconciler_.reset(); }
 
 // ---- the resolve pipeline ---------------------------------------------------
 
@@ -238,9 +185,8 @@ EdgeController::RequestContext EdgeController::beginRequest(
   RequestContext request;
   request.service = service;
   request.startedAt = now;
-  // The deadline budget starts here: it rides through the lane queue
-  // (deadline-aware shedding), the FlowMemory lookup, and the dispatcher's
-  // deployment wait.
+  // The deadline budget starts here: it rides through the FlowMemory
+  // lookup and the dispatcher's deployment wait.
   if (governor_ != nullptr &&
       governor_->options().requestBudget > SimTime::zero()) {
     request.deadline = now + governor_->options().requestBudget;
@@ -268,19 +214,14 @@ EdgeController::RequestContext EdgeController::beginRequest(
 
 void EdgeController::recordOutcome(const RequestContext& request,
                                    const Result<Redirect>& result,
-                                   SimTime now, bool shed) {
+                                   SimTime now) {
   const char* name = request.service != nullptr
                          ? request.service->uniqueName.c_str()
                          : "<unregistered>";
   if (!result.ok()) {
-    if (shed) {
-      ledger_.shed.add();
-    } else {
-      // Sim thread only: lane workers never fail a request, they shed it.
-      ledger_.failed.add();
-      ES_WARN("controller", "resolve failed for %s: %s", name,
-              result.error().toString().c_str());
-    }
+    ledger_.failed.add();
+    ES_WARN("controller", "resolve failed for %s: %s", name,
+            result.error().toString().c_str());
     if (request.span != 0) {
       trace_->endSpan(request.span, now,
                       {{"ok", "false"}, {"error", result.error().toString()}});
@@ -288,7 +229,7 @@ void EdgeController::recordOutcome(const RequestContext& request,
     return;
   }
   const Redirect& redirect = result.value();
-  if (shed || redirect.shed) {
+  if (redirect.shed) {
     // Terminated early by the governor: the redirect still points the
     // client at the cloud, but the request counts as shed, not resolved.
     ledger_.shed.add();
@@ -328,78 +269,15 @@ void EdgeController::recordOutcome(const RequestContext& request,
 void EdgeController::submitRequest(Ipv4 client, Endpoint serviceAddress,
                                    Dispatcher::ResolveCallback cb) {
   ES_ASSERT(cb != nullptr);
-  const RequestContext request =
-      beginRequest(client, serviceAddress, serviceAt(serviceAddress),
-                   /*packet=*/nullptr, sim_.approxNow());
-  if (pool_ == nullptr) {
-    handleSubmit(client, serviceAddress, request, std::move(cb));
-    return;
-  }
-  // Lane = FlowMemory shard of (client, service): requests for the same
-  // flow are handled in submission order; independent flows in parallel.
-  const std::uint64_t lane = memory_.shardIndex(client, serviceAddress);
-  if (governor_ == nullptr) {
-    pool_->post(lane, [this, client, serviceAddress, request,
-                       cb = std::move(cb)]() mutable {
-      handleSubmit(client, serviceAddress, request, std::move(cb));
-    });
-    return;
-  }
-  // Bounded admission: the callback is shared between the task body and
-  // its onShed path -- exactly one of the two ever runs.
-  auto shared =
-      std::make_shared<Dispatcher::ResolveCallback>(std::move(cb));
-  LaneExecutor::TaskMeta meta;
-  meta.deadlineNanos =
-      request.deadline == SimTime::max() ? 0 : request.deadline.toNanos();
-  meta.onShed = [this, serviceAddress, request, shared] {
-    shedRequest(overload::ShedReason::kQueueFull, serviceAddress, request,
-                *shared);
-  };
-  pool_->post(
-      lane,
-      [this, client, serviceAddress, request, shared] {
-        handleSubmit(client, serviceAddress, request, std::move(*shared));
-      },
-      std::move(meta));
-}
-
-void EdgeController::shedRequest(overload::ShedReason reason,
-                                 Endpoint serviceAddress,
-                                 const RequestContext& request,
-                                 const Dispatcher::ResolveCallback& cb) {
-  governor_->noteShed(reason);
-  // cloudRedirects_ is immutable after setup, so this lock-free read is
-  // safe from any lane worker.
-  Result<Redirect> result =
-      makeError(Errc::kUnavailable,
-                "request shed (" + std::string(shedReasonName(reason)) +
-                    ") and no cloud instance hosts " +
-                    serviceAddress.toString());
-  if (const auto it = cloudRedirects_.find(serviceAddress);
-      it != cloudRedirects_.end()) {
-    result = it->second;
-  }
-  recordOutcome(request, result, sim_.approxNow(), /*shed=*/true);
-  cb(std::move(result));
-}
-
-void EdgeController::handleSubmit(Ipv4 client, Endpoint serviceAddress,
-                                  const RequestContext& request,
-                                  Dispatcher::ResolveCallback cb) {
+  const SimTime now = sim_.now();
+  const RequestContext request = beginRequest(
+      client, serviceAddress, serviceAt(serviceAddress), /*packet=*/nullptr,
+      now);
   ledger_.packetIns.add();
-  const SimTime now = sim_.approxNow();
-  if (budgetExpired(request, now)) {
-    // The budget burned away while the request sat in the lane queue:
-    // fail fast to the cloud instead of doing work nobody waits for.
-    shedRequest(overload::ShedReason::kBudgetExpired, serviceAddress, request,
-                cb);
-    return;
-  }
   if (const auto memorized = memory_.lookup(client, serviceAddress)) {
-    // Warm path: answered entirely on this worker.  The memorized instance
-    // is trusted -- scale-down and migration invalidate FlowMemory before
-    // the instance goes away (forgetInstance / forgetServiceExcept).
+    // Warm path: the memorized instance is trusted -- scale-down and
+    // migration invalidate FlowMemory before the instance goes away
+    // (forgetInstance / forgetServiceExcept).
     memory_.touch(client, serviceAddress, now);
     ledger_.warmHits.add();
     Result<Redirect> result =
@@ -408,40 +286,16 @@ void EdgeController::handleSubmit(Ipv4 client, Endpoint serviceAddress,
     cb(std::move(result));
     return;
   }
-  // Cold miss: deployment state lives on the simulation thread.  With no
-  // pool this call already IS the simulation thread (submitRequest's
-  // contract), so resolve directly; from a lane worker, marshal through
-  // the one thread-safe seam.  The Dispatcher's per-(service, cluster)
-  // pending table then coalesces concurrent cold requests into a single
-  // deployment.
-  if (pool_ == nullptr) {
-    resolveCold(client, serviceAddress, request, std::move(cb));
-    return;
-  }
-  sim_.postExternal(
-      [this, client, serviceAddress, request, cb = std::move(cb)]() mutable {
-        resolveCold(client, serviceAddress, request, std::move(cb));
-      });
-}
-
-void EdgeController::resolveCold(Ipv4 client, Endpoint serviceAddress,
-                                 const RequestContext& request,
-                                 Dispatcher::ResolveCallback cb) {
-  if (budgetExpired(request, sim_.now())) {
-    // Budget burned between the worker's hand-off and this sim-thread
-    // turn; same fail-fast answer as in the lane queue.
-    shedRequest(overload::ShedReason::kBudgetExpired, serviceAddress, request,
-                cb);
-    return;
-  }
   if (request.service == nullptr) {
     Result<Redirect> result = makeError(
         Errc::kNotFound,
         "no service registered at " + serviceAddress.toString());
-    recordOutcome(request, result, sim_.now());
+    recordOutcome(request, result, now);
     cb(std::move(result));
     return;
   }
+  // Cold miss: the Dispatcher's per-(service, cluster) pending table
+  // coalesces concurrent cold requests into a single deployment.
   dispatcher_->resolve(
       *request.service, client,
       [this, request, cb = std::move(cb)](Result<Redirect> result) {
@@ -470,17 +324,13 @@ Result<const ServiceModel*> EdgeController::registerService(
   auto owned = std::make_unique<ServiceModel>(std::move(model).value());
   // The "real" service exists in the cloud from day one -- that is what
   // the transparent approach redirects away from.  Its address doubles as
-  // the governor's shed target: a request dropped under overload is
-  // answered with this degraded redirect without touching any adapter
-  // state, so lane workers can shed without marshalling to the sim thread.
+  // the failover target of installs and handovers that cannot land.
   for (auto* adapter : adapters_) {
     if (adapter->isCloud()) {
       const Endpoint cloudInstance =
           static_cast<CloudAdapter*>(adapter)->hostService(*owned);
-      Redirect redirect{cloudInstance, adapter->name(), false};
-      redirect.degraded = true;
-      redirect.shed = true;
-      cloudRedirects_.emplace(serviceAddress, redirect);
+      cloudRedirects_.emplace(serviceAddress,
+                              Redirect{cloudInstance, adapter->name(), false});
     }
   }
   const ServiceModel* result = owned.get();
@@ -797,7 +647,7 @@ std::vector<EdgeController::IntendedFlow> EdgeController::intendedFlows(
     item.entries = redirectEntries(sw, item.client, *service, item.instance);
     intended.push_back(std::move(item));
   }
-  // snapshot() walks unordered shards; sort so sweep order (and therefore
+  // snapshot() walks a hash table; sort so sweep order (and therefore
   // repair traffic) is deterministic for a given memory state.
   std::sort(intended.begin(), intended.end(),
             [](const IntendedFlow& a, const IntendedFlow& b) {
@@ -989,22 +839,6 @@ Status EdgeController::predeploy(Endpoint serviceAddress,
 void EdgeController::requestHandover(Ipv4 client, Endpoint serviceAddress,
                                      const std::string& targetCluster,
                                      HandoverCallback cb) {
-  if (pool_ != nullptr) {
-    // Mobility triggers may fire from lane workers; all handover state
-    // lives on the simulation thread, so marshal through the one
-    // thread-safe seam (same contract as cold submitRequest).
-    sim_.postExternal([this, client, serviceAddress, targetCluster,
-                       cb = std::move(cb)]() mutable {
-      startHandover(client, serviceAddress, targetCluster, std::move(cb));
-    });
-    return;
-  }
-  startHandover(client, serviceAddress, targetCluster, std::move(cb));
-}
-
-void EdgeController::startHandover(Ipv4 client, Endpoint serviceAddress,
-                                   const std::string& targetCluster,
-                                   HandoverCallback cb) {
   const auto noop = [&cb](const char* reason) {
     if (cb) {
       HandoverResult result;

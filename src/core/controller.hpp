@@ -25,14 +25,12 @@
 //   packet-in      buffers packets, resolves through Dispatcher::resolve
 //                  (which re-checks that a memorized instance is ready),
 //                  installs the redirect flows and releases the buffer.
-//   submitRequest  runs on a LaneExecutor pool (options.workers > 0; inline
-//                  otherwise), laned by the FlowMemory shard of (client,
-//                  service) so same-flow requests stay ordered.  Warm
-//                  requests are answered from FlowMemory on the worker
-//                  (shared-lock lookup, CAS touch); cold requests marshal to
-//                  the simulation thread (Simulation::postExternal), where
-//                  the Dispatcher's per-(service, cluster) pending table
-//                  serializes all deployment state.
+//   submitRequest  answers a FlowMemory hit at once (trusting FlowMemory
+//                  invalidation) and resolves a miss through
+//                  Dispatcher::resolve.
+//
+// Like the paper's Ryu controller, this is one event loop: every method
+// runs on the simulation thread, which owns all controller state.
 //
 // Every count lives in one place, a MetricsRegistry (DESIGN §9 "One
 // ledger"): the caller's, or a private one when the caller passes none.
@@ -51,7 +49,6 @@
 #include "openflow/switch.hpp"
 #include "overload/governor.hpp"
 #include "telemetry/slo_watchdog.hpp"
-#include "util/lane_executor.hpp"
 
 namespace edgesim::core {
 
@@ -93,16 +90,9 @@ struct ControllerOptions {
   /// Request-time instance choice within a cluster ("first",
   /// "instance-round-robin", "client-hash").
   std::string instancePolicy = "first";
-  /// FlowMemory shard count (striped locks).  1 = the deterministic
-  /// single-threaded layout; concurrent deployments use workers * 4+.
-  std::size_t flowShards = 1;
-  /// Hot-path worker pool size for the concurrent front-end
-  /// (submitRequest).  0 = no pool: packet-in handling stays inline on the
-  /// simulation thread and runs bit-identically to the pre-shard seed.
-  std::size_t workers = 0;
-  /// Overload governor: bounded lane admission, deadline budgets, deploy
-  /// tokens, per-cluster circuit breakers, brownout.  Disabled by default
-  /// -- nothing is constructed and every hot-path hook is a null check.
+  /// Overload governor: deadline budgets, deploy tokens, per-cluster
+  /// circuit breakers, brownout.  Disabled by default -- nothing is
+  /// constructed and every hot-path hook is a null check.
   overload::OverloadOptions overload;
   /// Reliable FlowMods: every redirect install carries a barrier-style ack
   /// (openflow::OpenFlowSwitch::FlowModAck); un-acked installs are retried
@@ -125,7 +115,10 @@ struct ControllerOptions {
   /// (a lossy channel can eat the request or the reply).
   SimTime reconcileSweepTimeout = SimTime::millis(250);
 
-  static ControllerOptions fromConfig(const Config& config);
+  /// One key per option except memoryScanPeriod, durations in `_ms` (the
+  /// overload_* keys go to OverloadOptions::fromConfig).  An unknown key,
+  /// an unparseable value or a negative number is an error naming the key.
+  static Result<ControllerOptions> fromConfig(const Config& config);
 };
 
 /// Priority of the per-client redirect rewrite entries (fig. 2); the
@@ -179,11 +172,9 @@ class EdgeController : public openflow::ControllerApp {
  public:
   /// `telemetry` (optional) holds every controller, dispatcher and
   /// governor counter and adds the gated instruments: warm/cold resolve
-  /// latency histograms, handover histograms, per-shard FlowMemory series,
-  /// lane queue depth/wait, and per-cluster dispatcher phase histograms.
-  /// Without it the counters go to a private registry.  Handles are
-  /// resolved once up front; warm-path increments are per-thread striped
-  /// relaxed atomics.
+  /// latency histograms, handover histograms, FlowMemory series, and
+  /// per-cluster dispatcher phase histograms.  Without it the counters go
+  /// to a private registry.  Handles are resolved once up front.
   EdgeController(Simulation& sim, ControllerOptions options,
                  std::vector<ClusterAdapter*> adapters,
                  const AppProfileRegistry& profiles,
@@ -210,15 +201,12 @@ class EdgeController : public openflow::ControllerApp {
   void onFlowRemoved(openflow::OpenFlowSwitch& sw,
                      const openflow::FlowRemoved& event) override;
 
-  // ---- concurrent front-end ----------------------------------------------
-  /// Resolve a request from ANY thread (requires options.workers > 0; with
-  /// no pool the call must come from the simulation thread and handles the
-  /// request inline).  The callback runs on a pool worker for warm
-  /// (FlowMemory) hits and on the simulation thread for cold misses -- the
-  /// simulation thread must be pumping (Simulation::pump) for cold requests
-  /// to make progress.  The warm path trusts FlowMemory invalidation
+  // ---- direct resolve -----------------------------------------------------
+  /// Resolve a request without a packet-in.  A FlowMemory hit is answered
+  /// before the call returns; it trusts FlowMemory invalidation
   /// (forgetInstance / forgetServiceExcept at scale-down and migration)
-  /// instead of re-querying the cluster adapter, which is not thread-safe.
+  /// instead of re-querying the cluster adapter.  A miss resolves through
+  /// Dispatcher::resolve, and `cb` fires once that settles.
   void submitRequest(Ipv4 client, Endpoint serviceAddress,
                      Dispatcher::ResolveCallback cb);
 
@@ -237,9 +225,6 @@ class EdgeController : public openflow::ControllerApp {
   /// the cloud instead of stranding the flow.  Exact accounting:
   ///   handoversStarted() == handoversCompleted()
   ///                         + handoversAbortedToCloud()
-  /// Thread-safe when options.workers > 0 (marshals through
-  /// Simulation::postExternal; the sim thread must be pumping); with no
-  /// pool the call must come from the simulation thread.
   void requestHandover(Ipv4 client, Endpoint serviceAddress,
                        const std::string& targetCluster,
                        HandoverCallback cb = nullptr);
@@ -261,9 +246,6 @@ class EdgeController : public openflow::ControllerApp {
     return ledger_.handoversAborted.value();
   }
 
-  /// The lane pool, or nullptr when options.workers == 0.
-  LaneExecutor* workerPool() { return pool_.get(); }
-
   /// The overload governor, or nullptr when options.overload.enabled was
   /// false.
   overload::OverloadGovernor* governor() { return governor_.get(); }
@@ -281,7 +263,7 @@ class EdgeController : public openflow::ControllerApp {
   FlowMemory& flowMemory() { return memory_; }
   Dispatcher& dispatcher() { return *dispatcher_; }
   GlobalScheduler& scheduler() { return *scheduler_; }
-  /// Packet-ins received plus submitRequest() calls not shed at admission.
+  /// Packet-ins received plus submitRequest() calls.
   std::uint64_t packetInCount() const { return ledger_.packetIns.value(); }
   /// Every request that entered the pipeline (a first packet-in of a flow
   /// or a submitRequest() call).  At quiescence the accounting invariant
@@ -289,9 +271,9 @@ class EdgeController : public openflow::ControllerApp {
   ///   requestsSubmitted() == requestsResolved() + requestsFailed()
   ///                          + requestsShed()
   std::uint64_t requestsSubmitted() const { return ledger_.submitted.value(); }
-  /// Requests the governor terminated early: lane-queue admission rejects,
-  /// deadline-budget expiries (including fail-fast cloud answers from the
-  /// dispatcher).  Disjoint from resolved and failed.
+  /// Requests the governor terminated early: deadline-budget expiries
+  /// answered fail-fast from the cloud by the dispatcher.  Disjoint from
+  /// resolved and failed.
   std::uint64_t requestsShed() const { return ledger_.shed.value(); }
   std::uint64_t requestsResolved() const { return ledger_.resolved.value(); }
   std::uint64_t requestsFailed() const { return ledger_.failed.value(); }
@@ -303,7 +285,7 @@ class EdgeController : public openflow::ControllerApp {
   std::uint64_t removals() const { return ledger_.removals.value(); }
   /// BEST deployments that became ready and triggered flow migration.
   std::uint64_t migrations() const { return ledger_.migrations.value(); }
-  /// submitRequest() calls answered straight from FlowMemory on a worker.
+  /// submitRequest() calls answered straight from FlowMemory.
   std::uint64_t warmHits() const { return ledger_.warmHits.value(); }
 
   // ---- reliable installs (acked FlowMods) ---------------------------------
@@ -353,7 +335,7 @@ class EdgeController : public openflow::ControllerApp {
     std::vector<openflow::FlowEntry> entries;
   };
   /// Intended flows for `sw`, sorted by (client, service) so sweep order is
-  /// deterministic regardless of FlowMemory's shard iteration order.
+  /// independent of FlowMemory's hash-table order.
   std::vector<IntendedFlow> intendedFlows(openflow::OpenFlowSwitch& sw) const;
 
   /// Re-install the redirect entries for a memorized flow the reconciler
@@ -455,8 +437,6 @@ class EdgeController : public openflow::ControllerApp {
   /// switch) at the degraded cloud redirect so the flow is never blackholed.
   void failOverInstall(std::uint64_t cookie);
   // ---- handover state machine (sim thread) --------------------------------
-  void startHandover(Ipv4 client, Endpoint serviceAddress,
-                     const std::string& targetCluster, HandoverCallback cb);
   /// Re-steer commit: re-bind FlowMemory and replace the redirect flows on
   /// every attached switch, then confirm via a flow-stats round trip.
   /// `degraded` marks an abort-to-cloud commit (counts aborted, not
@@ -478,39 +458,18 @@ class EdgeController : public openflow::ControllerApp {
                        const ServiceModel& service, Endpoint instance);
   void dropBuffered(const PendingKey& key);
   // ---- the resolve pipeline -------------------------------------------------
-  /// Shared entry step (thread-safe): count the request, set its deadline
+  /// Shared entry step: count the request, set its deadline
   /// budget, open its trace request and "resolve" span.  `packet` is the
   /// packet-in that started it (bound to the flow and traced), or nullptr
   /// for submitRequest.
   RequestContext beginRequest(Ipv4 client, Endpoint serviceAddress,
                               const ServiceModel* service,
                               const Packet* packet, SimTime now);
-  /// Shared exit step (thread-safe), exactly once per beginRequest: count
-  /// the outcome (shed when `shed` or the redirect says so, else failed or
-  /// resolved + degraded), observe the latency histogram, feed the SLO
-  /// watchdog, end the span.
+  /// Shared exit step, exactly once per beginRequest: count the outcome
+  /// (shed when the redirect says so, else failed or resolved + degraded),
+  /// observe the latency histogram, feed the SLO watchdog, end the span.
   void recordOutcome(const RequestContext& request,
-                     const Result<Redirect>& result, SimTime now,
-                     bool shed = false);
-  static bool budgetExpired(const RequestContext& request, SimTime now) {
-    return now >= request.deadline;
-  }
-  // submitRequest's middle: lane worker (or inline), then sim thread.
-  void handleSubmit(Ipv4 client, Endpoint serviceAddress,
-                    const RequestContext& request,
-                    Dispatcher::ResolveCallback cb);
-  void resolveCold(Ipv4 client, Endpoint serviceAddress,
-                   const RequestContext& request,
-                   Dispatcher::ResolveCallback cb);
-  /// Terminate a shed request (thread-safe): note the reason, record the
-  /// outcome, and answer `cb` immediately with the service's cached
-  /// degraded cloud redirect (an error when the service has none).  This
-  /// is the "shed requests get an immediate cloud redirect" half of
-  /// admission control; it deliberately touches no adapter state so lane
-  /// workers may call it.
-  void shedRequest(overload::ShedReason reason, Endpoint serviceAddress,
-                   const RequestContext& request,
-                   const Dispatcher::ResolveCallback& cb);
+                     const Result<Redirect>& result, SimTime now);
   void expireMemory();
   void finishExpiry();
   openflow::ActionList redirectActions(openflow::OpenFlowSwitch& sw,
@@ -552,32 +511,29 @@ class EdgeController : public openflow::ControllerApp {
   Ledger ledger_;
   telemetry::SloWatchdog* watchdog_ = nullptr;
   // Latency histograms, resolved once at construction (nullptr when
-  // telemetry is off).  The warm path touches only striped instruments.
+  // telemetry is off).
   telemetry::Histogram* warmHist_ = nullptr;
   telemetry::Histogram* hoLatencyHist_ = nullptr;
   telemetry::Histogram* hoGapHist_ = nullptr;
-  /// Per-service cold-resolve histograms, filled at registerService (sim
-  /// thread, before traffic).
+  /// Per-service cold-resolve histograms, filled at registerService.
   std::unordered_map<Endpoint, telemetry::Histogram*> coldHists_;
   FlowMemory memory_;
-  /// Created before the dispatcher (which borrows it); destroyed after the
-  /// pool so shedding workers never race teardown.
+  /// Created before the dispatcher (which borrows it).
   std::unique_ptr<overload::OverloadGovernor> governor_;
   std::unique_ptr<GlobalScheduler> scheduler_;
   std::unique_ptr<Dispatcher> dispatcher_;
-  /// Per-service degraded cloud redirect for shed requests, captured at
-  /// registerService from CloudAdapter::hostService.  Immutable once
-  /// traffic starts, so lane workers read it without locks.
+  /// Per-service cloud redirect, captured at registerService from
+  /// CloudAdapter::hostService: where install failover and aborted
+  /// handovers send a flow.
   std::unordered_map<Endpoint, Redirect> cloudRedirects_;
   std::vector<ClusterAdapter*> adapters_;
-  /// Immutable once traffic starts, so lane workers read it without locks.
   std::unordered_map<Endpoint, std::unique_ptr<ServiceModel>> services_;
   std::map<openflow::OpenFlowSwitch*, SwitchTopology> switches_;
   std::map<PendingKey, PendingRequest> pendingRequests_;
   std::map<PendingKey, ActiveHandover> handovers_;
-  /// In-flight tracked installs by cookie (sim thread only).
+  /// In-flight tracked installs by cookie.
   std::map<std::uint64_t, PendingInstall> pendingInstalls_;
-  /// Install cookie source (sim thread only).
+  /// Install cookie source.
   std::uint64_t nextCookie_ = 1;
   /// Redirects the controller believes are live on each switch, keyed by
   /// (switch, client, service) and valued with the latest install cookie.
@@ -588,7 +544,7 @@ class EdgeController : public openflow::ControllerApp {
   /// treat every memorized flow as intended switch state: only entries in
   /// this map count.  An entry that vanished *without* a delivered
   /// FlowRemoved (restart wipe, lost notification) stays believed-installed
-  /// and is therefore detected as drift.  Sim thread only.
+  /// and is therefore detected as drift.
   std::map<std::tuple<const openflow::OpenFlowSwitch*, Ipv4, Endpoint>,
            std::uint64_t>
       believedInstalled_;
@@ -599,9 +555,6 @@ class EdgeController : public openflow::ControllerApp {
   /// (service address, cluster) -> when the service was scaled down; used
   /// to drive the Remove/Delete phases after prolonged idle.
   std::map<std::pair<Endpoint, std::string>, SimTime> scaledDownAt_;
-  /// Request lane pool (options.workers > 0); destroyed first so no worker
-  /// can touch controller state during teardown.
-  std::unique_ptr<LaneExecutor> pool_;
 };
 
 }  // namespace edgesim::core

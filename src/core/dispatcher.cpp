@@ -155,8 +155,8 @@ void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
                          SimTime deadline) {
   ES_ASSERT(cb != nullptr);
   ES_ASSERT_MSG(std::this_thread::get_id() == controlThread_,
-                "Dispatcher::resolve off the control (simulation) thread; "
-                "worker threads must marshal via Simulation::postExternal");
+                "Dispatcher::resolve off the simulation thread, which owns "
+                "all controller state");
 
   // 1. Memorized flow? Redirect to the same instance without rescheduling.
   if (const auto memorized = memory_.lookup(client, service.address)) {

@@ -263,8 +263,7 @@ class Dispatcher {
   /// The control lane: all deployment state (pending_, adapters, the
   /// schedulers) is single-threaded by construction.  resolve() asserts it
   /// runs on the thread that built the Dispatcher -- the simulation
-  /// thread; the controller's worker pool must marshal cold requests
-  /// through Simulation::postExternal, never call in directly.
+  /// thread, the only thread that touches the controller.
   const std::thread::id controlThread_;
   FlowMemory& memory_;
   GlobalScheduler& scheduler_;

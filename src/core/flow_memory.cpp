@@ -1,191 +1,119 @@
 #include "core/flow_memory.hpp"
 
-#include <algorithm>
-#include <mutex>
-
 namespace edgesim::core {
 
-FlowMemory::FlowMemory(SimTime idleTimeout, std::size_t shards,
+FlowMemory::FlowMemory(SimTime idleTimeout,
                        telemetry::MetricsRegistry* telemetry)
     : idleTimeout_(idleTimeout) {
-  if (shards == 0) shards = 1;
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    if (telemetry != nullptr) {
-      const std::string index = std::to_string(i);
-      shard->hits = &telemetry->counter("edgesim_flow_memory_lookups_total",
-                                        {{"shard", index}, {"result", "hit"}});
-      shard->misses = &telemetry->counter(
-          "edgesim_flow_memory_lookups_total",
-          {{"shard", index}, {"result", "miss"}});
-      shard->expirations = &telemetry->counter(
-          "edgesim_flow_memory_evictions_total",
-          {{"shard", index}, {"reason", "expired"}});
-      shard->invalidations = &telemetry->counter(
-          "edgesim_flow_memory_evictions_total",
-          {{"shard", index}, {"reason", "invalidated"}});
-      shard->occupancy =
-          &telemetry->gauge("edgesim_flow_memory_flows", {{"shard", index}});
-    }
-    shards_.push_back(std::move(shard));
-  }
+  if (telemetry == nullptr) return;
+  hits_ = &telemetry->counter("edgesim_flow_memory_lookups_total",
+                              {{"shard", "0"}, {"result", "hit"}});
+  misses_ = &telemetry->counter("edgesim_flow_memory_lookups_total",
+                                {{"shard", "0"}, {"result", "miss"}});
+  expirations_ = &telemetry->counter("edgesim_flow_memory_evictions_total",
+                                     {{"shard", "0"}, {"reason", "expired"}});
+  invalidations_ =
+      &telemetry->counter("edgesim_flow_memory_evictions_total",
+                          {{"shard", "0"}, {"reason", "invalidated"}});
+  occupancy_ = &telemetry->gauge("edgesim_flow_memory_flows", {{"shard", "0"}});
 }
 
 void FlowMemory::upsert(Ipv4 client, Endpoint service, Endpoint instance,
                         const std::string& cluster, SimTime now) {
-  const Key key{client, service};
-  Shard& shard = shardFor(key);
-  std::unique_lock lock(shard.mutex);
-  auto [it, inserted] = shard.flows.try_emplace(key);
-  StoredFlow& stored = it->second;
-  stored.client = Endpoint(client, 0);
-  stored.service = service;
-  stored.instance = instance;
-  stored.cluster = cluster;
-  stored.lastSeenNanos.store(now.toNanos(), std::memory_order_relaxed);
-  if (inserted) {
-    size_.fetch_add(1, std::memory_order_relaxed);
-    if (shard.occupancy != nullptr) shard.occupancy->add(1);
-  }
+  auto [it, inserted] = flows_.try_emplace(Key{client, service});
+  it->second = MemorizedFlow{Endpoint(client, 0), service, instance, cluster,
+                             now};
+  if (inserted && occupancy_ != nullptr) occupancy_->add(1);
 }
 
 void FlowMemory::touch(Ipv4 client, Endpoint service, SimTime now) {
-  const Key key{client, service};
-  Shard& shard = shardFor(key);
-  std::shared_lock lock(shard.mutex);
-  const auto it = shard.flows.find(key);
-  if (it == shard.flows.end()) return;
-  // CAS-max: concurrent touches of one flow keep the latest timestamp
-  // without ever upgrading to the exclusive lock.
-  auto& lastSeen = it->second.lastSeenNanos;
-  std::int64_t seen = lastSeen.load(std::memory_order_relaxed);
-  const std::int64_t candidate = now.toNanos();
-  while (seen < candidate &&
-         !lastSeen.compare_exchange_weak(seen, candidate,
-                                         std::memory_order_relaxed)) {
+  const auto it = flows_.find(Key{client, service});
+  if (it != flows_.end() && it->second.lastSeen < now) {
+    it->second.lastSeen = now;
   }
 }
 
 bool FlowMemory::rebind(Ipv4 client, Endpoint service, Endpoint instance,
                         const std::string& cluster, SimTime now) {
-  const Key key{client, service};
-  Shard& shard = shardFor(key);
-  std::unique_lock lock(shard.mutex);
-  const auto it = shard.flows.find(key);
-  if (it == shard.flows.end()) return false;
-  StoredFlow& stored = it->second;
-  stored.instance = instance;
-  stored.cluster = cluster;
-  stored.lastSeenNanos.store(now.toNanos(), std::memory_order_relaxed);
+  const auto it = flows_.find(Key{client, service});
+  if (it == flows_.end()) return false;
+  it->second.instance = instance;
+  it->second.cluster = cluster;
+  it->second.lastSeen = now;
   return true;
 }
 
 std::vector<MemorizedFlow> FlowMemory::flowsForClient(Ipv4 client) const {
   std::vector<MemorizedFlow> flows;
-  for (const auto& shardPtr : shards_) {
-    const Shard& shard = *shardPtr;
-    std::shared_lock lock(shard.mutex);
-    for (const auto& [key, flow] : shard.flows) {
-      if (key.client == client) flows.push_back(flow.snapshot());
-    }
+  for (const auto& [key, flow] : flows_) {
+    if (key.client == client) flows.push_back(flow);
   }
   return flows;
 }
 
 std::vector<MemorizedFlow> FlowMemory::snapshot() const {
   std::vector<MemorizedFlow> flows;
-  flows.reserve(size());
-  for (const auto& shardPtr : shards_) {
-    const Shard& shard = *shardPtr;
-    std::shared_lock lock(shard.mutex);
-    for (const auto& [key, flow] : shard.flows) {
-      flows.push_back(flow.snapshot());
-    }
-  }
+  flows.reserve(flows_.size());
+  for (const auto& [key, flow] : flows_) flows.push_back(flow);
   return flows;
 }
 
 std::optional<MemorizedFlow> FlowMemory::lookup(Ipv4 client,
                                                 Endpoint service) const {
-  const Key key{client, service};
-  const Shard& shard = shardFor(key);
-  std::shared_lock lock(shard.mutex);
-  const auto it = shard.flows.find(key);
-  if (it == shard.flows.end()) {
-    if (shard.misses != nullptr) shard.misses->add();
+  const auto it = flows_.find(Key{client, service});
+  if (it == flows_.end()) {
+    if (misses_ != nullptr) misses_->add();
     return std::nullopt;
   }
-  if (shard.hits != nullptr) shard.hits->add();
-  return it->second.snapshot();
+  if (hits_ != nullptr) hits_->add();
+  return it->second;
 }
 
 std::vector<MemorizedFlow> FlowMemory::expire(SimTime now) {
   std::vector<MemorizedFlow> expired;
-  for (auto& shardPtr : shards_) {
-    Shard& shard = *shardPtr;
-    std::unique_lock lock(shard.mutex);
-    for (auto it = shard.flows.begin(); it != shard.flows.end();) {
-      const SimTime lastSeen = SimTime::nanos(
-          it->second.lastSeenNanos.load(std::memory_order_relaxed));
-      if (now - lastSeen >= idleTimeout_) {
-        expired.push_back(it->second.snapshot());
-        it = shard.flows.erase(it);
-        size_.fetch_sub(1, std::memory_order_relaxed);
-        if (shard.expirations != nullptr) shard.expirations->add();
-        if (shard.occupancy != nullptr) shard.occupancy->add(-1);
-      } else {
-        ++it;
-      }
+  for (auto it = flows_.begin(); it != flows_.end();) {
+    if (now - it->second.lastSeen >= idleTimeout_) {
+      expired.push_back(std::move(it->second));
+      it = flows_.erase(it);
+      if (expirations_ != nullptr) expirations_->add();
+      if (occupancy_ != nullptr) occupancy_->add(-1);
+    } else {
+      ++it;
     }
   }
   return expired;
 }
 
-void FlowMemory::forgetInstance(Endpoint instance) {
-  for (auto& shardPtr : shards_) {
-    Shard& shard = *shardPtr;
-    std::unique_lock lock(shard.mutex);
-    for (auto it = shard.flows.begin(); it != shard.flows.end();) {
-      if (it->second.instance == instance) {
-        it = shard.flows.erase(it);
-        size_.fetch_sub(1, std::memory_order_relaxed);
-        if (shard.invalidations != nullptr) shard.invalidations->add();
-        if (shard.occupancy != nullptr) shard.occupancy->add(-1);
-      } else {
-        ++it;
-      }
+template <typename Pred>
+void FlowMemory::forgetIf(Pred evict) {
+  for (auto it = flows_.begin(); it != flows_.end();) {
+    if (evict(it->second)) {
+      it = flows_.erase(it);
+      if (invalidations_ != nullptr) invalidations_->add();
+      if (occupancy_ != nullptr) occupancy_->add(-1);
+    } else {
+      ++it;
     }
   }
 }
 
+void FlowMemory::forgetInstance(Endpoint instance) {
+  forgetIf(
+      [&](const MemorizedFlow& flow) { return flow.instance == instance; });
+}
+
 void FlowMemory::forgetServiceExcept(Endpoint service,
                                      const std::string& keepCluster) {
-  for (auto& shardPtr : shards_) {
-    Shard& shard = *shardPtr;
-    std::unique_lock lock(shard.mutex);
-    for (auto it = shard.flows.begin(); it != shard.flows.end();) {
-      if (it->second.service == service && it->second.cluster != keepCluster) {
-        it = shard.flows.erase(it);
-        size_.fetch_sub(1, std::memory_order_relaxed);
-        if (shard.invalidations != nullptr) shard.invalidations->add();
-        if (shard.occupancy != nullptr) shard.occupancy->add(-1);
-      } else {
-        ++it;
-      }
-    }
-  }
+  forgetIf([&](const MemorizedFlow& flow) {
+    return flow.service == service && flow.cluster != keepCluster;
+  });
 }
 
 std::size_t FlowMemory::flowsFor(Endpoint service,
                                  const std::string& cluster) const {
   std::size_t count = 0;
-  for (const auto& shardPtr : shards_) {
-    const Shard& shard = *shardPtr;
-    std::shared_lock lock(shard.mutex);
-    for (const auto& [key, flow] : shard.flows) {
-      if (flow.service == service && flow.cluster == cluster) ++count;
-    }
+  for (const auto& [key, flow] : flows_) {
+    if (flow.service == service && flow.cluster == cluster) ++count;
   }
   return count;
 }

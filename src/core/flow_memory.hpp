@@ -6,28 +6,15 @@
 // idle timeout; expiry both forgets stale clients and is the trigger for
 // scaling down idle edge service instances.
 //
-// Concurrency model: the table is partitioned into `shards` independent
-// sub-maps keyed by hash(client, service), each behind its own
-// std::shared_mutex (striped locks).  The warm path -- lookup() + touch()
-// on every remembered packet-in -- takes only the shard's SHARED lock;
-// touch() refreshes last-seen with a CAS-max on an atomic, so concurrent
-// readers never serialize against each other and never take a write lock.
-// Mutations (upsert, expire, forget*) take the shard's exclusive lock.
-//
-// Determinism: with shards == 1 (the default) every operation hits one
-// unordered_map through the exact op sequence of the pre-shard layout, so
-// expire()'s iteration order -- and therefore scale-down order and traces
-// -- is bit-identical to the single-threaded seed.  Sharded configurations
-// iterate shards in index order, which is deterministic for a fixed shard
-// count but groups flows differently; the determinism suite pins both.
+// One unordered_map keyed by (client, service), touched only from the
+// simulation thread.  Its iteration order -- and therefore expire()'s
+// scale-down order and the traces -- is a function of the op sequence
+// alone, which the determinism goldens pin.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -55,26 +42,25 @@ class FlowMemory {
     bool operator==(const Key&) const = default;
   };
 
-  /// `telemetry` (optional) registers per-shard occupancy / hit / miss /
-  /// eviction series; handles are resolved here once so the warm path only
-  /// pays striped relaxed increments.
-  explicit FlowMemory(SimTime idleTimeout, std::size_t shards = 1,
+  /// `telemetry` (optional) registers occupancy / hit / miss / eviction
+  /// series, labelled shard="0" (the table was once striped).
+  explicit FlowMemory(SimTime idleTimeout,
                       telemetry::MetricsRegistry* telemetry = nullptr);
 
-  /// Record or refresh a flow.  Takes the shard's exclusive lock.
+  /// Record or refresh a flow.
   void upsert(Ipv4 client, Endpoint service, Endpoint instance,
               const std::string& cluster, SimTime now);
 
   /// Refresh the last-seen time (e.g. on switch flow-removed with recent
-  /// traffic, or on packet-in from a remembered client).  Warm path:
-  /// shared lock + CAS-max, never blocks other readers.
+  /// traffic, or on packet-in from a remembered client).  Never moves
+  /// last-seen backwards.
   void touch(Ipv4 client, Endpoint service, SimTime now);
 
-  /// Snapshot of the memorized flow, or nullopt.  Warm path: shared lock.
+  /// Copy of the memorized flow, or nullopt.
   std::optional<MemorizedFlow> lookup(Ipv4 client, Endpoint service) const;
 
   /// Drop flows idle for >= idleTimeout; returns the expired flows in
-  /// shard order.  Exclusive lock per shard, taken one shard at a time.
+  /// table order.
   std::vector<MemorizedFlow> expire(SimTime now);
 
   /// Re-point an EXISTING flow at a new instance/cluster without touching
@@ -82,17 +68,16 @@ class FlowMemory {
   /// registered service address while the controller re-steers the flow.
   /// Returns false when no flow is memorized for (client, service) -- e.g.
   /// it expired while the handover was deploying the target instance.
-  /// Takes the shard's exclusive lock.
   bool rebind(Ipv4 client, Endpoint service, Endpoint instance,
               const std::string& cluster, SimTime now);
 
-  /// Snapshot of every flow memorized for `client`, in shard order; the
-  /// handover trigger enumerates these when the client's attachment moves.
+  /// Every flow memorized for `client`, in table order; the handover
+  /// trigger enumerates these when the client's attachment moves.
   std::vector<MemorizedFlow> flowsForClient(Ipv4 client) const;
 
-  /// Snapshot of EVERY memorized flow, in shard order: the controller's
-  /// intended steering state, which the RuleReconciler diffs against the
-  /// switch tables.  Shared lock per shard, one shard at a time.
+  /// EVERY memorized flow, in table order: the controller's intended
+  /// steering state, which the RuleReconciler diffs against the switch
+  /// tables.
   std::vector<MemorizedFlow> snapshot() const;
 
   /// Forget all flows pointing at `instance` (e.g. instance scaled down).
@@ -107,15 +92,11 @@ class FlowMemory {
   /// policy keys off this reaching zero.
   std::size_t flowsFor(Endpoint service, const std::string& cluster) const;
 
-  std::size_t size() const { return size_.load(std::memory_order_relaxed); }
+  std::size_t size() const { return flows_.size(); }
   SimTime idleTimeout() const { return idleTimeout_; }
 
-  std::size_t shardCount() const { return shards_.size(); }
-  /// Stable shard index for (client, service) -- the controller uses this
-  /// as the LaneExecutor lane key so same-flow requests stay ordered.
-  std::size_t shardIndex(Ipv4 client, Endpoint service) const {
-    return KeyHash{}(Key{client, service}) % shards_.size();
-  }
+  /// Always 1: one table, reported as shard "0".
+  std::size_t shardCount() const { return 1; }
 
  private:
   struct KeyHash {
@@ -126,47 +107,18 @@ class FlowMemory {
     }
   };
 
-  /// Map value: immutable routing fields plus the touch()-refreshed
-  /// last-seen nanos.  The atomic lets the warm path refresh under a
-  /// SHARED lock; all fields besides lastSeenNanos are only written under
-  /// the shard's exclusive lock.
-  struct StoredFlow {
-    Endpoint client;
-    Endpoint service;
-    Endpoint instance;
-    std::string cluster;
-    std::atomic<std::int64_t> lastSeenNanos;
-
-    MemorizedFlow snapshot() const {
-      return MemorizedFlow{
-          client, service, instance, cluster,
-          SimTime::nanos(lastSeenNanos.load(std::memory_order_relaxed))};
-    }
-  };
-
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<Key, StoredFlow, KeyHash> flows;
-    // Telemetry handles (null when telemetry is off).  The counters stripe
-    // internally, so the shared-lock warm path can bump them without
-    // serializing against other readers of this shard.
-    telemetry::Counter* hits = nullptr;
-    telemetry::Counter* misses = nullptr;
-    telemetry::Counter* expirations = nullptr;
-    telemetry::Counter* invalidations = nullptr;
-    telemetry::Gauge* occupancy = nullptr;
-  };
-
-  Shard& shardFor(const Key& key) {
-    return *shards_[KeyHash{}(key) % shards_.size()];
-  }
-  const Shard& shardFor(const Key& key) const {
-    return *shards_[KeyHash{}(key) % shards_.size()];
-  }
+  /// Erase every flow matching `evict`, counting each as invalidated.
+  template <typename Pred>
+  void forgetIf(Pred evict);
 
   SimTime idleTimeout_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::size_t> size_{0};
+  std::unordered_map<Key, MemorizedFlow, KeyHash> flows_;
+  // Telemetry handles (null when telemetry is off).
+  telemetry::Counter* hits_ = nullptr;
+  telemetry::Counter* misses_ = nullptr;
+  telemetry::Counter* expirations_ = nullptr;
+  telemetry::Counter* invalidations_ = nullptr;
+  telemetry::Gauge* occupancy_ = nullptr;
 };
 
 }  // namespace edgesim::core

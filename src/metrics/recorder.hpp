@@ -7,8 +7,7 @@
 // exactly that; this module aggregates those samples per experiment series
 // and renders medians (the statistic used in Figs. 11-16).
 //
-// Thread model: add() / addSample() are safe to call from any thread (the
-// controller's worker pool records warm-path latencies concurrently) --
+// Thread model: add() / addSample() are safe to call from any thread --
 // they serialize on one internal mutex, which is uncontended in
 // single-threaded runs and cheap next to the modeled RTTs in threaded
 // ones.  Accessors that hand out references into the recorder

@@ -9,51 +9,34 @@ namespace edgesim::overload {
 
 const char* shedReasonName(ShedReason reason) {
   switch (reason) {
-    case ShedReason::kQueueFull: return "queue_full";
     case ShedReason::kBudgetExpired: return "budget_expired";
     case ShedReason::kDeployCap: return "deploy_cap";
   }
   return "?";
 }
 
-OverloadOptions OverloadOptions::fromConfig(const Config& config) {
+Result<OverloadOptions> OverloadOptions::fromConfig(const Config& config) {
   OverloadOptions options;
-  options.enabled = config.getBoolOr("overload_enabled", options.enabled);
-  options.laneQueueCapacity = static_cast<std::size_t>(config.getIntOr(
-      "overload_lane_queue_capacity",
-      static_cast<std::int64_t>(options.laneQueueCapacity)));
-  options.shedPolicy =
-      config.getStringOr("overload_shed_policy", options.shedPolicy);
-  options.requestBudget = SimTime::millis(config.getIntOr(
-      "overload_request_budget_ms",
-      options.requestBudget.toNanos() / 1000000));
-  options.maxDeploysPerCluster = static_cast<int>(config.getIntOr(
-      "overload_max_deploys_per_cluster", options.maxDeploysPerCluster));
-  options.breakerEnabled =
-      config.getBoolOr("overload_breaker_enabled", options.breakerEnabled);
-  options.breaker.window = SimTime::millis(config.getIntOr(
-      "overload_breaker_window_ms", options.breaker.window.toNanos() / 1000000));
-  options.breaker.minSamples = static_cast<std::uint64_t>(config.getIntOr(
-      "overload_breaker_min_samples",
-      static_cast<std::int64_t>(options.breaker.minSamples)));
-  options.breaker.failureRatio = config.getDoubleOr(
-      "overload_breaker_failure_ratio", options.breaker.failureRatio);
-  options.breaker.latencyThresholdSeconds =
-      config.getDoubleOr("overload_breaker_latency_threshold_ms",
-                         options.breaker.latencyThresholdSeconds * 1e3) /
-      1e3;
-  options.breaker.openCooldown = SimTime::millis(config.getIntOr(
-      "overload_breaker_cooldown_ms",
-      options.breaker.openCooldown.toNanos() / 1000000));
-  options.brownoutShedThreshold = static_cast<std::uint64_t>(config.getIntOr(
-      "overload_brownout_shed_threshold",
-      static_cast<std::int64_t>(options.brownoutShedThreshold)));
-  options.brownoutWindow = SimTime::millis(config.getIntOr(
-      "overload_brownout_window_ms",
-      options.brownoutWindow.toNanos() / 1000000));
-  options.brownoutMinDwell = SimTime::millis(config.getIntOr(
-      "overload_brownout_min_dwell_ms",
-      options.brownoutMinDwell.toNanos() / 1000000));
+  ConfigReader reader(config);
+  reader.read("overload_enabled", options.enabled);
+  reader.readMillis("overload_request_budget_ms", options.requestBudget);
+  reader.read("overload_max_deploys_per_cluster",
+              options.maxDeploysPerCluster);
+  reader.read("overload_breaker_enabled", options.breakerEnabled);
+  reader.readMillis("overload_breaker_window_ms", options.breaker.window);
+  reader.read("overload_breaker_min_samples", options.breaker.minSamples);
+  reader.read("overload_breaker_failure_ratio", options.breaker.failureRatio);
+  double latencyMs = options.breaker.latencyThresholdSeconds * 1e3;
+  reader.read("overload_breaker_latency_threshold_ms", latencyMs);
+  options.breaker.latencyThresholdSeconds = latencyMs / 1e3;
+  reader.readMillis("overload_breaker_cooldown_ms",
+                    options.breaker.openCooldown);
+  reader.read("overload_brownout_shed_threshold",
+              options.brownoutShedThreshold);
+  reader.readMillis("overload_brownout_window_ms", options.brownoutWindow);
+  reader.readMillis("overload_brownout_min_dwell_ms",
+                    options.brownoutMinDwell);
+  if (Status status = reader.finish(); !status.ok()) return status.error();
   return options;
 }
 

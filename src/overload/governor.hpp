@@ -3,11 +3,9 @@
 //
 // The paper's controller sits on the first packet of every flow, so a
 // flash crowd turns it into the system's choke point.  The governor
-// composes three mechanisms, applied in order along the request path:
+// composes two mechanisms, applied in order along the request path, all in
+// simulated time:
 //
-//   admission   bounded lane queues in the LaneExecutor; overflowing work
-//               is shed at submit time and answered with an immediate
-//               degraded cloud redirect instead of queueing unboundedly.
 //   budget      every request carries a deadline from packet_in onward;
 //               an expired budget fails fast to the cloud instead of
 //               occupying a deployment slot.  The dispatcher additionally
@@ -25,10 +23,8 @@
 // transitions and redirects): the caller's registry, or a private one when
 // the caller passes none, so the accessors work either way.
 //
-// Thread model: shed accounting (noteShed / counters) is thread-safe --
-// lane shedding happens on whatever thread called submitRequest.  Breakers,
-// deploy tokens and brownout evaluation run on the simulation thread only
-// (the Dispatcher's control lane).
+// Thread model: the governor runs on the simulation thread only (the
+// Dispatcher's control lane), like the rest of the controller.
 //
 // Disabled (the default): nothing constructs a governor and every hot-path
 // hook is a null check, so determinism goldens stay bit-identical.
@@ -48,24 +44,16 @@ namespace edgesim::overload {
 
 /// Why a request was shed (also the `reason` label of edgesim_shed_total).
 enum class ShedReason {
-  kQueueFull = 0,      // lane queue at capacity
-  kBudgetExpired = 1,  // deadline blown before/while resolving
-  kDeployCap = 2,      // per-cluster deploy tokens exhausted
+  kBudgetExpired = 0,  // deadline blown while resolving
+  kDeployCap = 1,      // per-cluster deploy tokens exhausted
 };
-inline constexpr std::size_t kShedReasonCount = 3;
+inline constexpr std::size_t kShedReasonCount = 2;
 
 const char* shedReasonName(ShedReason reason);
 
 struct OverloadOptions {
   /// Master switch; everything below is inert when false.
   bool enabled = false;
-
-  // ---- admission (LaneExecutor) -------------------------------------------
-  /// Per-worker lane queue capacity; 0 = unbounded (no admission control).
-  std::size_t laneQueueCapacity = 256;
-  /// "reject-newest" or "deadline-aware" (evict the queued task with the
-  /// nearest deadline when it is sooner than the incoming task's).
-  std::string shedPolicy = "reject-newest";
 
   // ---- deadline budgets ---------------------------------------------------
   /// Sim-time budget a request carries from packet_in; zero = no budget.
@@ -87,14 +75,14 @@ struct OverloadOptions {
   SimTime brownoutWindow = SimTime::seconds(1.0);
   SimTime brownoutMinDwell = SimTime::seconds(5.0);
 
-  /// Keys: overload_enabled, overload_lane_queue_capacity,
-  /// overload_shed_policy, overload_request_budget_ms,
+  /// Keys: overload_enabled, overload_request_budget_ms,
   /// overload_max_deploys_per_cluster, overload_breaker_enabled,
   /// overload_breaker_window_ms, overload_breaker_min_samples,
   /// overload_breaker_failure_ratio, overload_breaker_latency_threshold_ms,
   /// overload_breaker_cooldown_ms, overload_brownout_shed_threshold,
-  /// overload_brownout_window_ms, overload_brownout_min_dwell_ms.
-  static OverloadOptions fromConfig(const Config& config);
+  /// overload_brownout_window_ms, overload_brownout_min_dwell_ms.  Any
+  /// other key, an unparseable value or a negative number is an error.
+  static Result<OverloadOptions> fromConfig(const Config& config);
 };
 
 class OverloadGovernor {
@@ -110,7 +98,7 @@ class OverloadGovernor {
 
   const OverloadOptions& options() const { return options_; }
 
-  // ---- shed accounting (thread-safe) --------------------------------------
+  // ---- shed accounting ----------------------------------------------------
   void noteShed(ShedReason reason);
   std::uint64_t shedCount() const;
   std::uint64_t shedCount(ShedReason reason) const {
@@ -118,9 +106,8 @@ class OverloadGovernor {
   }
 
   // ---- per-cluster breakers (simulation thread) ---------------------------
-  /// Lazily-created breaker for `cluster`.  Creation registers telemetry
-  /// series, so first touch must happen off the hot path (it does: the
-  /// dispatcher consults breakers on the sim thread only).
+  /// Lazily-created breaker for `cluster`; creation registers its
+  /// telemetry series.
   CircuitBreaker& breaker(const std::string& cluster);
   /// False when the cluster's breaker short-circuits requests right now.
   /// Always true when breakers are disabled.

@@ -52,12 +52,13 @@ void DomainScheduler::runParallel(LaneExecutor& pool, SimTime until) {
   std::function<void(DomainId, bool)> enqueue = [&](DomainId id,
                                                     bool fromWatchdog) {
     if (states[id]->queued.exchange(true, std::memory_order_acq_rel)) return;
-    const bool admitted = pool.post(id, [this, &states, &enqueue, &doneCv, id,
-                                         until, fromWatchdog, observer] {
+    (fromWatchdog ? watchdogWakes_ : notifyWakes_)
+        .fetch_add(1, std::memory_order_relaxed);
+    pool.post(id, [this, &states, &enqueue, &doneCv, id, until, fromWatchdog,
+                   observer] {
       states[id]->queued.store(false, std::memory_order_release);
       advanceTasks_.fetch_add(1, std::memory_order_relaxed);
       EventDomain& domain = sim_.domain(id);
-      if (id == kControlDomain) sim_.drainExternal();
       const SimTime clockBefore = domain.now();
       const std::size_t dispatched = domain.advance(until);
       const bool productive = dispatched > 0 || domain.now() > clockBefore;
@@ -79,18 +80,9 @@ void DomainScheduler::runParallel(LaneExecutor& pool, SimTime until) {
       // progress (the loop above, run by ITS task) or from the watchdog.
       doneCv.notify_one();
     });
-    if (admitted) {
-      (fromWatchdog ? watchdogWakes_ : notifyWakes_)
-          .fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // A bounded pool may shed the task; clear the flag so the watchdog can
-      // retry instead of believing an advance is pending forever.
-      states[id]->queued.store(false, std::memory_order_release);
-    }
   };
 
   const auto allIdle = [&] {
-    if (sim_.externalPending()) return false;
     for (DomainId id = 0; id < domainCount; ++id) {
       EventDomain& domain = sim_.domain(id);
       if (!domain.idleAtHorizon()) return false;
@@ -117,8 +109,7 @@ void DomainScheduler::runParallel(LaneExecutor& pool, SimTime until) {
         for (const DomainChannel* channel : domain.inbound()) {
           inboundPending = inboundPending || !channel->empty();
         }
-        if (!domain.idleAtHorizon() || inboundPending ||
-            (id == kControlDomain && sim_.externalPending())) {
+        if (!domain.idleAtHorizon() || inboundPending) {
           enqueue(id, true);
         }
       }

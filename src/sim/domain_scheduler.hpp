@@ -37,8 +37,7 @@ class DomainScheduler {
   /// domains are quiescent at the horizon; afterwards every domain's clock
   /// reads `until`, matching Simulation::runUntil's end state.  Single-
   /// domain simulations run Simulation::runUntil instead.
-  /// Caller must be outside any event dispatch; external posts arriving
-  /// during the run are admitted into the control domain as usual.
+  /// Caller must be outside any event dispatch.
   void runParallel(LaneExecutor& pool, SimTime until);
 
   /// Wake/task accounting of the most recent runParallel() call (always on

@@ -333,7 +333,7 @@ class EventDomain {
   DomainId id_;
   std::string name_;
   SimTime now_ = SimTime::zero();
-  std::atomic<std::int64_t> nowNanos_{0};  // commit clock (and approxNow)
+  std::atomic<std::int64_t> nowNanos_{0};  // commit clock
   std::uint64_t nextSeq_ = 0;
   std::atomic<std::uint64_t> processed_{0};
   std::atomic<std::size_t> queueSize_{0};

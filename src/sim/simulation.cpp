@@ -159,48 +159,6 @@ Simulation::DomainScope::DomainScope(Simulation& sim, DomainId id)
 
 Simulation::DomainScope::~DomainScope() { sim_.setupDomain_ = saved_; }
 
-void Simulation::postExternal(std::function<void()> fn) {
-  ES_ASSERT(fn != nullptr);
-  {
-    std::lock_guard lock(inboxMutex_);
-    inbox_.push_back(std::move(fn));
-    inboxNonEmpty_.store(true, std::memory_order_release);
-  }
-  inboxCv_.notify_one();
-}
-
-std::size_t Simulation::drainExternal() {
-  if (!inboxNonEmpty_.load(std::memory_order_acquire)) return 0;
-  std::vector<std::function<void()>> batch;
-  {
-    std::lock_guard lock(inboxMutex_);
-    batch.swap(inbox_);
-    inboxNonEmpty_.store(false, std::memory_order_release);
-  }
-  // Admission at the control domain's now(): posting order defines execution
-  // order, exactly as if each closure had been scheduled with delay zero on
-  // arrival.
-  EventDomain& control = *domains_.front();
-  for (auto& fn : batch) control.scheduleAt(control.now(), std::move(fn));
-  return batch.size();
-}
-
-std::size_t Simulation::pump(SimTime slice) {
-  const std::size_t admitted = drainExternal();
-  runUntil(domains_.front()->now() + slice);
-  return admitted;
-}
-
-bool Simulation::waitForExternal(std::chrono::microseconds timeout) {
-  std::unique_lock lock(inboxMutex_);
-  return inboxCv_.wait_for(lock, timeout, [this] { return !inbox_.empty(); });
-}
-
-std::size_t Simulation::externalQueueDepth() const {
-  std::lock_guard lock(inboxMutex_);
-  return inbox_.size();
-}
-
 void Simulation::drainAllChannels() {
   for (const auto& channel : channels_) channel->drainInto(channel->to());
 }

@@ -20,21 +20,16 @@
 // Cross-domain posting is explicit (scheduleOn/scheduleOnAt) and pays at
 // least the channel's lookahead latency.
 //
-// Concurrent deployments (the controller's worker-pool hot path) interact
-// with the engine through ONE narrow, thread-safe seam: postExternal()
-// enqueues a closure from any thread into a mutex-guarded inbox; the
-// control domain alone admits inbox entries (drainExternal / pump) and
-// executes them.
+// There is no cross-thread injection seam: other threads schedule nothing
+// while a run is in flight.  A sequential run executes on the calling
+// thread; a parallel run hands each domain to one worker at a time.
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,12 +53,6 @@ class Simulation {
 
   /// Clock of the active domain (single-domain: THE clock).
   SimTime now() const;
-  /// Thread-safe approximation of now() for worker threads (stamping
-  /// trace/metrics events while the sim thread advances time).  Reads the
-  /// control domain's commit clock; exact whenever that domain is quiescent.
-  SimTime approxNow() const {
-    return SimTime::nanos(domains_.front()->nowNanosAtomic());
-  }
   /// RNG stream of the active domain (single-domain: the master stream).
   Rng& rng();
 
@@ -139,29 +128,6 @@ class Simulation {
     DomainId saved_;
   };
 
-  // ---- cross-thread injection (concurrent controller front-end) -----------
-  /// Enqueue `fn` from ANY thread; it runs on the control domain at the
-  /// current sim time once the inbox is drained.
-  void postExternal(std::function<void()> fn);
-  /// Move externally posted closures into the control domain's queue (at its
-  /// now()).  Control-domain thread only.  Returns the number admitted.
-  std::size_t drainExternal();
-  /// Concurrent-phase pump: admit external posts, then advance the clock by
-  /// at most `slice`, running everything that becomes due.  The caller
-  /// loops on this until its own completion condition holds (an unbounded
-  /// run would never return: periodic timers re-arm forever).  Returns the
-  /// number of inbox closures admitted.  Simulation thread only.
-  std::size_t pump(SimTime slice);
-  /// Block up to `timeout` for a postExternal() to arrive; false on
-  /// timeout.  Lets pump loops idle without spinning the clock forward.
-  bool waitForExternal(std::chrono::microseconds timeout);
-  bool externalPending() const {
-    return inboxNonEmpty_.load(std::memory_order_acquire);
-  }
-  /// Number of externally posted closures not yet admitted (mutex-guarded;
-  /// safe from any thread -- feeds the external-inbox-depth gauge).
-  std::size_t externalQueueDepth() const;
-
   /// Run until every domain's queue drains or `stop()` is called, always
   /// executing the globally earliest live event next.
   void run();
@@ -218,12 +184,6 @@ class Simulation {
   std::atomic<bool> parallel_{false};
   DomainObserver* observer_ = nullptr;  // setup-phase writes only
   bool stopped_ = false;
-
-  // External inbox: the one cross-thread seam (see header comment).
-  mutable std::mutex inboxMutex_;
-  std::condition_variable inboxCv_;
-  std::vector<std::function<void()>> inbox_;
-  std::atomic<bool> inboxNonEmpty_{false};
 };
 
 /// Periodic callback helper; fires every `period` until cancelled or the

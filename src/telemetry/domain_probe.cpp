@@ -92,10 +92,6 @@ DomainProbe::DomainProbe(Simulation& sim, MetricsRegistry* registry,
         "edgesim_domain_watchdog_wakes_total", {{"result", "productive"}});
     watchdogRedundant_ = &registry->counter(
         "edgesim_domain_watchdog_wakes_total", {{"result", "redundant"}});
-    Simulation* simPtr = &sim;
-    registry->gaugeFn("edgesim_domain_external_inbox_depth", {}, [simPtr] {
-      return static_cast<double>(simPtr->externalQueueDepth());
-    });
   }
   sim.setDomainObserver(this);
 }

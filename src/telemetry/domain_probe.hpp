@@ -16,7 +16,6 @@
 //                edgesim_domain_clock_lag_seconds{domain,name}
 //                edgesim_domain_channel_lookahead_seconds{from,to[,via]}
 //                edgesim_domain_channel_inbox_depth{from,to}
-//                edgesim_domain_external_inbox_depth
 //
 // STALL SEMANTICS: a domain is "stalled" from the end of an advance slice
 // that left it blocked below the horizon (an inbound channel's safeBound

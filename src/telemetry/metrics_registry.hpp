@@ -1,7 +1,8 @@
 // Lock-light metrics registry for live introspection of the running system.
 //
-// The PR 3 hot path runs on pool workers concurrently with the sim thread;
-// the existing Recorder/TraceRecorder buffer *events* and export at end of
+// Parallel-domain workers (DomainScheduler::runParallel + DomainProbe)
+// update it concurrently with the coordinating thread; the existing
+// Recorder/TraceRecorder buffer *events* and export at end of
 // run, which is both post-hoc and (for million-request runs) unbounded.
 // This registry holds *state* -- named counters, gauges and log-linear
 // histograms -- cheap enough to update from the warm path and readable at
@@ -9,9 +10,8 @@
 //
 //   * writes go to per-thread STRIPES: each thread hashes to one of
 //     kStripes cache-line-padded atomic cells and does a relaxed
-//     fetch_add.  No locks, no CAS loops, no contention with FlowMemory's
-//     shard locks; two threads only share a cell (and a cache line) if
-//     they collide mod kStripes.
+//     fetch_add.  No locks, no CAS loops; two threads only share a cell
+//     (and a cache line) if they collide mod kStripes.
 //   * reads MERGE the stripes: value() sums the cells with relaxed loads.
 //     Concurrent with writers the result is a moment-in-time approximation
 //     (each cell is exact, the sum may straddle updates); once writers are

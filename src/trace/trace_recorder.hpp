@@ -12,9 +12,9 @@
 //
 // Thread model: recording goes to PER-THREAD buffers.  The first thread to
 // record (the recorder's creator, i.e. the simulation thread) owns buffer
-// 0; controller workers lazily acquire their own buffer on first use.
-// Request IDs come from one atomic counter, so IDs allocated on the warm
-// path (worker threads) never collide with cold-path IDs.  Buffers are
+// 0; other threads (parallel-domain workers) lazily acquire their own
+// buffer on first use.  Request IDs come from one atomic counter, so IDs
+// allocated on different threads never collide.  Buffers are
 // merged only at export:
 //   * one populated buffer (every single-threaded run) -> events export in
 //     recording order with the same span IDs as the pre-threading layout,

@@ -1,6 +1,7 @@
 #include "util/config.hpp"
 
 #include <charconv>
+#include <cmath>
 
 #include "util/strings.hpp"
 
@@ -92,6 +93,69 @@ double Config::getDoubleOr(const std::string& key, double fallback) const {
 
 bool Config::getBoolOr(const std::string& key, bool fallback) const {
   return getBool(key).value_or(fallback);
+}
+
+std::optional<std::string> ConfigReader::take(const std::string& key) {
+  known_.insert(key);
+  return config_.getString(key);
+}
+
+void ConfigReader::fail(const std::string& key, const char* problem) {
+  if (error_) return;
+  error_ = makeError(Errc::kInvalidArgument,
+                     strprintf("config key '%s': '%s' %s", key.c_str(),
+                               config_.getString(key).value_or("").c_str(),
+                               problem));
+}
+
+void ConfigReader::read(const std::string& key, std::string& out) {
+  if (auto value = take(key)) out = std::move(*value);
+}
+
+void ConfigReader::read(const std::string& key, bool& out) {
+  if (!take(key)) return;
+  if (const auto value = config_.getBool(key)) {
+    out = *value;
+  } else {
+    fail(key, "is not a boolean");
+  }
+}
+
+void ConfigReader::read(const std::string& key, double& out) {
+  if (!take(key)) return;
+  const auto value = config_.getDouble(key);
+  if (!value || !std::isfinite(*value)) {
+    fail(key, "is not a number");
+  } else if (*value < 0) {
+    fail(key, "is negative");
+  } else {
+    out = *value;
+  }
+}
+
+std::optional<std::int64_t> ConfigReader::readInt(const std::string& key) {
+  if (!take(key)) return std::nullopt;
+  const auto value = config_.getInt(key);
+  if (!value) {
+    fail(key, "is not an integer");
+    return std::nullopt;
+  }
+  if (*value < 0) {
+    fail(key, "is negative");
+    return std::nullopt;
+  }
+  return value;
+}
+
+Status ConfigReader::finish() const {
+  if (error_) return *error_;
+  for (const auto& [key, value] : config_.entries()) {
+    if (known_.count(key) == 0) {
+      return makeError(Errc::kInvalidArgument,
+                       "unknown config key '" + key + "'");
+    }
+  }
+  return Status();
 }
 
 }  // namespace edgesim

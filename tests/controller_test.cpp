@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <utility>
 
 #include "core/testbed.hpp"
 
@@ -26,7 +28,9 @@ port_poll_interval_ms = 25
 local_scheduler = my-local
 )");
   ASSERT_TRUE(parsed.ok());
-  const auto options = ControllerOptions::fromConfig(parsed.value());
+  const auto result = ControllerOptions::fromConfig(parsed.value());
+  ASSERT_TRUE(result.ok()) << result.error().toString();
+  const ControllerOptions& options = result.value();
   EXPECT_EQ(options.scheduler, "latency-first");
   EXPECT_EQ(options.switchIdleTimeout, 2500_ms);
   EXPECT_EQ(options.memoryIdleTimeout, 90_s);
@@ -36,9 +40,38 @@ local_scheduler = my-local
 }
 
 TEST(ControllerOptionsTest, DefaultsSurviveEmptyConfig) {
-  const auto options = ControllerOptions::fromConfig(Config());
-  EXPECT_EQ(options.scheduler, "proximity");
-  EXPECT_TRUE(options.scaleDownIdleServices);
+  const auto result = ControllerOptions::fromConfig(Config());
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.value().scheduler, "proximity");
+  EXPECT_TRUE(result.value().scaleDownIdleServices);
+}
+
+TEST(ControllerOptionsTest, RejectsRemovedKeysAndBadValuesByName) {
+  // The threaded front-end's keys are gone: a config that still sets them
+  // would otherwise run single-threaded without a word.
+  for (const char* removed : {"workers", "flow_shards",
+                              "overload_lane_queue_capacity",
+                              "overload_shed_policy"}) {
+    Config config;
+    config.set(removed, "4");
+    const auto result = ControllerOptions::fromConfig(config);
+    ASSERT_FALSE(result.ok()) << removed;
+    EXPECT_EQ(result.error().code, Errc::kInvalidArgument);
+    EXPECT_NE(result.error().message.find(removed), std::string::npos)
+        << result.error().message;
+  }
+  for (const auto& [key, value] :
+       {std::pair{"deploy_retries", "abc"}, std::pair{"deploy_retries", "-1"},
+        std::pair{"retry_backoff_ms", "-5"},
+        std::pair{"deploy_timeout_ms", "9223372036854775807"},
+        std::pair{"cloud_fallback", "maybe"}}) {
+    Config config;
+    config.set(key, value);
+    const auto result = ControllerOptions::fromConfig(config);
+    ASSERT_FALSE(result.ok()) << key << " = " << value;
+    EXPECT_NE(result.error().message.find(key), std::string::npos)
+        << result.error().message;
+  }
 }
 
 TEST(ControllerTest, RegisterServiceRejectsDuplicatesAndBadYaml) {

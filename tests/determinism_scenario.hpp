@@ -28,7 +28,7 @@ struct ScenarioResult {
   std::string counters;
   /// Per-series sample counts + per-series success totals: the
   /// timing-insensitive view for comparisons where event ORDER may
-  /// legally differ (sharded expiry scans, per-cluster time domains).
+  /// legally differ (per-cluster time domains).
   std::string outcomes;
 
   std::string combined() const {
@@ -40,8 +40,7 @@ struct ScenarioResult {
 /// joiners, warm repeats, idle expiry driving a scale-down, and a
 /// re-deployment after the memory forgot the clients.
 inline ScenarioResult runScenario(
-    std::uint64_t seed, std::size_t flowShards,
-    DomainPartition partition = DomainPartition::kSingle) {
+    std::uint64_t seed, DomainPartition partition = DomainPartition::kSingle) {
   using namespace timeliterals;
   TestbedOptions options;
   options.seed = seed;
@@ -50,7 +49,6 @@ inline ScenarioResult runScenario(
   options.domainPartition = partition;
   options.controller.memoryIdleTimeout = 3_s;
   options.controller.memoryScanPeriod = 500_ms;
-  options.controller.flowShards = flowShards;
   Testbed bed(options);
 
   bed.warmImageCache("nginx");

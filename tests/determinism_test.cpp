@@ -1,19 +1,16 @@
-// Determinism regression guard for the sharded/concurrent controller work.
+// Determinism regression guard for the controller.
 //
-// The discrete-event core is single-threaded and deterministic; the
-// concurrency refactor (sharded FlowMemory, controller worker pool,
-// thread-safe recorders) must not perturb it.  In the style of the
-// FaultInvariant suite this runs a fixed controller scenario -- cold
-// deployments, warm repeats, flow-memory expiry, scale-down, re-deploy --
-// and asserts that
+// The discrete-event core is single-threaded and deterministic; refactors
+// (FlowMemory's one table, the thread-safe recorders) must not perturb it.
+// In the style of the FaultInvariant suite this runs a fixed controller
+// scenario -- cold deployments, warm repeats, flow-memory expiry,
+// scale-down, re-deploy -- and asserts that
 //
 //   1. the exported trace and metrics summary are BYTEWISE identical to
-//      golden files captured from the pre-shard seed (single-worker mode
-//      must stay bit-identical, not just statistically equivalent);
+//      golden files captured from the pre-shard seed (bit-identical, not
+//      just statistically equivalent);
 //   2. re-running the scenario in the same process reproduces the same
-//      bytes (no hidden global state);
-//   3. a sharded FlowMemory (shards > 1) driven single-threaded still
-//      yields the same request outcomes and per-request trace content.
+//      bytes (no hidden global state).
 //
 // Regenerate the goldens (only when an intentional behavior change lands):
 //   EDGESIM_WRITE_GOLDEN=1 ./build/tests/determinism_test
@@ -118,7 +115,7 @@ class DeterminismGolden : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DeterminismGolden, SingleWorkerMatchesPreShardSeedTrace) {
   const std::uint64_t seed = GetParam();
-  const auto result = runScenario(seed, /*flowShards=*/1);
+  const auto result = runScenario(seed);
   const std::string path = goldenPath(seed);
   if (writeGoldenRequested()) {
     writeFile(path, result.combined());
@@ -135,21 +132,9 @@ TEST_P(DeterminismGolden, SingleWorkerMatchesPreShardSeedTrace) {
 
 TEST_P(DeterminismGolden, RerunIsBitIdentical) {
   const std::uint64_t seed = GetParam();
-  const auto first = runScenario(seed, /*flowShards=*/1);
-  const auto second = runScenario(seed, /*flowShards=*/1);
+  const auto first = runScenario(seed);
+  const auto second = runScenario(seed);
   EXPECT_EQ(first.combined(), second.combined());
-}
-
-TEST_P(DeterminismGolden, ShardedSingleThreadKeepsOutcomes) {
-  // With shards > 1 the expiry *iteration order* may legally differ, but a
-  // single-threaded run must still resolve the same requests with the same
-  // totals: the metrics summary and counters are order-insensitive here
-  // because every series is keyed, and the scenario's expiries are disjoint.
-  const std::uint64_t seed = GetParam();
-  const auto flat = runScenario(seed, /*flowShards=*/1);
-  const auto sharded = runScenario(seed, /*flowShards=*/8);
-  EXPECT_EQ(flat.metricsTable, sharded.metricsTable);
-  EXPECT_EQ(flat.counters, sharded.counters);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismGolden, ::testing::Values(1u, 7u));

@@ -34,7 +34,7 @@ class DomainDeterminism : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(DomainDeterminism, SingleDomainReproducesGoldenBytewise) {
   const std::uint64_t seed = GetParam();
   const auto result =
-      runScenario(seed, /*flowShards=*/1, DomainPartition::kSingle);
+      runScenario(seed, DomainPartition::kSingle);
   if (writeGoldenRequested()) {
     GTEST_SKIP() << "goldens are owned by determinism_test";
   }
@@ -51,9 +51,9 @@ TEST_P(DomainDeterminism, PerClusterPartitionKeepsOutcomes) {
   // outcome totals and per-series counts.
   const std::uint64_t seed = GetParam();
   const auto single =
-      runScenario(seed, /*flowShards=*/1, DomainPartition::kSingle);
+      runScenario(seed, DomainPartition::kSingle);
   const auto partitioned =
-      runScenario(seed, /*flowShards=*/1, DomainPartition::kPerCluster);
+      runScenario(seed, DomainPartition::kPerCluster);
   EXPECT_EQ(single.counters, partitioned.counters);
   EXPECT_EQ(single.outcomes, partitioned.outcomes);
 }
@@ -61,9 +61,9 @@ TEST_P(DomainDeterminism, PerClusterPartitionKeepsOutcomes) {
 TEST_P(DomainDeterminism, PerClusterPartitionIsReproducible) {
   const std::uint64_t seed = GetParam();
   const auto first =
-      runScenario(seed, /*flowShards=*/1, DomainPartition::kPerCluster);
+      runScenario(seed, DomainPartition::kPerCluster);
   const auto second =
-      runScenario(seed, /*flowShards=*/1, DomainPartition::kPerCluster);
+      runScenario(seed, DomainPartition::kPerCluster);
   EXPECT_EQ(first.combined(), second.combined());
 }
 

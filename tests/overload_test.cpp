@@ -1,30 +1,23 @@
-// Overload-governor suite: bounded admission, deadline budgets, deploy
-// tokens, per-cluster circuit breakers and brownout.
+// Overload-governor suite: deadline budgets, deploy tokens, per-cluster
+// circuit breakers, brownout and the strict option parser.
 //
-// Part of the TSan `concurrency` label: the LaneExecutor shed storms
-// hammer bounded admission from many posting threads while workers run,
-// so any unsynchronized access in the shed path (eviction under the
-// worker lock, completeShed after it) is a TSan race, and the functional
-// assertions pin the accounting invariant the controller depends on:
+// Deterministic sim-thread checks of the state machine: closed -> open on
+// failure ratio or latency quantile, open -> half-open after cooldown,
+// probe bookkeeping (including cancelProbe, the deploy-cap interaction),
+// deploy-token caps refusing with kResourceExhausted and degrading to the
+// cloud, budget expiry answering a shed degraded redirect while the
+// deployment continues, and brownout entry/dwell/exit.  Every end-to-end
+// test also pins the controller's accounting invariant:
 //
-//   tasksPosted == tasksExecuted + tasksShed          (LaneExecutor)
-//   submitted   == resolved + failed + shed           (EdgeController)
+//   submitted == resolved + failed + shed
 //
-// Breaker / governor / budget tests are deterministic sim-thread checks of
-// the state machine: closed -> open on failure ratio or latency quantile,
-// open -> half-open after cooldown, probe bookkeeping (including
-// cancelProbe, the deploy-cap interaction), deploy-token caps refusing
-// with kResourceExhausted and degrading to the cloud, budget expiry
-// answering a shed degraded redirect while the deployment continues, and
-// brownout entry/dwell/exit.  With the governor disabled (the default)
-// nothing is constructed -- the parity test pins that.
+// With the governor disabled (the default) nothing is constructed -- the
+// parity test pins that.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <future>
 #include <optional>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/testbed.hpp"
@@ -32,7 +25,6 @@
 #include "overload/circuit_breaker.hpp"
 #include "overload/governor.hpp"
 #include "util/config.hpp"
-#include "util/lane_executor.hpp"
 
 namespace edgesim {
 namespace {
@@ -53,179 +45,6 @@ Ipv4 clientIp(int i) {
   return Ipv4(10, 0, static_cast<std::uint8_t>(2 + i / 200),
               static_cast<std::uint8_t>(1 + i % 200));
 }
-
-// ------------------------------------------- LaneExecutor admission ----
-
-TEST(LaneExecutorShed, UnboundedQueueNeverSheds) {
-  LaneExecutor pool(2);  // legacy ctor: capacity 0
-  EXPECT_EQ(pool.queueCapacity(), 0u);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(pool.post(static_cast<std::uint64_t>(i), [] {}));
-  }
-  pool.drain();
-  EXPECT_EQ(pool.tasksExecuted(), 100u);
-  EXPECT_EQ(pool.tasksShed(), 0u);
-}
-
-// Park the pool's single worker on a task that is already DEQUEUED (so it
-// occupies no queue slot) and blocks until the returned promise is set.
-std::promise<void> blockWorker(LaneExecutor& pool) {
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  std::promise<void> started;
-  std::future<void> running = started.get_future();
-  pool.post(0, [opened, &started] {
-    started.set_value();
-    opened.wait();
-  });
-  running.wait();
-  return gate;
-}
-
-TEST(LaneExecutorShed, RejectNewestShedsAtCapacityAndFiresOnShed) {
-  LaneExecutor pool({/*workers=*/1, /*queueCapacity=*/2,
-                     ShedPolicy::kRejectNewest});
-  // Block the single worker so posts accumulate in its queue.
-  std::promise<void> gate = blockWorker(pool);
-
-  std::atomic<int> executed{0};
-  std::atomic<int> shedCallbacks{0};
-  int admitted = 0;
-  int rejected = 0;
-  for (int i = 0; i < 6; ++i) {
-    LaneExecutor::TaskMeta meta;
-    meta.onShed = [&shedCallbacks] { shedCallbacks.fetch_add(1); };
-    if (pool.post(0, [&executed] { executed.fetch_add(1); }, meta)) {
-      ++admitted;
-    } else {
-      ++rejected;
-    }
-  }
-  // Capacity 2: the first two fit behind the gate task, the rest shed --
-  // and the shed callback fires synchronously on the posting thread.
-  EXPECT_EQ(admitted, 2);
-  EXPECT_EQ(rejected, 4);
-  EXPECT_EQ(shedCallbacks.load(), 4);
-
-  gate.set_value();
-  pool.drain();
-  EXPECT_EQ(executed.load(), 2);
-  EXPECT_EQ(pool.tasksShed(), 4u);
-  EXPECT_EQ(pool.tasksExecuted(), 3u);  // gate + 2 admitted
-  EXPECT_EQ(pool.tasksInFlight(), 0);
-}
-
-TEST(LaneExecutorShed, DeadlineAwareEvictsTheNearestSoonerDeadline) {
-  LaneExecutor pool({1, 2, ShedPolicy::kDeadlineAware});
-  std::promise<void> gate = blockWorker(pool);
-
-  std::vector<int> shedOrder;
-  std::atomic<int> ran{0};
-  auto meta = [&shedOrder](int id, std::int64_t deadline) {
-    LaneExecutor::TaskMeta m;
-    m.deadlineNanos = deadline;
-    m.onShed = [&shedOrder, id] { shedOrder.push_back(id); };
-    return m;
-  };
-  auto task = [&ran] { ran.fetch_add(1); };
-
-  EXPECT_TRUE(pool.post(0, task, meta(1, 100)));
-  EXPECT_TRUE(pool.post(0, task, meta(2, 200)));
-  // Queue full.  Incoming deadline 150: task 1 (deadline 100) is nearer
-  // AND sooner than 150, so it is evicted and the incoming admitted.
-  EXPECT_TRUE(pool.post(0, task, meta(3, 150)));
-  EXPECT_EQ(shedOrder, (std::vector<int>{1}));
-  // Incoming deadline 50: nearest queued deadline is 150, NOT sooner than
-  // 50 -- the incoming task is rejected instead.
-  EXPECT_FALSE(pool.post(0, task, meta(4, 50)));
-  EXPECT_EQ(shedOrder, (std::vector<int>{1, 4}));
-
-  gate.set_value();
-  pool.drain();
-  EXPECT_EQ(ran.load(), 2);  // tasks 2 and 3
-  EXPECT_EQ(pool.tasksShed(), 2u);
-}
-
-TEST(LaneExecutorShed, DeadlineAwareNeverEvictsNoDeadlineTasks) {
-  LaneExecutor pool({1, 2, ShedPolicy::kDeadlineAware});
-  std::promise<void> gate = blockWorker(pool);
-
-  // Two queued tasks without deadlines: an urgent incoming task cannot
-  // evict them and is rejected.
-  EXPECT_TRUE(pool.post(0, [] {}));
-  EXPECT_TRUE(pool.post(0, [] {}));
-  LaneExecutor::TaskMeta urgent;
-  urgent.deadlineNanos = 1;
-  EXPECT_FALSE(pool.post(0, [] {}, urgent));
-
-  gate.set_value();
-  pool.drain();
-  EXPECT_EQ(pool.tasksShed(), 1u);
-}
-
-// TSan probe: many threads post into bounded queues while the workers run
-// and the observer counts sheds; whatever interleaving happens the global
-// accounting must balance.
-class LaneShedStorm : public ::testing::TestWithParam<int> {};
-
-TEST_P(LaneShedStorm, AccountingBalancesUnderContention) {
-  const bool deadlineAware = GetParam() != 0;
-  LaneExecutor pool({2, 4, deadlineAware ? ShedPolicy::kDeadlineAware
-                                         : ShedPolicy::kRejectNewest});
-  std::atomic<std::int64_t> observedSheds{0};
-  LaneExecutor::TaskObserver observer;
-  observer.onTaskShed = [&observedSheds](std::int64_t) {
-    observedSheds.fetch_add(1);
-  };
-  pool.setTaskObserver(std::move(observer));
-
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 500;
-  std::atomic<std::uint64_t> executed{0};
-  std::atomic<std::uint64_t> shedCallbacks{0};
-  std::atomic<std::uint64_t> admitted{0};
-  std::atomic<std::uint64_t> rejected{0};
-
-  std::vector<std::thread> posters;
-  for (int t = 0; t < kThreads; ++t) {
-    posters.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        LaneExecutor::TaskMeta meta;
-        meta.deadlineNanos = deadlineAware ? (t * kPerThread + i + 1) : 0;
-        meta.onShed = [&shedCallbacks] { shedCallbacks.fetch_add(1); };
-        if (pool.post(static_cast<std::uint64_t>(i % 8),
-                      [&executed] { executed.fetch_add(1); }, meta)) {
-          admitted.fetch_add(1);
-        } else {
-          rejected.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& thread : posters) thread.join();
-  pool.drain();
-
-  constexpr std::uint64_t kTotal =
-      static_cast<std::uint64_t>(kThreads) * kPerThread;
-  EXPECT_EQ(admitted.load() + rejected.load(), kTotal);
-  // Every posted task either executed or shed -- exactly once.
-  EXPECT_EQ(executed.load() + shedCallbacks.load(), kTotal);
-  EXPECT_EQ(pool.tasksExecuted() + pool.tasksShed(), kTotal);
-  EXPECT_EQ(pool.tasksExecuted(), executed.load());
-  EXPECT_EQ(pool.tasksShed(), shedCallbacks.load());
-  EXPECT_EQ(observedSheds.load(),
-            static_cast<std::int64_t>(pool.tasksShed()));
-  EXPECT_EQ(pool.tasksInFlight(), 0);
-  // Deadline-aware eviction can shed QUEUED tasks, so rejected (incoming
-  // sheds) may undercount total sheds; reject-newest sheds only incoming.
-  if (!deadlineAware) {
-    EXPECT_EQ(pool.tasksShed(), rejected.load());
-  } else {
-    EXPECT_GE(pool.tasksShed(), rejected.load());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Policies, LaneShedStorm, ::testing::Values(0, 1));
 
 // ----------------------------------------------- circuit breaker ----
 
@@ -349,12 +168,11 @@ OverloadOptions enabledOptions() {
 
 TEST(OverloadGovernorTest, ShedAccountingByReason) {
   OverloadGovernor governor(enabledOptions());
-  governor.noteShed(ShedReason::kQueueFull);
-  governor.noteShed(ShedReason::kQueueFull);
   governor.noteShed(ShedReason::kBudgetExpired);
-  EXPECT_EQ(governor.shedCount(ShedReason::kQueueFull), 2u);
-  EXPECT_EQ(governor.shedCount(ShedReason::kBudgetExpired), 1u);
-  EXPECT_EQ(governor.shedCount(ShedReason::kDeployCap), 0u);
+  governor.noteShed(ShedReason::kBudgetExpired);
+  governor.noteShed(ShedReason::kDeployCap);
+  EXPECT_EQ(governor.shedCount(ShedReason::kBudgetExpired), 2u);
+  EXPECT_EQ(governor.shedCount(ShedReason::kDeployCap), 1u);
   EXPECT_EQ(governor.shedCount(), 3u);
 }
 
@@ -390,7 +208,7 @@ TEST(OverloadGovernorTest, BrownoutEntersOnShedBurstAndDwellsOut) {
   OverloadGovernor governor(options);
 
   EXPECT_FALSE(governor.brownoutActive(SimTime::seconds(0.0)));
-  for (int i = 0; i < 4; ++i) governor.noteShed(ShedReason::kQueueFull);
+  for (int i = 0; i < 4; ++i) governor.noteShed(ShedReason::kBudgetExpired);
   EXPECT_TRUE(governor.brownoutActive(SimTime::seconds(0.5)));
   EXPECT_EQ(governor.brownoutEntries(), 1u);
   // No further sheds: the window rolls under the threshold, but the
@@ -415,8 +233,6 @@ TEST(OverloadGovernorTest, BreakerVetoesClusterWhenOpen) {
 TEST(OverloadOptionsTest, FromConfigParsesEveryKey) {
   Config config;
   config.set("overload_enabled", "true");
-  config.set("overload_lane_queue_capacity", "32");
-  config.set("overload_shed_policy", "deadline-aware");
   config.set("overload_request_budget_ms", "750");
   config.set("overload_max_deploys_per_cluster", "2");
   config.set("overload_breaker_enabled", "true");
@@ -429,10 +245,10 @@ TEST(OverloadOptionsTest, FromConfigParsesEveryKey) {
   config.set("overload_brownout_window_ms", "500");
   config.set("overload_brownout_min_dwell_ms", "3000");
 
-  const OverloadOptions options = OverloadOptions::fromConfig(config);
+  const auto parsed = OverloadOptions::fromConfig(config);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().toString();
+  const OverloadOptions& options = parsed.value();
   EXPECT_TRUE(options.enabled);
-  EXPECT_EQ(options.laneQueueCapacity, 32u);
-  EXPECT_EQ(options.shedPolicy, "deadline-aware");
   EXPECT_EQ(options.requestBudget, SimTime::millis(750));
   EXPECT_EQ(options.maxDeploysPerCluster, 2);
   EXPECT_TRUE(options.breakerEnabled);
@@ -446,6 +262,30 @@ TEST(OverloadOptionsTest, FromConfigParsesEveryKey) {
   EXPECT_EQ(options.brownoutMinDwell, SimTime::seconds(3.0));
 }
 
+TEST(OverloadOptionsTest, FromConfigRejectsUnknownAndMalformedKeys) {
+  // The lane admission keys went with the threaded front-end; a config
+  // still carrying them must fail loudly, not run with other semantics.
+  for (const char* removed :
+       {"overload_lane_queue_capacity", "overload_shed_policy"}) {
+    Config config;
+    config.set(removed, "32");
+    const auto parsed = OverloadOptions::fromConfig(config);
+    ASSERT_FALSE(parsed.ok()) << removed;
+    EXPECT_NE(parsed.error().message.find(removed), std::string::npos)
+        << parsed.error().message;
+  }
+  for (const auto& [key, value] :
+       {std::pair{"overload_brownout_shed_threshold", "-1"},
+        std::pair{"overload_breaker_failure_ratio", "nan"}}) {
+    Config config;
+    config.set(key, value);
+    const auto parsed = OverloadOptions::fromConfig(config);
+    ASSERT_FALSE(parsed.ok()) << key << " = " << value;
+    EXPECT_NE(parsed.error().message.find(key), std::string::npos)
+        << parsed.error().message;
+  }
+}
+
 // --------------------------------------- end-to-end request path ----
 
 const Endpoint kNginxAddr{Ipv4(203, 0, 113, 10), 80};
@@ -453,10 +293,8 @@ const Endpoint kNginxAddr{Ipv4(203, 0, 113, 10), 80};
 TEST(OverloadEndToEnd, GovernorDisabledByDefaultAndNothingSheds) {
   TestbedOptions options;
   options.clusterMode = ClusterMode::kDockerOnly;
-  options.controller.workers = 2;
   Testbed bed(options);
   EXPECT_EQ(bed.governor(), nullptr);
-  EXPECT_EQ(bed.controller().workerPool()->queueCapacity(), 0u);
 
   bed.warmImageCache("nginx");
   ASSERT_TRUE(bed.registerCatalogService("nginx", kNginxAddr).ok());
@@ -471,59 +309,6 @@ TEST(OverloadEndToEnd, GovernorDisabledByDefaultAndNothingSheds) {
             bed.controller().requestsResolved() +
                 bed.controller().requestsFailed() +
                 bed.controller().requestsShed());
-}
-
-TEST(OverloadEndToEnd, QueueFullShedAnswersDegradedCloudRedirect) {
-  TestbedOptions options;
-  options.clusterMode = ClusterMode::kDockerOnly;
-  options.controller.workers = 1;
-  options.controller.overload.enabled = true;
-  options.controller.overload.laneQueueCapacity = 1;
-  options.controller.overload.requestBudget = SimTime::zero();
-  options.controller.overload.brownoutShedThreshold = 0;
-  Testbed bed(options);
-  bed.warmImageCache("nginx");
-  ASSERT_TRUE(bed.registerCatalogService("nginx", kNginxAddr).ok());
-  ASSERT_NE(bed.governor(), nullptr);
-  EXPECT_EQ(bed.controller().workerPool()->queueCapacity(), 1u);
-
-  core::EdgeController& controller = bed.controller();
-  // Block the single worker so the next submit fills the queue and the one
-  // after that must shed.
-  std::promise<void> gate = blockWorker(*controller.workerPool());
-
-  std::optional<Result<Redirect>> first;
-  std::optional<Result<Redirect>> second;
-  controller.submitRequest(clientIp(0), kNginxAddr,
-                           [&](Result<Redirect> r) { first = std::move(r); });
-  controller.submitRequest(clientIp(1), kNginxAddr,
-                           [&](Result<Redirect> r) { second = std::move(r); });
-  // The shed answer is synchronous on the submitting thread: an immediate
-  // degraded redirect to the cloud-hosted instance, no queueing.
-  ASSERT_TRUE(second.has_value());
-  ASSERT_TRUE(second->ok());
-  EXPECT_TRUE(second->value().shed);
-  EXPECT_TRUE(second->value().degraded);
-  EXPECT_EQ(second->value().cluster, "cloud");
-  EXPECT_EQ(bed.governor()->shedCount(ShedReason::kQueueFull), 1u);
-
-  gate.set_value();
-  Simulation& sim = bed.sim();
-  int guard = 0;
-  while (!first.has_value()) {
-    sim.waitForExternal(std::chrono::microseconds(200));
-    sim.pump(10_ms);
-    ASSERT_LT(++guard, 50000) << "first request stalled";
-  }
-  controller.workerPool()->drain();
-  sim.pump(10_ms);
-  EXPECT_TRUE(first->ok());
-  EXPECT_FALSE(first->value().shed);
-
-  EXPECT_EQ(controller.requestsSubmitted(), 2u);
-  EXPECT_EQ(controller.requestsResolved(), 1u);
-  EXPECT_EQ(controller.requestsShed(), 1u);
-  EXPECT_EQ(controller.requestsFailed(), 0u);
 }
 
 TEST(OverloadEndToEnd, ExpiredBudgetFailsFastToCloudWhileDeployContinues) {
@@ -684,11 +469,11 @@ TEST(OverloadEndToEnd, BrownoutForcesImmediateRedirectsAfterShedBurst) {
   core::EdgeController& controller = bed.controller();
 
   // Three distinct budget-expiry sheds within the window arm brownout...
-  std::atomic<int> answered{0};
+  int answered = 0;
   for (int i = 0; i < 3; ++i) {
     bed.sim().scheduleAt(SimTime::seconds(1.0 + i * 0.5), [&, i] {
       controller.submitRequest(clientIp(i), kNginxAddr,
-                               [&](Result<Redirect>) { answered.fetch_add(1); });
+                               [&](Result<Redirect>) { ++answered; });
     });
   }
   // ... so this cold request is answered from the cloud IMMEDIATELY (the
@@ -703,7 +488,7 @@ TEST(OverloadEndToEnd, BrownoutForcesImmediateRedirectsAfterShedBurst) {
   });
   bed.sim().runUntil(120_s);
 
-  EXPECT_EQ(answered.load(), 3);
+  EXPECT_EQ(answered, 3);
   EXPECT_EQ(bed.governor()->brownoutEntries(), 1u);
   ASSERT_TRUE(fourth.has_value());
   ASSERT_TRUE(fourth->ok());

@@ -63,7 +63,9 @@ reconcile_period_ms = 2000
 reconcile_sweep_timeout_ms = 100
 )");
   ASSERT_TRUE(parsed.ok());
-  const auto options = ControllerOptions::fromConfig(parsed.value());
+  const auto result = ControllerOptions::fromConfig(parsed.value());
+  ASSERT_TRUE(result.ok()) << result.error().toString();
+  const ControllerOptions& options = result.value();
   EXPECT_FALSE(options.reliableFlowMods);
   EXPECT_EQ(options.flowModAckTimeout, 75_ms);
   EXPECT_EQ(options.flowModRetries, 5);
@@ -74,10 +76,11 @@ reconcile_sweep_timeout_ms = 100
 TEST(ReconcileConfigTest, ReconcileEnabledImpliesDefaultPeriod) {
   const auto parsed = Config::parse("reconcile_enabled = true\n");
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(ControllerOptions::fromConfig(parsed.value()).reconcilePeriod,
+  EXPECT_EQ(ControllerOptions::fromConfig(parsed.value()).value()
+                .reconcilePeriod,
             1_s);
   // Off by default: no period, no reconciler.
-  EXPECT_EQ(ControllerOptions::fromConfig(Config()).reconcilePeriod,
+  EXPECT_EQ(ControllerOptions::fromConfig(Config()).value().reconcilePeriod,
             SimTime::zero());
 }
 

@@ -5,11 +5,8 @@
 // cases, the SLO watchdog trigger/no-trigger paths, the bounded
 // Recorder / TraceRecorder buffers, and the one-ledger contract: every
 // controller, dispatcher and governor count is a registry series.
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <future>
 #include <map>
 #include <memory>
 #include <set>
@@ -490,6 +487,7 @@ TEST(TraceRecorderCapTest, DisabledRecorderDoesNotCountDrops) {
 using namespace edgesim::timeliterals;
 
 const Endpoint kLedgerNginx(Ipv4(203, 0, 113, 10), 80);
+const Endpoint kLedgerResnet(Ipv4(203, 0, 113, 11), 80);
 
 /// Every controller, dispatcher and governor count, keyed by accessor.
 using Counts = std::map<std::string, std::uint64_t>;
@@ -523,7 +521,6 @@ Counts accessorCounts(core::EdgeController& controller) {
       {"fallbacks", dispatcher.fallbacks()},
       {"quarantines", dispatcher.quarantines()},
       {"shedCount", governor.shedCount()},
-      {"shedCount(queue_full)", governor.shedCount(ShedReason::kQueueFull)},
       {"shedCount(budget_expired)",
        governor.shedCount(ShedReason::kBudgetExpired)},
       {"shedCount(deploy_cap)", governor.shedCount(ShedReason::kDeployCap)},
@@ -576,7 +573,6 @@ Counts seriesCounts(const TelemetrySnapshot& snap) {
       {"fallbacks", snap.counterTotal("edgesim_deploy_fallbacks_total")},
       {"quarantines", snap.counterTotal("edgesim_deploy_quarantines_total")},
       {"shedCount", snap.counterTotal("edgesim_shed_total")},
-      {"shedCount(queue_full)", shed("queue_full")},
       {"shedCount(budget_expired)", shed("budget_expired")},
       {"shedCount(deploy_cap)", shed("deploy_cap")},
       {"brownoutEntries",
@@ -586,21 +582,21 @@ Counts seriesCounts(const TelemetrySnapshot& snap) {
 }
 
 /// Packet-in requests through a lossy controller->switch channel (ack
-/// timeouts, resends, one failover to the cloud), then pooled
-/// submitRequests against a one-slot lane queue (one admitted, the rest
-/// shed).  Returns at quiescence.
+/// timeouts, resends, one failover to the cloud), then submitRequests:
+/// warm hits on the memorized flows, and one cold request for a service
+/// whose image pull outlasts the request budget (shed to the cloud).
+/// Returns at quiescence.
 std::unique_ptr<core::Testbed> runLedgerScenario(bool telemetry) {
   core::TestbedOptions options;
   options.clusterMode = core::ClusterMode::kDockerOnly;
   options.telemetry = telemetry;
-  options.controller.workers = 1;
   options.controller.overload.enabled = true;
-  options.controller.overload.laneQueueCapacity = 1;
-  options.controller.overload.requestBudget = SimTime::zero();
+  options.controller.overload.requestBudget = 2_s;
   options.controller.overload.brownoutShedThreshold = 0;
   auto bed = std::make_unique<core::Testbed>(options);
   bed->warmImageCache("nginx");
   EXPECT_TRUE(bed->registerCatalogService("nginx", kLedgerNginx).ok());
+  EXPECT_TRUE(bed->registerCatalogService("resnet", kLedgerResnet).ok());
 
   fault::FaultPlan plan(11);
   fault::FaultSpec loss;
@@ -618,32 +614,18 @@ std::unique_ptr<core::Testbed> runLedgerScenario(bool telemetry) {
   });
   sim.runUntil(40_s);
 
-  // Occupy the only worker so the first submit fills the one-slot queue
-  // and every later one is shed at admission.
   core::EdgeController& controller = bed->controller();
-  std::promise<void> gate;
-  std::promise<void> started;
-  controller.workerPool()->post(
-      0, [opened = gate.get_future().share(), &started] {
-        started.set_value();
-        opened.wait();
-      });
-  started.get_future().wait();
   constexpr int kSubmits = 4;
-  std::atomic<int> answered{0};
+  int answered = 0;
   for (int i = 0; i < kSubmits; ++i) {
     controller.submitRequest(
         bed->client(static_cast<std::size_t>(i % 3)).ip(), kLedgerNginx,
-        [&answered](Result<core::Redirect>) { answered.fetch_add(1); });
+        [&answered](Result<core::Redirect>) { ++answered; });
   }
-  gate.set_value();
-  for (int guard = 0; answered.load() < kSubmits && guard < 50000; ++guard) {
-    sim.waitForExternal(std::chrono::microseconds(200));
-    sim.pump(10_ms);
-  }
-  EXPECT_EQ(answered.load(), kSubmits) << "pooled submits stalled";
-  controller.workerPool()->drain();
+  controller.submitRequest(bed->client(0).ip(), kLedgerResnet,
+                           [&answered](Result<core::Redirect>) { ++answered; });
   sim.runUntil(60_s);
+  EXPECT_EQ(answered, kSubmits + 1);
   return bed;
 }
 
@@ -656,7 +638,7 @@ TEST(OneLedgerTest, AccessorsReadTheirSeriesAndTheSnapshotReconciles) {
 
   // The scenario exercised every ledger path it claims to.
   EXPECT_GE(counts.at("requestsShed"), 1u);
-  EXPECT_GE(counts.at("shedCount(queue_full)"), 1u);
+  EXPECT_GE(counts.at("shedCount(budget_expired)"), 1u);
   EXPECT_GE(counts.at("warmHits"), 1u);
   EXPECT_GE(counts.at("flowModsTimedOut"), 1u);
   EXPECT_GE(counts.at("flowModResends"), 1u);

@@ -6,7 +6,7 @@
 //
 // Top mode tails a snapshot directory (as written by telemetry::SnapshotWriter
 // or `bench_telemetry_fig16`): every refresh it picks the highest-sequence
-// snapshot_*.json, parses it and renders request / shard / lane / phase /
+// snapshot_*.json, parses it and renders request / shard / drop / phase /
 // overload-governor / handover / control-channel / SLO health tables.  When
 // the snapshot carries the parallel core's `edgesim_domain_*` series (a
 // telemetry::DomainProbe was attached) it also renders a per-domain table
@@ -134,24 +134,15 @@ void renderShards(const TelemetrySnapshot& snap, std::string& out) {
   out += "flow memory shards\n" + table.render() + "\n";
 }
 
-void renderLanes(const TelemetrySnapshot& snap, std::string& out) {
-  const auto* depth = snap.findGauge("edgesim_lane_queue_depth");
-  const auto* wait = snap.findHistogram("edgesim_lane_wait_seconds");
+void renderDrops(const TelemetrySnapshot& snap, std::string& out) {
   const auto* recorderDrops = snap.findGauge("edgesim_recorder_dropped_events");
   const auto* traceDrops = snap.findGauge("edgesim_trace_dropped_events");
-  if (depth == nullptr && wait == nullptr) return;
-  Table table({"in flight", "tasks", "wait p50 (ms)", "wait p95 (ms)",
-               "recorder drops", "trace drops"});
-  table.addRow({depth != nullptr ? strprintf("%.0f", depth->value) : "-",
-                wait != nullptr ? fmtCount(wait->count) : "-",
-                wait != nullptr ? fmtQuantileMs(*wait, 0.5) : "-",
-                wait != nullptr ? fmtQuantileMs(*wait, 0.95) : "-",
-                recorderDrops != nullptr
-                    ? strprintf("%.0f", recorderDrops->value)
-                    : "-",
-                traceDrops != nullptr ? strprintf("%.0f", traceDrops->value)
-                                      : "-"});
-  out += "controller lanes\n" + table.render() + "\n";
+  if (recorderDrops == nullptr && traceDrops == nullptr) return;
+  const auto fmt = [](const auto* gauge) {
+    return gauge != nullptr ? strprintf("%.0f", gauge->value) : "-";
+  };
+  out += strprintf("recorder drops %s  trace drops %s\n\n",
+                   fmt(recorderDrops).c_str(), fmt(traceDrops).c_str());
 }
 
 void renderPhases(const TelemetrySnapshot& snap, std::string& out) {
@@ -479,15 +470,12 @@ void renderWatchdog(const TelemetrySnapshot& snap, std::string& out) {
       "edgesim_domain_watchdog_wakes_total", {{"result", "productive"}});
   const std::uint64_t redundant = snap.counterValue(
       "edgesim_domain_watchdog_wakes_total", {{"result", "redundant"}});
-  const auto* external = snap.findGauge("edgesim_domain_external_inbox_depth");
-  if (passes + productive + redundant == 0 && external == nullptr) return;
+  if (passes + productive + redundant == 0) return;
   out += strprintf(
-      "watchdog passes %llu  wakes productive %llu / redundant %llu  "
-      "external inbox %.0f\n\n",
+      "watchdog passes %llu  wakes productive %llu / redundant %llu\n\n",
       static_cast<unsigned long long>(passes),
       static_cast<unsigned long long>(productive),
-      static_cast<unsigned long long>(redundant),
-      external != nullptr ? external->value : 0.0);
+      static_cast<unsigned long long>(redundant));
 }
 
 std::string renderFrame(const TelemetrySnapshot& snap,
@@ -498,7 +486,7 @@ std::string renderFrame(const TelemetrySnapshot& snap,
                               snap.simTimeSeconds);
   renderRequests(snap, out);
   renderShards(snap, out);
-  renderLanes(snap, out);
+  renderDrops(snap, out);
   renderPhases(snap, out);
   renderOverload(snap, out);
   renderHandovers(snap, out);
