@@ -36,9 +36,9 @@ StrategyResult runStrategy(ClusterMode mode, bool alsoDeployK8s) {
   if (alsoDeployK8s) {
     // Fire the K8s deployment the moment the controller sees the request
     // (here: right away), like the combined strategy suggests.
-    const ServiceModel* model = bed.controller().serviceAt(address);
+    const ServiceModelPtr model = bed.controller().serviceAt(address);
     bed.controller().dispatcher().ensureReady(
-        *model, *bed.k8sAdapter(), [&result, &bed](Result<Endpoint> r) {
+        model, *bed.k8sAdapter(), [&result, &bed](Result<Endpoint> r) {
           if (r.ok()) result.k8sManagedAt = bed.sim().now().toSeconds();
         });
   }

@@ -63,7 +63,7 @@ CrowdResult runCrowd(bool withAutoscaler) {
   bed.sim().runUntil(20_s);
   ES_ASSERT(up);
 
-  const ServiceModel* model = bed.controller().serviceAt(address);
+  const ServiceModel* model = bed.controller().serviceAt(address).get();
   std::unique_ptr<k8s::HorizontalAutoscaler> hpa;
   if (withAutoscaler) {
     k8s::AutoscalerParams params;

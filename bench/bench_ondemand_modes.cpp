@@ -34,11 +34,11 @@ ModeResult runMode(const std::string& scheduler, bool farInstanceRunning) {
   ES_ASSERT(bed.registerCatalogService("nginx", address).ok());
   bed.warmImageCache("nginx");
 
-  const ServiceModel* model = bed.controller().serviceAt(address);
+  const ServiceModelPtr model = bed.controller().serviceAt(address);
   if (farInstanceRunning) {
     bool ready = false;
     bed.controller().dispatcher().ensureReady(
-        *model, *bed.farEdgeAdapter(),
+        model, *bed.farEdgeAdapter(),
         [&ready](Result<Endpoint> r) { ready = r.ok(); });
     bed.sim().runUntil(5_s);
     ES_ASSERT(ready);

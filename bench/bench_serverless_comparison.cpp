@@ -35,7 +35,7 @@ double containerFirstRequest(const std::string& key, CacheState state) {
   ES_ASSERT(bed.registerCatalogService(key, address).ok());
   if (state != CacheState::kCold) bed.warmImageCache(key);
   if (state == CacheState::kInstanceScaledToZero) {
-    const auto* model = bed.controller().serviceAt(address);
+    const auto* model = bed.controller().serviceAt(address).get();
     bool done = false;
     bed.dockerAdapter()->createService(*model, [&done](Status s) {
       ES_ASSERT(s.ok());
@@ -59,7 +59,7 @@ double serverlessFirstRequest(const std::string& key, CacheState state) {
   Testbed bed(options);
   const Endpoint address(Ipv4(203, 0, 113, 10), 80);
   ES_ASSERT(bed.registerCatalogService(key, address).ok());
-  const auto* model = bed.controller().serviceAt(address);
+  const auto* model = bed.controller().serviceAt(address).get();
   if (!core::ServerlessAdapter::supportsService(*model)) return -1;
   const auto spec = core::ServerlessAdapter::toFunctionSpec(*model);
   if (state != CacheState::kCold) {

@@ -77,8 +77,8 @@ int main(int argc, char** argv) {
 
   // Exercise the configured behaviour: a far instance runs, so the
   // latency-first scheduler answers from it and deploys near in parallel.
-  const ServiceModel* model = bed.controller().serviceAt(address);
-  bed.controller().dispatcher().ensureReady(*model, *bed.farEdgeAdapter(),
+  const ServiceModelPtr model = bed.controller().serviceAt(address);
+  bed.controller().dispatcher().ensureReady(model, *bed.farEdgeAdapter(),
                                             [](Result<Endpoint>) {});
   bed.sim().runUntil(5_s);
 

@@ -66,7 +66,7 @@ int main() {
   // -- 3. counterfactual: the same requests served by the cloud -------------
   // (direct request to the always-on cloud instance; the controller routes
   // unregistered addresses over the WAN uplink).
-  const ServiceModel* model = bed.controller().serviceAt(edgeService);
+  const ServiceModel* model = bed.controller().serviceAt(edgeService).get();
   const auto cloudInstance = bed.cloudAdapter()->readyInstances(*model);
   if (!cloudInstance.empty()) {
     for (std::size_t client = 0; client < bed.clientCount(); ++client) {

@@ -50,7 +50,8 @@ int main() {
   std::printf("deploying the same definition to Kubernetes...\n");
   bool k8sReady = false;
   bed.controller().dispatcher().ensureReady(
-      model, *bed.k8sAdapter(), [&](Result<Endpoint> result) {
+      bed.controller().serviceAt(serviceAddress), *bed.k8sAdapter(),
+      [&](Result<Endpoint> result) {
         if (result.ok()) {
           k8sReady = true;
           std::printf("Kubernetes replica ready at %s\n",

@@ -90,8 +90,8 @@ int main() {
   bed.warmImageCache("nginx");
 
   // Pre-run an instance at the FAR edge only.
-  const ServiceModel* model = bed.controller().serviceAt(serviceAddress);
-  bed.controller().dispatcher().ensureReady(*model, *bed.farEdgeAdapter(),
+  const ServiceModelPtr model = bed.controller().serviceAt(serviceAddress);
+  bed.controller().dispatcher().ensureReady(model, *bed.farEdgeAdapter(),
                                             [](Result<Endpoint>) {});
   bed.sim().runUntil(5_s);
 

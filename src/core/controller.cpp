@@ -179,11 +179,11 @@ EdgeController::~EdgeController() { reconciler_.reset(); }
 // ---- the resolve pipeline ---------------------------------------------------
 
 EdgeController::RequestContext EdgeController::beginRequest(
-    Ipv4 client, Endpoint serviceAddress, const ServiceModel* service,
+    Ipv4 client, Endpoint serviceAddress, ServiceModelPtr service,
     const Packet* packet, SimTime now) {
   ledger_.submitted.add();
   RequestContext request;
-  request.service = service;
+  request.service = std::move(service);
   request.startedAt = now;
   // The deadline budget starts here: it rides through the FlowMemory
   // lookup and the dispatcher's deployment wait.
@@ -191,13 +191,13 @@ EdgeController::RequestContext EdgeController::beginRequest(
       governor_->options().requestBudget > SimTime::zero()) {
     request.deadline = now + governor_->options().requestBudget;
   }
-  if (trace_ == nullptr || service == nullptr) return request;
+  if (trace_ == nullptr || request.service == nullptr) return request;
   // The request ID is allocated here, at entry: everything the request
   // triggers downstream (FlowMemory lookup, scheduler decision, deployment
   // phases, flow install) is stamped with it.  A packet-in also binds the
   // flow, so the client-side timecurl measurement joins the request.
   request.rid = trace_->newRequest();
-  trace::TraceArgs spanArgs{{"service", service->uniqueName}};
+  trace::TraceArgs spanArgs{{"service", request.service->uniqueName}};
   if (packet != nullptr) {
     trace_->bindFlow(client, serviceAddress, request.rid);
     trace_->instant(request.rid, "packet-in", "controller", now,
@@ -297,7 +297,7 @@ void EdgeController::submitRequest(Ipv4 client, Endpoint serviceAddress,
   // Cold miss: the Dispatcher's per-(service, cluster) pending table
   // coalesces concurrent cold requests into a single deployment.
   dispatcher_->resolve(
-      *request.service, client,
+      request.service, client,
       [this, request, cb = std::move(cb)](Result<Redirect> result) {
         recordOutcome(request, result, sim_.now());
         cb(std::move(result));
@@ -321,7 +321,7 @@ Result<const ServiceModel*> EdgeController::registerService(
   if (!model.ok()) return model.error();
   model.value().tag = tag;
 
-  auto owned = std::make_unique<ServiceModel>(std::move(model).value());
+  auto owned = std::make_shared<const ServiceModel>(std::move(model).value());
   // The "real" service exists in the cloud from day one -- that is what
   // the transparent approach redirects away from.  Its address doubles as
   // the failover target of installs and handovers that cannot land.
@@ -362,20 +362,21 @@ void EdgeController::attachSwitch(OpenFlowSwitch& sw,
   sw.setController(this);
 }
 
-const ServiceModel* EdgeController::serviceAt(Endpoint address) const {
+const ServiceModelPtr& EdgeController::serviceAt(Endpoint address) const {
+  static const ServiceModelPtr kNone;
   const auto it = services_.find(address);
-  return it == services_.end() ? nullptr : it->second.get();
+  return it == services_.end() ? kNone : it->second;
 }
 
 void EdgeController::onPacketIn(OpenFlowSwitch& sw, const PacketIn& event) {
   ledger_.packetIns.add();
   const Endpoint dst = event.packet.dstEndpoint();
-  const ServiceModel* service = serviceAt(dst);
+  const ServiceModelPtr& service = serviceAt(dst);
   if (service == nullptr) {
     handleUnregistered(sw, event);
     return;
   }
-  handleRegisteredService(sw, event, *service);
+  handleRegisteredService(sw, event, service);
 }
 
 void EdgeController::handleUnregistered(OpenFlowSwitch& sw,
@@ -415,7 +416,8 @@ ActionList EdgeController::redirectActions(OpenFlowSwitch& sw,
 
 void EdgeController::handleRegisteredService(OpenFlowSwitch& sw,
                                              const PacketIn& event,
-                                             const ServiceModel& service) {
+                                             const ServiceModelPtr& model) {
+  const ServiceModel& service = *model;
   const Ipv4 client = event.packet.ipSrc;
   const PendingKey key{client, service.address};
 
@@ -434,11 +436,11 @@ void EdgeController::handleRegisteredService(OpenFlowSwitch& sw,
   }
   pending.resolving = true;
   pending.request =
-      beginRequest(client, service.address, &service, &event.packet,
+      beginRequest(client, service.address, model, &event.packet,
                    sim_.now());
   const RequestContext& request = pending.request;
   dispatcher_->resolve(
-      service, client,
+      model, client,
       [this, key, &sw, &service, request](Result<Redirect> result) {
         recordOutcome(request, result, sim_.now());
         if (!result.ok()) {
@@ -592,7 +594,7 @@ void EdgeController::failOverInstall(std::uint64_t cookie) {
                      {"service", install.service.toString()}});
   }
   const auto cloudIt = cloudRedirects_.find(install.service);
-  const ServiceModel* service = serviceAt(install.service);
+  const ServiceModel* service = serviceAt(install.service).get();
   if (cloudIt == cloudRedirects_.end() || service == nullptr) {
     // No cloud instance to degrade to: the memorized binding stays; the
     // client's TCP retransmissions re-trigger packet-in once the channel
@@ -632,7 +634,7 @@ std::vector<EdgeController::IntendedFlow> EdgeController::intendedFlows(
     OpenFlowSwitch& sw) const {
   std::vector<IntendedFlow> intended;
   for (const MemorizedFlow& flow : memory_.snapshot()) {
-    const ServiceModel* service = serviceAt(flow.service);
+    const ServiceModel* service = serviceAt(flow.service).get();
     if (service == nullptr) continue;
     // Only flows believed to be on the switch count as intended: a flow
     // whose entry aged out with a delivered FlowRemoved lives on in memory
@@ -660,7 +662,7 @@ std::vector<EdgeController::IntendedFlow> EdgeController::intendedFlows(
 bool EdgeController::reinstallRedirect(OpenFlowSwitch& sw, Ipv4 client,
                                        Endpoint serviceAddress,
                                        Endpoint instance) {
-  const ServiceModel* service = serviceAt(serviceAddress);
+  const ServiceModel* service = serviceAt(serviceAddress).get();
   if (service == nullptr || switches_.count(&sw) == 0) return false;
   installRedirectFlows(sw, client, *service, instance);
   return true;
@@ -755,7 +757,7 @@ void EdgeController::finishExpiry() {
     if (memory_.flowsFor(flow.service, flow.cluster) != 0) continue;
     ClusterAdapter* adapter = dispatcher_->adapterByName(flow.cluster);
     if (adapter == nullptr || adapter->isCloud()) continue;
-    const ServiceModel* service = serviceAt(flow.service);
+    const ServiceModel* service = serviceAt(flow.service).get();
     if (service == nullptr) continue;
     ledger_.scaleDowns.add();
     ES_INFO("controller", "scaling down idle service %s on %s",
@@ -783,7 +785,7 @@ void EdgeController::finishExpiry() {
       continue;
     }
     ClusterAdapter* adapter = dispatcher_->adapterByName(clusterName);
-    const ServiceModel* service = serviceAt(address);
+    const ServiceModel* service = serviceAt(address).get();
     if (adapter != nullptr && service != nullptr) {
       ledger_.removals.add();
       ES_INFO("controller", "removing long-idle service %s from %s",
@@ -807,7 +809,7 @@ void EdgeController::finishExpiry() {
 Status EdgeController::predeploy(Endpoint serviceAddress,
                                  const std::string& clusterName,
                                  std::function<void(Result<Endpoint>)> cb) {
-  const ServiceModel* service = serviceAt(serviceAddress);
+  const ServiceModelPtr& service = serviceAt(serviceAddress);
   if (service == nullptr) {
     return makeError(Errc::kNotFound, "no service registered at " +
                                           serviceAddress.toString());
@@ -817,7 +819,7 @@ Status EdgeController::predeploy(Endpoint serviceAddress,
     return makeError(Errc::kNotFound, "no cluster named " + clusterName);
   }
   scaledDownAt_.erase({serviceAddress, clusterName});
-  dispatcher_->ensureReady(*service, *adapter,
+  dispatcher_->ensureReady(service, *adapter,
                            [cb = std::move(cb)](Result<Endpoint> result) {
                              if (cb) cb(std::move(result));
                            });
@@ -846,7 +848,7 @@ void EdgeController::requestHandover(Ipv4 client, Endpoint serviceAddress,
       cb(result);
     }
   };
-  const ServiceModel* service = serviceAt(serviceAddress);
+  const ServiceModelPtr& service = serviceAt(serviceAddress);
   if (service == nullptr) {
     noop("unknown-service");
     return;
@@ -918,9 +920,9 @@ void EdgeController::requestHandover(Ipv4 client, Endpoint serviceAddress,
     trace_->instant(ah.rid, "handover-deploy", "mobility", sim_.now(),
                     {{"cluster", targetCluster}});
   }
-  const ServiceModel* servicePtr = service;
+  const ServiceModel* servicePtr = service.get();
   dispatcher_->ensureReady(
-      *service, *target,
+      service, *target,
       [this, key, servicePtr, targetCluster](Result<Endpoint> result) {
         if (handovers_.count(key) == 0) return;
         if (!result.ok()) {
@@ -1051,7 +1053,7 @@ void EdgeController::settleHandover(const PendingKey& key,
   if (options_.scaleDownIdleServices && ah.oldCluster != cluster &&
       memory_.flowsFor(key.service, ah.oldCluster) == 0) {
     ClusterAdapter* old = dispatcher_->adapterByName(ah.oldCluster);
-    const ServiceModel* servicePtr = serviceAt(key.service);
+    const ServiceModel* servicePtr = serviceAt(key.service).get();
     if (old != nullptr && !old->isCloud() && servicePtr != nullptr) {
       ledger_.scaleDowns.add();
       ES_INFO("controller", "scaling down vacated service %s on %s",

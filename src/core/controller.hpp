@@ -251,7 +251,8 @@ class EdgeController : public openflow::ControllerApp {
   overload::OverloadGovernor* governor() { return governor_.get(); }
 
   // ---- introspection ------------------------------------------------------
-  const ServiceModel* serviceAt(Endpoint address) const;
+  /// The model registered at `address`, or nullptr.
+  const ServiceModelPtr& serviceAt(Endpoint address) const;
 
   /// Proactive deployment hook (§VII: "more so when combined with good
   /// prediction for proactive deployment"): deploy the service on the
@@ -355,7 +356,7 @@ class EdgeController : public openflow::ControllerApp {
   /// recordOutcome().
   struct RequestContext {
     /// nullptr for an unregistered address (submitRequest only).
-    const ServiceModel* service = nullptr;
+    ServiceModelPtr service;
     /// Trace identity: the request ID and its open "resolve" span.
     trace::RequestId rid = 0;
     trace::SpanId span = 0;
@@ -412,7 +413,7 @@ class EdgeController : public openflow::ControllerApp {
 
   void handleRegisteredService(openflow::OpenFlowSwitch& sw,
                                const openflow::PacketIn& event,
-                               const ServiceModel& service);
+                               const ServiceModelPtr& model);
   void handleUnregistered(openflow::OpenFlowSwitch& sw,
                           const openflow::PacketIn& event);
   /// The forward (+ reverse) redirect entries for (client, service ->
@@ -463,7 +464,7 @@ class EdgeController : public openflow::ControllerApp {
   /// packet-in that started it (bound to the flow and traced), or nullptr
   /// for submitRequest.
   RequestContext beginRequest(Ipv4 client, Endpoint serviceAddress,
-                              const ServiceModel* service,
+                              ServiceModelPtr service,
                               const Packet* packet, SimTime now);
   /// Shared exit step, exactly once per beginRequest: count the outcome
   /// (shed when the redirect says so, else failed or resolved + degraded),
@@ -527,7 +528,7 @@ class EdgeController : public openflow::ControllerApp {
   /// handovers send a flow.
   std::unordered_map<Endpoint, Redirect> cloudRedirects_;
   std::vector<ClusterAdapter*> adapters_;
-  std::unordered_map<Endpoint, std::unique_ptr<ServiceModel>> services_;
+  std::unordered_map<Endpoint, ServiceModelPtr> services_;
   std::map<openflow::OpenFlowSwitch*, SwitchTopology> switches_;
   std::map<PendingKey, PendingRequest> pendingRequests_;
   std::map<PendingKey, ActiveHandover> handovers_;

@@ -150,10 +150,12 @@ void Dispatcher::tracePhase(const std::string& key, const char* phase,
                        {{"ok", ok ? "true" : "false"}}, it->second.span);
 }
 
-void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
+void Dispatcher::resolve(ServiceModelPtr model, Ipv4 client,
                          ResolveCallback cb, trace::RequestId rid,
                          SimTime deadline) {
   ES_ASSERT(cb != nullptr);
+  ES_ASSERT(model != nullptr);
+  const ServiceModel& service = *model;
   ES_ASSERT_MSG(std::this_thread::get_id() == controlThread_,
                 "Dispatcher::resolve off the simulation thread, which owns "
                 "all controller state");
@@ -227,7 +229,7 @@ void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
       }
       const Endpoint serviceAddress = service.address;
       const std::string clusterName = best->name();
-      ensureReady(service, *best,
+      ensureReady(model, *best,
                   [this, serviceAddress, clusterName](Result<Endpoint> result) {
                     if (!result.ok()) {
                       ES_WARN("dispatcher", "background deployment failed: %s",
@@ -290,7 +292,7 @@ void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
                       "brownout-redirect")) {
     governor_->brownoutRedirectCounter().add();
     const SimTime deployStart = sim_.now();
-    ensureReady(service, *fast,
+    ensureReady(model, *fast,
                 [this, breaker, deployStart](Result<Endpoint> result) {
                   if (breaker == nullptr) return;
                   if (result.ok()) {
@@ -320,23 +322,23 @@ void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
   if (governor_ != nullptr && deadline < SimTime::max()) {
     const SimTime now = sim_.now();
     const SimTime delay = deadline > now ? deadline - now : SimTime::zero();
-    *budgetTimer = sim_.schedule(delay, [this, service, client, cb, answered,
+    *budgetTimer = sim_.schedule(delay, [this, model, client, cb, answered,
                                          rid] {
       if (*answered) return;
       *answered = true;
       governor_->noteShed(overload::ShedReason::kBudgetExpired);
-      if (!answerFromCloud(service, client, cb, /*shed=*/true, rid,
+      if (!answerFromCloud(*model, client, cb, /*shed=*/true, rid,
                            "budget-expired")) {
         cb(makeError(Errc::kTimeout,
                      "request deadline budget expired before " +
-                         service.uniqueName + " deployed"));
+                         model->uniqueName + " deployed"));
       }
     });
   }
   const SimTime deployStart = sim_.now();
   const std::string clusterName = fast->name();
-  ensureReady(service, *fast,
-              [this, service, client, clusterName, cb, rid, breaker,
+  ensureReady(model, *fast,
+              [this, model, client, clusterName, cb, rid, breaker,
                probeStarted, deployStart, answered,
                budgetTimer](Result<Endpoint> result) {
                 budgetTimer->cancel();
@@ -359,7 +361,7 @@ void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
                   // shed cloud answer; the deployment outcome only feeds
                   // the breaker (and FlowMemory for future requests).
                   if (result.ok()) {
-                    memory_.upsert(client, service.address, result.value(),
+                    memory_.upsert(client, model->address, result.value(),
                                    clusterName, sim_.now());
                   }
                   return;
@@ -373,7 +375,7 @@ void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
                   ClusterAdapter* cloud = cloudAdapter();
                   if (options_.cloudFallback && cloud != nullptr &&
                       cloud->name() != clusterName) {
-                    const auto cloudReady = cloud->readyInstances(service);
+                    const auto cloudReady = cloud->readyInstances(*model);
                     if (!cloudReady.empty()) {
                       clusterTelemetry(clusterName).fallbacks->add();
                       if (trace_ != nullptr) {
@@ -385,13 +387,13 @@ void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
                       if (recorder_ != nullptr) {
                         recorder_->addSample("fallback", 1.0);
                         recorder_->addSample(
-                            strprintf("%s/%s/fallback", service.tag.c_str(),
+                            strprintf("%s/%s/fallback", model->tag.c_str(),
                                       clusterName.c_str()),
                             1.0);
                       }
                       ES_WARN("dispatcher",
                               "degrading %s to cloud after failure on %s: %s",
-                              service.uniqueName.c_str(), clusterName.c_str(),
+                              model->uniqueName.c_str(), clusterName.c_str(),
                               result.error().toString().c_str());
                       Redirect redirect{localScheduler_->pick(cloudReady,
                                                               client),
@@ -404,17 +406,18 @@ void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
                   cb(result.error());
                   return;
                 }
-                memory_.upsert(client, service.address, result.value(),
+                memory_.upsert(client, model->address, result.value(),
                                clusterName, sim_.now());
                 cb(Redirect{result.value(), clusterName, false});
               },
               rid);
 }
 
-void Dispatcher::ensureReady(const ServiceModel& service,
-                             ClusterAdapter& cluster, ReadyCallback cb,
-                             trace::RequestId rid) {
+void Dispatcher::ensureReady(ServiceModelPtr model, ClusterAdapter& cluster,
+                             ReadyCallback cb, trace::RequestId rid) {
   ES_ASSERT(cb != nullptr);
+  ES_ASSERT(model != nullptr);
+  const ServiceModel& service = *model;
 
   const auto ready = cluster.readyInstances(service);
   if (!ready.empty()) {
@@ -466,7 +469,7 @@ void Dispatcher::ensureReady(const ServiceModel& service,
   }
 
   PendingDeploy deploy;
-  deploy.service = std::make_shared<const ServiceModel>(service);
+  deploy.service = std::move(model);
   deploy.epoch = nextAttempt_++;
   deploy.waiters.push_back(std::move(cb));
   deploy.startedAt = sim_.now();
@@ -484,14 +487,14 @@ void Dispatcher::ensureReady(const ServiceModel& service,
   deploy.timeoutHandle = sim_.schedule(hardDeadline, [this, key] {
     finishDeploy(key, makeError(Errc::kTimeout, "deployment timed out"));
   });
-  const ModelPtr model = deploy.service;
+  const ServiceModelPtr shared = deploy.service;
   const std::uint64_t epoch = deploy.epoch;
   pending_.emplace(key, std::move(deploy));
   clusterTelemetry(cluster.name()).deployments->add();
-  runPhases(model, cluster, key, epoch);
+  runPhases(shared, cluster, key, epoch);
 }
 
-void Dispatcher::armPhaseTimer(const ModelPtr& service,
+void Dispatcher::armPhaseTimer(const ServiceModelPtr& service,
                                ClusterAdapter& cluster, const std::string& key,
                                std::uint64_t epoch) {
   const auto it = pending_.find(key);
@@ -507,7 +510,7 @@ void Dispatcher::armPhaseTimer(const ModelPtr& service,
       });
 }
 
-void Dispatcher::onPhaseFailure(const ModelPtr& service,
+void Dispatcher::onPhaseFailure(const ServiceModelPtr& service,
                                 ClusterAdapter& cluster, const std::string& key,
                                 std::uint64_t epoch, Error error) {
   const auto it = pending_.find(key);
@@ -585,8 +588,9 @@ void Dispatcher::probeOnCluster(ClusterAdapter& cluster, Endpoint instance,
                   });
 }
 
-void Dispatcher::runPhases(const ModelPtr& service, ClusterAdapter& cluster,
-                           const std::string& key, std::uint64_t epoch) {
+void Dispatcher::runPhases(const ServiceModelPtr& service,
+                           ClusterAdapter& cluster, const std::string& key,
+                           std::uint64_t epoch) {
   const auto it = pending_.find(key);
   if (it == pending_.end() || it->second.epoch != epoch) return;
   const ClusterView view = cluster.view(*service);
@@ -656,7 +660,7 @@ void Dispatcher::runPhases(const ModelPtr& service, ClusterAdapter& cluster,
       });
 }
 
-void Dispatcher::pollUntilReady(const ModelPtr& service,
+void Dispatcher::pollUntilReady(const ServiceModelPtr& service,
                                 ClusterAdapter& cluster, const std::string& key,
                                 SimTime scaledUpAt, std::uint64_t epoch) {
   // "Before setting up the flows, the controller continuously tests if the

@@ -117,14 +117,14 @@ class Dispatcher {
   /// none): if it expires while the FAST deployment is still in flight, the
   /// request is answered immediately with a shed degraded cloud redirect
   /// instead of waiting the deployment out.
-  void resolve(const ServiceModel& service, Ipv4 client, ResolveCallback cb,
+  void resolve(ServiceModelPtr service, Ipv4 client, ResolveCallback cb,
                trace::RequestId rid = 0, SimTime deadline = SimTime::max());
 
   /// Ensure the service is deployed and ready on `cluster`; callbacks for
   /// the same (service, cluster) pair are coalesced onto one deployment.
   /// The deployment's trace spans carry the `rid` of the request that
   /// initiated it; joining requests record a "join-deployment" instant.
-  void ensureReady(const ServiceModel& service, ClusterAdapter& cluster,
+  void ensureReady(ServiceModelPtr service, ClusterAdapter& cluster,
                    ReadyCallback cb, trace::RequestId rid = 0);
 
   ClusterAdapter* adapterByName(const std::string& name) const;
@@ -178,8 +178,6 @@ class Dispatcher {
   }
 
  private:
-  using ModelPtr = std::shared_ptr<const ServiceModel>;
-
   struct PendingDeploy {
     std::vector<ReadyCallback> waiters;
     SimTime startedAt;
@@ -189,9 +187,8 @@ class Dispatcher {
     trace::RequestId rid = 0;
     trace::SpanId span = 0;
     int retriesUsed = 0;
-    /// The one model copy the deployment's callbacks share: the caller's
-    /// model may be unregistered before the deployment ends.
-    ModelPtr service;
+    /// The registered model the deployment's callbacks share.
+    ServiceModelPtr service;
     /// Identity of the current attempt, drawn from nextAttempt_ on creation
     /// and on every retry.  Never reused, so callbacks of a superseded
     /// attempt -- or of an earlier deployment of the same key that timed
@@ -216,17 +213,17 @@ class Dispatcher {
   /// probeInstance variant (bool payload instead of Status).
   void probeOnCluster(ClusterAdapter& cluster, Endpoint instance,
                       ClusterAdapter::ProbeCallback done);
-  void runPhases(const ModelPtr& service, ClusterAdapter& cluster,
+  void runPhases(const ServiceModelPtr& service, ClusterAdapter& cluster,
                  const std::string& key, std::uint64_t epoch);
-  void pollUntilReady(const ModelPtr& service, ClusterAdapter& cluster,
-                      const std::string& key, SimTime scaledUpAt,
-                      std::uint64_t epoch);
-  void armPhaseTimer(const ModelPtr& service, ClusterAdapter& cluster,
+  void pollUntilReady(const ServiceModelPtr& service,
+                      ClusterAdapter& cluster, const std::string& key,
+                      SimTime scaledUpAt, std::uint64_t epoch);
+  void armPhaseTimer(const ServiceModelPtr& service, ClusterAdapter& cluster,
                      const std::string& key, std::uint64_t epoch);
   /// Retry after backoff if budget remains, else finish with `error`.
-  void onPhaseFailure(const ModelPtr& service, ClusterAdapter& cluster,
-                      const std::string& key, std::uint64_t epoch,
-                      Error error);
+  void onPhaseFailure(const ServiceModelPtr& service,
+                      ClusterAdapter& cluster, const std::string& key,
+                      std::uint64_t epoch, Error error);
   void finishDeploy(const std::string& key, Result<Endpoint> result);
   void recordPhase(const ServiceModel& service, ClusterAdapter& cluster,
                    const char* phase, SimTime duration);

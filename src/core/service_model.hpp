@@ -9,6 +9,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,12 @@ struct ServiceModel {
   HttpMethod requestMethod = HttpMethod::kGet;
   Bytes requestPayload;
 };
+
+/// A registered model.  The controller holds one per service, and every
+/// request and deployment of the service shares it rather than copying it
+/// with its two YAML trees.  Shared ownership keeps the model valid for as
+/// long as any request or deployment of it runs, whoever created it.
+using ServiceModelPtr = std::shared_ptr<const ServiceModel>;
 
 /// Build a ServiceModel from an annotated definition.  Fails when the
 /// definition's containers are malformed (no image, bad port).

@@ -48,6 +48,14 @@ const std::string* ownerOf(const T& /*object*/) {
 /// and owner lookups cost time in proportion to the candidates, not the
 /// store size.  Both indexes hold names in std::set, i.e. in name order:
 /// the order list() returns and every caller's side effects follow.
+///
+/// Each label pair also carries a commit counter (labelVersion): every
+/// create, update and remove bumps the counter of every pair the object
+/// carries before or after the commit.  An object that matches a selector
+/// carries all of its pairs, so while the counter of any one selector pair
+/// stands still, listBySelector(selector) returns the same objects in the
+/// same state.  Counters are bumped at commit, the moment the live store
+/// changes, not at watch delivery.
 template <typename T>
 class Store {
  public:
@@ -97,6 +105,8 @@ class Store {
       if (object.meta.labels != labelsBefore) {
         unindexLabels(name, labelsBefore);
         indexLabels(name, object.meta.labels);
+      } else {
+        bumpLabels(object.meta.labels);
       }
       if (owner != nullptr && *owner != ownerBefore) {
         unindexOwner(name, &ownerBefore);
@@ -138,6 +148,13 @@ class Store {
     return out;
   }
 
+  /// Call `fn(object)` for every object in name order, without building
+  /// list()'s vector.
+  template <typename Fn>
+  void forEach(Fn&& fn) const {
+    for (const auto& [name, object] : items_) fn(object);
+  }
+
   /// Objects whose labels match every selector pair, in name order; an
   /// empty selector matches everything.  Candidates come from the label
   /// index of the selector's rarest pair.
@@ -169,6 +186,17 @@ class Store {
     return out;
   }
 
+  /// Commit counter of the label pair key=value (see the class comment).
+  /// The reference stays valid for the store's lifetime: counters are never
+  /// erased, even when the last object carrying the pair goes, because a
+  /// counter restarted from zero could return to a value a caller recorded
+  /// and make a stale observation look current.  There is one counter per
+  /// distinct pair ever used or asked for.
+  const std::uint64_t& labelVersion(const std::string& key,
+                                    const std::string& value) {
+    return labelIndex_[key][value].version;
+  }
+
   /// Register a watcher; events arrive `watchLatency` after commit.
   void watch(Watcher watcher) { watchers_.push_back(std::move(watcher)); }
 
@@ -187,6 +215,13 @@ class Store {
     }
   }
 
+  /// One label pair: the names carrying it and its commit counter.  An
+  /// entry outlives its last name so that the counter is never reset.
+  struct LabelEntry {
+    NameSet names;
+    std::uint64_t version = 0;
+  };
+
   /// Names of the objects labelled key=value (empty when there are none).
   const NameSet& labelled(const std::string& key,
                           const std::string& value) const {
@@ -194,23 +229,29 @@ class Store {
     const auto byKey = labelIndex_.find(key);
     if (byKey == labelIndex_.end()) return kNone;
     const auto byValue = byKey->second.find(value);
-    return byValue == byKey->second.end() ? kNone : byValue->second;
+    return byValue == byKey->second.end() ? kNone : byValue->second.names;
   }
 
   void indexLabels(const std::string& name, const Labels& labels) {
     for (const auto& [key, value] : labels) {
-      labelIndex_[key][value].insert(name);
+      LabelEntry& entry = labelIndex_[key][value];
+      entry.names.insert(name);
+      ++entry.version;
     }
   }
 
   void unindexLabels(const std::string& name, const Labels& labels) {
     for (const auto& [key, value] : labels) {
-      const auto byKey = labelIndex_.find(key);
-      const auto byValue = byKey->second.find(value);
-      byValue->second.erase(name);
-      if (!byValue->second.empty()) continue;
-      byKey->second.erase(byValue);
-      if (byKey->second.empty()) labelIndex_.erase(byKey);
+      LabelEntry& entry = labelIndex_.find(key)->second.find(value)->second;
+      entry.names.erase(name);
+      ++entry.version;
+    }
+  }
+
+  /// A commit that keeps the object's labels still changes the object.
+  void bumpLabels(const Labels& labels) {
+    for (const auto& [key, value] : labels) {
+      ++labelIndex_.find(key)->second.find(value)->second.version;
     }
   }
 
@@ -229,8 +270,9 @@ class Store {
   const ControlPlaneParams& params_;
   std::string kind_;
   std::map<std::string, T> items_;
-  /// label key -> label value -> names carrying that label.
-  std::map<std::string, std::map<std::string, NameSet>> labelIndex_;
+  /// label key -> label value -> names carrying that label, and its
+  /// commit counter.
+  std::map<std::string, std::map<std::string, LabelEntry>> labelIndex_;
   std::map<std::string, NameSet> ownerIndex_;
   std::deque<Watcher> watchers_;
   std::uint64_t nextUid_ = 1;

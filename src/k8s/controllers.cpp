@@ -219,31 +219,49 @@ void EndpointsController::enqueueAll() {
   // Every service not already queued, as one event rather than one per
   // service: the per-service events would share one timestamp and take
   // consecutive sequence numbers, so nothing could run between them and
-  // this batch runs the same reconciles in the same order.
-  std::vector<std::string> batch;
-  for (const auto* service : api_.services().list()) {
-    if (queued_.insert(service->meta.name).second) {
-      batch.push_back(service->meta.name);
+  // this batch runs the same reconciles in the same order.  The services
+  // and the records are both in name order, so one merged walk finds or
+  // adds each service's record.
+  const std::uint64_t batch = ++lastBatch_;
+  bool any = false;
+  auto record = records_.begin();
+  api_.services().forEach([&](const Service& service) {
+    const std::string& name = service.meta.name;
+    while (record != records_.end() && record->first < name) ++record;
+    if (record == records_.end() || record->first != name) {
+      record = records_.emplace_hint(record, name, ServiceRecord{});
     }
-  }
-  if (batch.empty()) return;
-  sim_.schedule(params_.endpointsSyncLatency, [this, batch = std::move(batch)] {
-    for (const auto& serviceName : batch) {
-      queued_.erase(serviceName);
-      reconcile(serviceName);
-    }
+    any |= mark(record->second, batch);
   });
+  if (!any) return;
+  sim_.schedule(params_.endpointsSyncLatency,
+                [this, batch] { runBatch(batch); });
 }
 
 void EndpointsController::enqueue(const std::string& serviceName) {
-  if (!queued_.insert(serviceName).second) return;
-  sim_.schedule(params_.endpointsSyncLatency, [this, serviceName] {
-    queued_.erase(serviceName);
-    reconcile(serviceName);
-  });
+  const std::uint64_t batch = ++lastBatch_;
+  if (!mark(records_[serviceName], batch)) return;
+  sim_.schedule(params_.endpointsSyncLatency,
+                [this, batch] { runBatch(batch); });
 }
 
-void EndpointsController::reconcile(const std::string& serviceName) {
+bool EndpointsController::mark(ServiceRecord& record, std::uint64_t batch) {
+  if (record.queued) return false;  // already pending
+  record.queued = true;
+  record.batch = batch;
+  return true;
+}
+
+void EndpointsController::runBatch(std::uint64_t batch) {
+  for (auto& [serviceName, record] : records_) {
+    if (!record.queued || record.batch != batch) continue;
+    record.queued = false;
+    reconcile(serviceName, record);
+  }
+}
+
+void EndpointsController::reconcile(const std::string& serviceName,
+                                    ServiceRecord& record) {
   const Service* service = api_.services().get(serviceName);
   const Endpoints* existing = api_.endpoints().get(serviceName);
 
@@ -252,8 +270,21 @@ void EndpointsController::reconcile(const std::string& serviceName) {
     return;
   }
 
+  // Resource versions start at 1, so 0 stands for "no Endpoints object".
+  const std::uint64_t endpointsVersion =
+      existing != nullptr ? existing->meta.resourceVersion : 0;
+  Memo& memo = record.memo;
+  if (memo.podCounter != nullptr && *memo.podCounter == memo.podVersion &&
+      memo.serviceVersion == service->meta.resourceVersion &&
+      memo.endpointsVersion == endpointsVersion) {
+    return;
+  }
+  memo = Memo{};
+  ++fullReconciles_;
+
+  const Labels& selector = service->spec.selector;
   std::vector<Endpoint> addresses;
-  for (const auto* pod : api_.pods().listBySelector(service->spec.selector)) {
+  for (const auto* pod : api_.pods().listBySelector(selector)) {
     if (pod->status.ready) addresses.push_back(pod->status.endpoint);
   }
   std::sort(addresses.begin(), addresses.end());
@@ -267,6 +298,14 @@ void EndpointsController::reconcile(const std::string& serviceName) {
     api_.endpoints().update(serviceName, [addresses](Endpoints& e) {
       e.addresses = addresses;
     });
+  } else if (!selector.empty()) {
+    // No write.  The empty selector matches every pod, which no one label
+    // counter covers, so it is never memoised.
+    const auto& [key, value] = *selector.begin();
+    memo.podCounter = &api_.pods().labelVersion(key, value);
+    memo.podVersion = *memo.podCounter;
+    memo.serviceVersion = service->meta.resourceVersion;
+    memo.endpointsVersion = endpointsVersion;
   }
 }
 

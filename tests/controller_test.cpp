@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/testbed.hpp"
+#include "util/rng.hpp"
 
 namespace edgesim::core {
 namespace {
@@ -73,6 +76,194 @@ TEST(ControllerOptionsTest, RejectsRemovedKeysAndBadValuesByName) {
         << result.error().message;
   }
 }
+
+// Property: over seeded random configs -- a mix of known and unknown keys,
+// each known key given a valid value or a malformed one (negative,
+// non-finite, unparseable, out of range, an overflowing `_ms`) -- the
+// strict parsers accept exactly the configs with no unknown key and no
+// malformed value, and otherwise name one of the offending keys.
+enum class ValueKind { kString, kBool, kInt, kUnsigned, kDouble, kMillis };
+
+struct KnownKey {
+  const char* key;
+  ValueKind kind;
+};
+
+const std::vector<KnownKey>& controllerKeys() {
+  static const std::vector<KnownKey> keys = {
+      {"scheduler", ValueKind::kString},
+      {"switch_idle_timeout_ms", ValueKind::kMillis},
+      {"memory_idle_timeout_ms", ValueKind::kMillis},
+      {"scale_down_idle", ValueKind::kBool},
+      {"remove_idle_after_ms", ValueKind::kMillis},
+      {"delete_images_on_remove", ValueKind::kBool},
+      {"port_poll_interval_ms", ValueKind::kMillis},
+      {"deploy_timeout_ms", ValueKind::kMillis},
+      {"phase_timeout_ms", ValueKind::kMillis},
+      {"deploy_retries", ValueKind::kInt},
+      {"retry_backoff_ms", ValueKind::kMillis},
+      {"cloud_fallback", ValueKind::kBool},
+      {"quarantine_cooldown_ms", ValueKind::kMillis},
+      {"local_scheduler", ValueKind::kString},
+      {"instance_policy", ValueKind::kString},
+      {"reliable_flow_mods", ValueKind::kBool},
+      {"flow_mod_ack_timeout_ms", ValueKind::kMillis},
+      {"flow_mod_retries", ValueKind::kInt},
+      {"reconcile_enabled", ValueKind::kBool},
+      {"reconcile_period_ms", ValueKind::kMillis},
+      {"reconcile_sweep_timeout_ms", ValueKind::kMillis},
+  };
+  return keys;
+}
+
+const std::vector<KnownKey>& overloadKeys() {
+  static const std::vector<KnownKey> keys = {
+      {"overload_enabled", ValueKind::kBool},
+      {"overload_request_budget_ms", ValueKind::kMillis},
+      {"overload_max_deploys_per_cluster", ValueKind::kInt},
+      {"overload_breaker_enabled", ValueKind::kBool},
+      {"overload_breaker_window_ms", ValueKind::kMillis},
+      {"overload_breaker_min_samples", ValueKind::kUnsigned},
+      {"overload_breaker_failure_ratio", ValueKind::kDouble},
+      {"overload_breaker_latency_threshold_ms", ValueKind::kDouble},
+      {"overload_breaker_cooldown_ms", ValueKind::kMillis},
+      {"overload_brownout_shed_threshold", ValueKind::kUnsigned},
+      {"overload_brownout_window_ms", ValueKind::kMillis},
+      {"overload_brownout_min_dwell_ms", ValueKind::kMillis},
+  };
+  return keys;
+}
+
+/// A value of `kind`; `valid` picks from the accepted values, otherwise
+/// from the malformed ones that apply to the kind.
+std::string randomValue(Rng& rng, ValueKind kind, bool valid) {
+  const auto pick = [&rng](std::vector<std::string> pool) {
+    return pool[rng.uniformInt(0, pool.size() - 1)];
+  };
+  // Malformed for every numeric kind: negative or unparseable.
+  const std::vector<std::string> badNumber = {"-1",   "-250", "abc",
+                                              "12ms", "",     "1,5"};
+  // Malformed for the integer kinds too: a fraction, an exponent, and
+  // beyond int64.
+  std::vector<std::string> badInteger = badNumber;
+  badInteger.insert(badInteger.end(), {"2.5", "1e3", "99999999999999999999"});
+  switch (kind) {
+    case ValueKind::kString:
+      return pick({"proximity", "latency-first", "x", ""});
+    case ValueKind::kBool:
+      return valid ? pick({"true", "false", "yes", "no", "on", "off", "1",
+                           "0", "TRUE"})
+                   : pick({"maybe", "2", "", "-1", "truthy"});
+    case ValueKind::kInt: {
+      if (valid) return pick({"0", "3", "17", "2147483647"});
+      auto bad = badInteger;
+      bad.push_back("2147483648");  // beyond int
+      return pick(bad);
+    }
+    case ValueKind::kUnsigned: {
+      return valid ? pick({"0", "8", "64", "9223372036854775807"})
+                   : pick(badInteger);
+    }
+    case ValueKind::kDouble: {
+      if (valid) {
+        return pick({"0", "0.5", "12.25", "1e3", "7", "99999999999999999999"});
+      }
+      auto bad = badNumber;
+      bad.insert(bad.end(), {"nan", "inf", "-inf", "-0.5"});
+      return pick(bad);
+    }
+    case ValueKind::kMillis: {
+      // 9223372036854 ms is the largest that fits int64 nanoseconds.
+      if (valid) return pick({"0", "25", "60000", "9223372036854"});
+      auto bad = badInteger;
+      bad.insert(bad.end(), {"9223372036855", "9223372036854775807"});
+      return pick(bad);
+    }
+  }
+  return "";
+}
+
+/// The key a parser error names: the text between the first pair of
+/// single quotes.
+std::string namedKey(const std::string& message) {
+  const auto open = message.find('\'');
+  const auto close = message.find('\'', open + 1);
+  if (open == std::string::npos || close == std::string::npos) return "";
+  return message.substr(open + 1, close - open - 1);
+}
+
+class StrictConfigProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(StrictConfigProperty, AcceptsExactlyTheValidConfigs) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()));
+  std::vector<KnownKey> all = controllerKeys();
+  all.insert(all.end(), overloadKeys().begin(), overloadKeys().end());
+  const std::vector<std::string> unknownKeys = {
+      "workers", "flow_shards", "overload_shed_policy", "schedular",
+      "deploy_timeout", "overload_bogus_ms"};
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int round = 0; round < 200; ++round) {
+    // Controller configs draw from every key; overload-only configs from
+    // the overload keys, where a controller key is unknown too.
+    const bool overloadOnly = rng.chance(0.3);
+    const std::vector<KnownKey>& pool = overloadOnly ? overloadKeys() : all;
+    std::string text;
+    std::set<std::string> used;
+    std::set<std::string> offending;
+    const auto count = rng.uniformInt(0, 6);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      std::string key;
+      std::string value;
+      bool bad = true;
+      if (rng.chance(0.1)) {
+        key = unknownKeys[rng.uniformInt(0, unknownKeys.size() - 1)];
+        value = "1";
+      } else if (overloadOnly && rng.chance(0.05)) {
+        const KnownKey& known = controllerKeys()[rng.uniformInt(
+            0, controllerKeys().size() - 1)];
+        key = known.key;
+        value = randomValue(rng, known.kind, true);
+      } else {
+        const KnownKey& known = pool[rng.uniformInt(0, pool.size() - 1)];
+        key = known.key;
+        // Any text is a valid string value.
+        bad = known.kind != ValueKind::kString && !rng.chance(0.8);
+        value = randomValue(rng, known.kind, !bad);
+      }
+      if (!used.insert(key).second) continue;  // one line per key
+      if (bad) offending.insert(key);
+      text += key + " = " + value + "\n";
+    }
+    const auto parsed = Config::parse(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    const auto statusOf = [](const auto& result) {
+      return result.ok() ? Status() : Status(result.error());
+    };
+    const Status status =
+        overloadOnly
+            ? statusOf(overload::OverloadOptions::fromConfig(parsed.value()))
+            : statusOf(ControllerOptions::fromConfig(parsed.value()));
+    if (offending.empty()) {
+      EXPECT_TRUE(status.ok())
+          << "seed " << GetParam() << " round " << round << "\n"
+          << text << status.error().toString();
+      ++accepted;
+    } else {
+      ASSERT_FALSE(status.ok())
+          << "seed " << GetParam() << " round " << round << "\n" << text;
+      EXPECT_EQ(status.error().code, Errc::kInvalidArgument);
+      EXPECT_EQ(offending.count(namedKey(status.error().message)), 1u)
+          << "seed " << GetParam() << " round " << round << "\n"
+          << text << status.error().message;
+      ++rejected;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StrictConfigProperty, ::testing::Range(1, 9));
 
 TEST(ControllerTest, RegisterServiceRejectsDuplicatesAndBadYaml) {
   Testbed bed;
@@ -227,7 +418,7 @@ TEST(ControllerTest, ScaleDownDisabledKeepsInstance) {
   bed.requestCatalog(0, "nginx", kNginxAddr, "t");
   bed.sim().runUntil(15_s);
   EXPECT_EQ(bed.controller().scaleDowns(), 0u);
-  const ServiceModel* model = bed.controller().serviceAt(kNginxAddr);
+  const ServiceModel* model = bed.controller().serviceAt(kNginxAddr).get();
   EXPECT_EQ(bed.dockerAdapter()->readyInstances(*model).size(), 1u);
 }
 
@@ -249,7 +440,7 @@ TEST(ControllerTest, SharedInstanceNotScaledDownWhileOtherClientActive) {
   }
   bed.sim().runUntil(10_s);
   // Client 0's memory expired, but client 1's flow keeps the service up.
-  const ServiceModel* model = bed.controller().serviceAt(kNginxAddr);
+  const ServiceModel* model = bed.controller().serviceAt(kNginxAddr).get();
   EXPECT_EQ(bed.dockerAdapter()->readyInstances(*model).size(), 1u);
   EXPECT_EQ(bed.controller().scaleDowns(), 0u);
 }

@@ -135,8 +135,8 @@ class DispatcherFixture : public ::testing::Test {
     const auto annotated = annotateServiceYaml(catalog.entry("nginx").yaml,
                                                kSvc, AnnotatorConfig{});
     auto model = buildServiceModel(annotated.value(), kSvc, catalog.profiles());
-    model_ = std::move(model).value();
-    model_.tag = "nginx";
+    model.value().tag = "nginx";
+    model_ = std::make_shared<const ServiceModel>(std::move(model).value());
   }
 
   void makeDispatcher(std::unique_ptr<GlobalScheduler> scheduler) {
@@ -152,7 +152,7 @@ class DispatcherFixture : public ::testing::Test {
   MockAdapter far_;
   MockAdapter cloud_;
   metrics::Recorder recorder_;
-  ServiceModel model_;
+  ServiceModelPtr model_;
   std::unique_ptr<GlobalScheduler> scheduler_;
   std::unique_ptr<Dispatcher> dispatcher_;
 };

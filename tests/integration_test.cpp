@@ -229,11 +229,11 @@ TEST(Integration, WithoutWaitingUsesFarEdgeThenMigrates) {
 
   // Start an instance at the far edge first (e.g. deployed for another
   // client earlier).
-  const ServiceModel* model = bed.controller().serviceAt(kNginxAddr);
+  const ServiceModelPtr model = bed.controller().serviceAt(kNginxAddr);
   ASSERT_NE(model, nullptr);
   bool farReady = false;
   bed.controller().dispatcher().ensureReady(
-      *model, *bed.farEdgeAdapter(),
+      model, *bed.farEdgeAdapter(),
       [&](Result<Endpoint> r) { farReady = r.ok(); });
   bed.sim().runUntil(5_s);
   ASSERT_TRUE(farReady);
@@ -283,10 +283,10 @@ TEST(Integration, MigrationHappensAsSoonAsBestInstanceRuns) {
   ASSERT_TRUE(bed.registerCatalogService("nginx", kNginxAddr).ok());
   bed.warmImageCache("nginx");
 
-  const ServiceModel* model = bed.controller().serviceAt(kNginxAddr);
+  const ServiceModelPtr model = bed.controller().serviceAt(kNginxAddr);
   bool farReady = false;
   bed.controller().dispatcher().ensureReady(
-      *model, *bed.farEdgeAdapter(),
+      model, *bed.farEdgeAdapter(),
       [&](Result<Endpoint> r) { farReady = r.ok(); });
   bed.sim().runUntil(5_s);
   ASSERT_TRUE(farReady);
@@ -326,7 +326,7 @@ TEST(Integration, IdleServiceScaledDownAndRedeployedOnDemand) {
   EXPECT_GE(bed.controller().scaleDowns(), 1u);
   // Instance is gone from the edge.
   ASSERT_NE(bed.dockerAdapter(), nullptr);
-  const ServiceModel* model = bed.controller().serviceAt(kNginxAddr);
+  const ServiceModel* model = bed.controller().serviceAt(kNginxAddr).get();
   EXPECT_TRUE(bed.dockerAdapter()->readyInstances(*model).empty());
 
   // A new request triggers a fresh on-demand scale-up (not a full create:
@@ -470,7 +470,7 @@ TEST(Integration, InstanceRoundRobinSpreadsClientsAcrossReplicas) {
                      [&](Result<HttpExchange> r) { warmed = r.ok(); });
   bed.sim().runUntil(20_s);
   ASSERT_TRUE(warmed.has_value() && *warmed);
-  const ServiceModel* model = bed.controller().serviceAt(kNginxAddr);
+  const ServiceModel* model = bed.controller().serviceAt(kNginxAddr).get();
   bed.k8sCluster()->scaleDeployment(model->uniqueName, 3);
   bed.sim().runUntil(40_s);
   ASSERT_EQ(bed.k8sAdapter()->readyInstances(*model).size(), 3u);

@@ -5,6 +5,7 @@
 // scale-up latency calibration (fig. 11's ~3 s).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -258,6 +259,70 @@ TEST_P(StoreIndexOracleProperty, IndexedLookupsMatchLinearFilter) {
 INSTANTIATE_TEST_SUITE_P(Seeds, StoreIndexOracleProperty,
                          ::testing::Range(1, 21));
 
+// Store::labelVersion: a commit bumps the counter of every label pair the
+// object carries before or after it, and no other; a counter outlives the
+// last object carrying its pair, so it never returns to an old value.
+TEST(StoreLabelVersion, CommitsBumpExactlyThePairsCarried) {
+  Simulation sim(1);
+  const ControlPlaneParams params;
+  Store<Pod> store(sim, params, "Pod");
+  const std::uint64_t& appA = store.labelVersion("app", "a");
+  const std::uint64_t& appB = store.labelVersion("app", "b");
+  const std::uint64_t& tierX = store.labelVersion("tier", "x");
+  const std::uint64_t& unrelated = store.labelVersion("zone", "z");
+  const auto commit = [&sim] { sim.run(); };
+
+  Pod pod;
+  pod.meta.name = "p";
+  pod.meta.labels = {{"app", "a"}, {"tier", "x"}};
+  store.create(pod);
+  commit();
+  EXPECT_EQ(appA, 1u);
+  EXPECT_EQ(tierX, 1u);
+  EXPECT_EQ(appB, 0u);
+
+  // Status-only update: the labels stay, the object changed.
+  store.update("p", [](Pod& p) { p.status.ready = true; });
+  commit();
+  EXPECT_EQ(appA, 2u);
+  EXPECT_EQ(tierX, 2u);
+  EXPECT_EQ(appB, 0u);
+
+  // Relabel app=a -> app=b: the old pair and the new pair both move.
+  const std::uint64_t tierBefore = tierX;
+  store.update("p", [](Pod& p) { p.meta.labels["app"] = "b"; });
+  commit();
+  EXPECT_EQ(appA, 3u);
+  EXPECT_EQ(appB, 1u);
+  EXPECT_GT(tierX, tierBefore);
+
+  // A failed commit changes nothing.
+  store.update("missing", [](Pod& p) { p.meta.labels["zone"] = "z"; });
+  store.create(pod);  // "p" is taken: kAlreadyExists
+  commit();
+  EXPECT_EQ(appA, 3u);
+  EXPECT_EQ(appB, 1u);
+
+  const std::uint64_t tierAtRemove = tierX;
+  store.remove("p");
+  commit();
+  EXPECT_EQ(appA, 3u);
+  EXPECT_EQ(appB, 2u);
+  EXPECT_GT(tierX, tierAtRemove);
+  EXPECT_EQ(unrelated, 0u);
+
+  // The last app=b object is gone; its counter stays and keeps counting.
+  EXPECT_EQ(store.listBySelector({{"app", "b"}}).size(), 0u);
+  EXPECT_EQ(&store.labelVersion("app", "b"), &appB);
+  EXPECT_EQ(appB, 2u);
+  pod.meta.labels = {{"app", "b"}};
+  store.create(pod);
+  commit();
+  EXPECT_EQ(appB, 3u);
+  EXPECT_EQ(store.listBySelector({{"app", "b"}}).size(), 1u);
+  EXPECT_EQ(unrelated, 0u);
+}
+
 // ------------------------------------------------- reconcile pipeline ----
 
 TEST_F(K8sFixture, ScaleToZeroCreatesNoPods) {
@@ -471,6 +536,188 @@ TEST_F(K8sFixture, EndpointsTimelineUnderChurnIsPinned) {
       "14806.701 svc-b 10.0.1.1:30010",
   };
   EXPECT_EQ(timeline, expected);
+}
+
+// An ApiServer with only the Endpoints controller: the tests below commit
+// pods, services and Endpoints directly, as the kubelets and the other
+// controllers would.
+struct EndpointsHarness {
+  explicit EndpointsHarness(std::uint64_t seed)
+      : sim(seed), api(sim, params), controller(sim, api, params) {}
+
+  /// Commit a service named `name` selecting app=`name`.
+  void addService(const std::string& name) {
+    api.services().create(makeService(name));
+  }
+
+  /// Commit a bare pod labelled app=`app`.
+  void addPod(const std::string& name, const std::string& app, bool ready) {
+    Pod pod;
+    pod.meta.name = name;
+    pod.meta.labels = {{"app", app}};
+    pod.status.ready = ready;
+    pod.status.endpoint = Endpoint(
+        Ipv4(10, 0, 1, 1), static_cast<std::uint16_t>(30000 + nextPort++));
+    api.pods().create(std::move(pod));
+  }
+
+  void advance(SimTime by) { sim.runUntil(sim.now() + by); }
+
+  /// What the service's Endpoints must hold: the ready pods its selector
+  /// matches, sorted -- computed by a linear filter over every pod.
+  std::vector<Endpoint> expectedAddresses(const Service& service) {
+    std::vector<Endpoint> out;
+    for (const Pod* pod : api.pods().list()) {
+      if (pod->status.ready &&
+          selectorMatches(service.spec.selector, pod->meta.labels)) {
+        out.push_back(pod->status.endpoint);
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  const ControlPlaneParams params;
+  Simulation sim;
+  ApiServer api;
+  EndpointsController controller;
+  int nextPort = 0;
+};
+
+// Property: under seeded random churn -- scale up and down, readiness
+// flips, a pod relabelled from one service to another, a service's
+// selector changed, an Endpoints object deleted behind the controller's
+// back -- every service's Endpoints at quiescence equal the ready pods its
+// selector matches.  Steps are spaced 0-300 ms apart, so churn lands while
+// batches are queued, before and after their reconciles.
+class EndpointsControllerProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(EndpointsControllerProperty, QuiescentEndpointsMatchReadyPods) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()));
+  EndpointsHarness h(static_cast<std::uint64_t>(GetParam()));
+  std::vector<std::string> apps;
+  for (int i = 0; i < 10; ++i) apps.push_back(strprintf("svc-%d", i));
+  // Two app values no service selects at first: relabels and selector
+  // changes move pods and services onto and off them.
+  const std::vector<std::string> services(apps.begin(), apps.begin() + 8);
+  const auto pick = [&rng](const auto& pool) {
+    return pool[rng.uniformInt(0, pool.size() - 1)];
+  };
+  for (const auto& name : services) h.addService(name);
+  int nextPod = 0;
+  for (int i = 0; i < 16; ++i) {
+    h.addPod(strprintf("p%d", nextPod++), pick(apps), rng.chance(0.7));
+  }
+  h.advance(1_s);
+
+  std::size_t recreatedChecks = 0;
+  for (int step = 0; step < 300; ++step) {
+    const auto pods = h.api.pods().list();
+    const std::string victim = pods.empty() ? "" : pick(pods)->meta.name;
+    const auto op = rng.uniformInt(0, 9);
+    if (op < 3 || victim.empty()) {  // scale up
+      h.addPod(strprintf("p%d", nextPod++), pick(apps), rng.chance(0.7));
+    } else if (op < 5) {  // scale down
+      h.api.pods().remove(victim);
+    } else if (op < 7) {  // readiness flip
+      h.api.pods().update(
+          victim, [](Pod& pod) { pod.status.ready = !pod.status.ready; });
+    } else if (op < 8) {  // relabel onto another service
+      const std::string app = pick(apps);
+      h.api.pods().update(victim,
+                          [app](Pod& pod) { pod.meta.labels["app"] = app; });
+    } else if (op < 9) {  // change a service's selector
+      const std::string app = pick(apps);
+      h.api.services().update(pick(services), [app](Service& service) {
+        service.spec.selector = {{"app", app}};
+      });
+    } else {  // delete an Endpoints object behind the controller's back
+      const std::string name = pick(services);
+      h.api.endpoints().remove(name);
+      // The next batch -- triggered here by an unrelated pod event, long
+      // before the next resync -- must recreate it.
+      h.advance(h.params.apiLatency);
+      if (h.api.endpoints().get(name) == nullptr) {
+        h.addPod(strprintf("p%d", nextPod++), pick(apps), false);
+        h.advance(h.params.apiLatency + h.params.watchLatency +
+                  h.params.endpointsSyncLatency + h.params.apiLatency);
+        EXPECT_NE(h.api.endpoints().get(name), nullptr)
+            << "seed " << GetParam() << " step " << step << " " << name;
+        ++recreatedChecks;
+      }
+    }
+    h.advance(SimTime::millis(static_cast<std::int64_t>(
+        rng.uniformInt(0, 300))));
+  }
+  // Quiescence: every in-flight batch and write has landed.
+  h.advance(2_s);
+
+  for (const auto& name : services) {
+    const Service* service = h.api.services().get(name);
+    const Endpoints* endpoints = h.api.endpoints().get(name);
+    ASSERT_NE(service, nullptr);
+    ASSERT_NE(endpoints, nullptr) << "seed " << GetParam() << " " << name;
+    EXPECT_EQ(endpoints->addresses, h.expectedAddresses(*service))
+        << "seed " << GetParam() << " " << name;
+  }
+  EXPECT_GT(recreatedChecks, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EndpointsControllerProperty,
+                         ::testing::Range(1, 11));
+
+// Work: the fan-out stays wide in simulated time (every pod event queues
+// all 40 services in one batch), but a batch lists pods only for the
+// services whose inputs changed since their last no-op reconcile.
+TEST(EndpointsControllerWork, BatchListsPodsOnlyForTheChangedService) {
+  EndpointsHarness h(7);
+  std::vector<std::string> services;
+  for (int i = 0; i < 40; ++i) services.push_back(strprintf("svc-%02d", i));
+  for (const auto& name : services) {
+    h.addService(name);
+    h.addPod(name + "-ready", name, true);
+  }
+  // Past the first resync (10 s): creating the Endpoints objects wrote,
+  // so it is the resync batch that finds all 40 settled and memoises them.
+  h.advance(h.params.controllerResyncPeriod + 500_ms);
+  for (const auto& name : services) {
+    const Endpoints* endpoints = h.api.endpoints().get(name);
+    ASSERT_NE(endpoints, nullptr);
+    ASSERT_EQ(endpoints->addresses.size(), 1u);
+  }
+
+  // A pod event on one service: one full reconcile, for that service.
+  Rng rng(7);
+  for (int round = 0; round < 8; ++round) {
+    const std::string name = services[rng.uniformInt(0, services.size() - 1)];
+    const std::uint64_t before = h.controller.fullReconciles();
+    h.addPod(strprintf("%s-pending-%d", name.c_str(), round), name, false);
+    h.advance(1_s);
+    EXPECT_EQ(h.controller.fullReconciles() - before, 1u) << name;
+  }
+
+  // A resync with nothing changed lists no pods at all.
+  const std::uint64_t beforeResync = h.controller.fullReconciles();
+  h.advance(h.params.controllerResyncPeriod);
+  EXPECT_EQ(h.controller.fullReconciles(), beforeResync);
+
+  // A write invalidates the writer's own memo: the readiness flip updates
+  // svc-03's Endpoints, so the next batch (an unrelated pod event on
+  // svc-05) re-lists svc-03 once more, then both are settled again.
+  h.api.pods().update("svc-03-ready",
+                      [](Pod& pod) { pod.status.ready = false; });
+  h.advance(1_s);
+  const Endpoints* flipped = h.api.endpoints().get("svc-03");
+  ASSERT_NE(flipped, nullptr);
+  EXPECT_TRUE(flipped->addresses.empty());
+  std::uint64_t before = h.controller.fullReconciles();
+  h.addPod("svc-05-pending-x", "svc-05", false);
+  h.advance(1_s);
+  EXPECT_EQ(h.controller.fullReconciles() - before, 2u);
+  before = h.controller.fullReconciles();
+  h.addPod("svc-07-pending-x", "svc-07", false);
+  h.advance(1_s);
+  EXPECT_EQ(h.controller.fullReconciles() - before, 1u);
 }
 
 // ---------------------------------------------------------- scheduler ----

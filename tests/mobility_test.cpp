@@ -455,7 +455,8 @@ TEST(HandoverTest, ScalesDownTheVacatedInstance) {
   ASSERT_TRUE(h.bed.controller().predeploy(kNginxAddr, "docker-far").ok());
   h.bed.sim().runUntil(60_s);
   h.establishFlow(0);
-  const core::ServiceModel* service = h.bed.controller().serviceAt(kNginxAddr);
+  const core::ServiceModel* service =
+      h.bed.controller().serviceAt(kNginxAddr).get();
   ASSERT_NE(service, nullptr);
   ASSERT_FALSE(h.bed.dockerAdapter()->readyInstances(*service).empty());
 

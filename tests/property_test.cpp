@@ -312,7 +312,7 @@ TEST_P(FaultInvariant, EveryResolveTerminatesInBoundedTime) {
 
   const Endpoint addr(Ipv4(203, 0, 113, 1), 80);
   ASSERT_TRUE(bed.registerCatalogService("nginx", addr).ok());
-  const core::ServiceModel* model = bed.controller().serviceAt(addr);
+  const core::ServiceModelPtr model = bed.controller().serviceAt(addr);
   ASSERT_NE(model, nullptr);
 
   // Hard per-resolve bound: deployTimeout * (retries + 1) plus slack for
@@ -331,7 +331,7 @@ TEST_P(FaultInvariant, EveryResolveTerminatesInBoundedTime) {
                                                      &outcomes] {
       outcomes[i].issuedAt = bed.sim().now();
       bed.controller().dispatcher().resolve(
-          *model, clientAddress(i),
+          model, clientAddress(i),
           [&bed, i, &outcomes](Result<core::Redirect> r) {
             outcomes[i].done = true;
             outcomes[i].ok = r.ok();

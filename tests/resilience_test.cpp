@@ -129,8 +129,8 @@ class ResilienceFixture : public ::testing::Test {
     const auto annotated = annotateServiceYaml(catalog.entry("nginx").yaml,
                                                kSvc, AnnotatorConfig{});
     auto model = buildServiceModel(annotated.value(), kSvc, catalog.profiles());
-    model_ = std::move(model).value();
-    model_.tag = "nginx";
+    model.value().tag = "nginx";
+    model_ = std::make_shared<const ServiceModel>(std::move(model).value());
   }
 
   void makeDispatcher(DispatcherOptions options) {
@@ -151,7 +151,7 @@ class ResilienceFixture : public ::testing::Test {
   FlakyAdapter near_;
   FlakyAdapter cloud_;
   metrics::Recorder recorder_;
-  ServiceModel model_;
+  ServiceModelPtr model_;
   std::unique_ptr<GlobalScheduler> scheduler_;
   std::unique_ptr<Dispatcher> dispatcher_;
 };

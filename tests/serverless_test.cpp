@@ -224,7 +224,7 @@ TEST(ServerlessIntegration, ColdStartGapVsContainers) {
     ASSERT_TRUE(bed.registerCatalogService("nginx", kAddr).ok());
     // Pre-stage module + compile (the analogue of a cached image +
     // created containers), leave it deactivated.
-    const auto* model = bed.controller().serviceAt(kAddr);
+    const auto* model = bed.controller().serviceAt(kAddr).get();
     auto spec = core::ServerlessAdapter::toFunctionSpec(*model);
     bed.faasRuntime()->fetchModule(spec, [](Status) {});
     bed.sim().runUntil(1_s);
@@ -261,10 +261,10 @@ TEST(ServerlessIntegration, SideBySideSchedulerPrefersListedOrder) {
   EXPECT_EQ(bed.dockerEngine().runtime().startedCount(), 1u);
 
   // Explicitly deploy the same service onto the FaaS runtime too.
-  const auto* model = bed.controller().serviceAt(kAddr);
+  const core::ServiceModelPtr model = bed.controller().serviceAt(kAddr);
   std::optional<Result<Endpoint>> faas;
   bed.controller().dispatcher().ensureReady(
-      *model, *bed.serverlessAdapter(),
+      model, *bed.serverlessAdapter(),
       [&](Result<Endpoint> r) { faas = std::move(r); });
   bed.sim().runUntil(60_s);
   ASSERT_TRUE(faas.has_value());
