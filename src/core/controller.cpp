@@ -191,7 +191,9 @@ EdgeController::RequestContext EdgeController::beginRequest(
       governor_->options().requestBudget > SimTime::zero()) {
     request.deadline = now + governor_->options().requestBudget;
   }
-  if (trace_ == nullptr || request.service == nullptr) return request;
+  if (trace_ == nullptr || !trace_->enabled() || request.service == nullptr) {
+    return request;
+  }
   // The request ID is allocated here, at entry: everything the request
   // triggers downstream (FlowMemory lookup, scheduler decision, deployment
   // phases, flow install) is stamped with it.  A packet-in also binds the
@@ -201,11 +203,11 @@ EdgeController::RequestContext EdgeController::beginRequest(
   if (packet != nullptr) {
     trace_->bindFlow(client, serviceAddress, request.rid);
     trace_->instant(request.rid, "packet-in", "controller", now,
-                    {{"client", client.toString()},
-                     {"service", serviceAddress.toString()},
-                     {"packet", packet->summary()}});
+                    {{"client", client},
+                     {"service", serviceAddress},
+                     {"packet", packet->header()}});
   } else {
-    spanArgs.emplace_back("client", client.toString());
+    spanArgs.push_back({"client", client});
   }
   request.span = trace_->beginSpan(request.rid, "resolve", "controller", now,
                                    std::move(spanArgs));
@@ -224,7 +226,7 @@ void EdgeController::recordOutcome(const RequestContext& request,
             result.error().toString().c_str());
     if (request.span != 0) {
       trace_->endSpan(request.span, now,
-                      {{"ok", "false"}, {"error", result.error().toString()}});
+                      {{"ok", "false"}, {"error", result.error()}});
     }
     return;
   }
@@ -259,7 +261,7 @@ void EdgeController::recordOutcome(const RequestContext& request,
   if (request.span != 0) {
     trace_->endSpan(request.span, now,
                     {{"ok", "true"},
-                     {"instance", redirect.instance.toString()},
+                     {"instance", redirect.instance},
                      {"cluster", redirect.cluster},
                      {"from_memory", redirect.fromMemory ? "true" : "false"},
                      {"degraded", redirect.degraded ? "true" : "false"}});
@@ -430,7 +432,7 @@ void EdgeController::handleRegisteredService(OpenFlowSwitch& sw,
     if (trace_ != nullptr) {
       trace_->instant(pending.request.rid, "packet-in-duplicate",
                       "controller", sim_.now(),
-                      {{"buffer", strprintf("%u", event.bufferId)}});
+                      {{"buffer", std::uint64_t{event.bufferId}}});
     }
     return;
   }
@@ -451,7 +453,7 @@ void EdgeController::handleRegisteredService(OpenFlowSwitch& sw,
         if (trace_ != nullptr) {
           trace_->instant(request.rid, "flow-install", "controller",
                           sim_.now(),
-                          {{"instance", redirect.instance.toString()},
+                          {{"instance", redirect.instance},
                            {"cluster", redirect.cluster}});
         }
         installRedirectFlows(sw, key.client, service, redirect.instance);
@@ -572,8 +574,9 @@ void EdgeController::onFlowModDeadline(std::uint64_t cookie) {
             backoff.toSeconds() * 1e3);
     if (trace_ != nullptr) {
       trace_->instant(0, "flowmod_retry", "controller", sim_.now(),
-                      {{"cookie", std::to_string(cookie)},
-                       {"attempt", std::to_string(install.attempts)}});
+                      {{"cookie", cookie},
+                       {"attempt",
+                        static_cast<std::uint64_t>(install.attempts)}});
     }
     install.deadline =
         sim_.schedule(backoff, [this, cookie] { sendTrackedInstall(cookie); });
@@ -590,8 +593,7 @@ void EdgeController::failOverInstall(std::uint64_t cookie) {
   ledger_.flowModFailovers.add();
   if (trace_ != nullptr) {
     trace_->instant(0, "flowmod_failover", "controller", sim_.now(),
-                    {{"cookie", std::to_string(cookie)},
-                     {"service", install.service.toString()}});
+                    {{"cookie", cookie}, {"service", install.service}});
   }
   const auto cloudIt = cloudRedirects_.find(install.service);
   const ServiceModel* service = serviceAt(install.service).get();
@@ -880,8 +882,8 @@ void EdgeController::requestHandover(Ipv4 client, Endpoint serviceAddress,
   if (trace_ != nullptr) {
     ah.rid = trace_->newRequest();
     trace_->instant(ah.rid, "handover-start", "mobility", sim_.now(),
-                    {{"client", client.toString()},
-                     {"service", serviceAddress.toString()},
+                    {{"client", client},
+                     {"service", serviceAddress},
                      {"from", ah.oldCluster},
                      {"to", targetCluster}});
     ah.span = trace_->beginSpan(ah.rid, "handover", "mobility", sim_.now(),
@@ -1040,7 +1042,7 @@ void EdgeController::settleHandover(const PendingKey& key,
                          now, {}, ah.span);
     trace_->endSpan(ah.span, now,
                     {{"outcome", degraded ? "aborted_to_cloud" : "completed"},
-                     {"instance", instance.toString()},
+                     {"instance", instance},
                      {"cluster", cluster},
                      {"reason", reason}});
   }

@@ -122,7 +122,7 @@ bool Dispatcher::answerFromCloud(const ServiceModel& service, Ipv4 client,
   redirect.shed = shed;
   if (trace_ != nullptr) {
     trace_->instant(rid, why, "overload", sim_.now(),
-                    {{"instance", redirect.instance.toString()}});
+                    {{"instance", redirect.instance}});
   }
   sim_.schedule(SimTime::zero(), [cb, redirect] { cb(redirect); });
   return true;
@@ -172,7 +172,7 @@ void Dispatcher::resolve(ServiceModelPtr model, Ipv4 client,
           memory_.touch(client, service.address, sim_.now());
           if (trace_ != nullptr) {
             trace_->instant(rid, "flow-memory-hit", "controller", sim_.now(),
-                            {{"instance", memorized->instance.toString()},
+                            {{"instance", memorized->instance},
                              {"cluster", memorized->cluster}});
           }
           Redirect redirect{memorized->instance, memorized->cluster, true};
@@ -269,7 +269,7 @@ void Dispatcher::resolve(ServiceModelPtr model, Ipv4 client,
                             fast->name(), false};
     if (trace_ != nullptr) {
       trace_->instant(rid, "local-schedule", "scheduler", sim_.now(),
-                      {{"instance", redirect.instance.toString()},
+                      {{"instance", redirect.instance},
                        {"cluster", redirect.cluster},
                        {"policy", options_.instancePolicy}});
     }
@@ -382,7 +382,7 @@ void Dispatcher::resolve(ServiceModelPtr model, Ipv4 client,
                         trace_->instant(
                             rid, "cloud-fallback", "deploy", sim_.now(),
                             {{"failed_cluster", clusterName},
-                             {"error", result.error().toString()}});
+                             {"error", result.error()}});
                       }
                       if (recorder_ != nullptr) {
                         recorder_->addSample("fallback", 1.0);
@@ -432,10 +432,7 @@ void Dispatcher::ensureReady(ServiceModelPtr model, ClusterAdapter& cluster,
       // Coalesced onto the in-flight deployment: the phases are traced
       // under the initiating request's ID; this one just marks the join.
       trace_->instant(rid, "join-deployment", "deploy", sim_.now(),
-                      {{"key", key},
-                       {"initiator",
-                        strprintf("%llu", static_cast<unsigned long long>(
-                                              it->second.rid))}});
+                      {{"key", key}, {"initiator", it->second.rid}});
     }
     it->second.waiters.push_back(std::move(cb));
     return;
@@ -453,8 +450,9 @@ void Dispatcher::ensureReady(ServiceModelPtr model, ClusterAdapter& cluster,
       if (trace_ != nullptr) {
         trace_->instant(rid, "deploy-cap", "overload", sim_.now(),
                         {{"cluster", cluster.name()},
-                         {"in_use", strprintf("%d", governor_->deployTokensInUse(
-                                                        cluster.name()))}});
+                         {"in_use", static_cast<std::uint64_t>(
+                                        governor_->deployTokensInUse(
+                                            cluster.name()))}});
       }
       ES_DEBUG("dispatcher", "deploy cap reached on %s; refusing deployment",
                cluster.name().c_str());
@@ -531,7 +529,7 @@ void Dispatcher::onPhaseFailure(const ServiceModelPtr& service,
                                            options_.retry.maxRetries)},
                      {"cluster", cluster.name()},
                      {"backoff_ms", strprintf("%.1f", delay.toMillis())},
-                     {"error", error.toString()}});
+                     {"error", error}});
   }
   if (recorder_ != nullptr) {
     recorder_->addSample("retry", 1.0);
@@ -711,7 +709,8 @@ void Dispatcher::finishDeploy(const std::string& key,
   if (trace_ != nullptr) {
     trace_->endSpan(it->second.span, sim_.now(),
                     {{"ok", result.ok() ? "true" : "false"},
-                     {"retries", strprintf("%d", it->second.retriesUsed)}});
+                     {"retries",
+                      static_cast<std::uint64_t>(it->second.retriesUsed)}});
   }
   pending_.erase(it);
   if (holdsToken && governor_ != nullptr) {
@@ -733,7 +732,7 @@ void Dispatcher::finishDeploy(const std::string& key,
                          {"cooldown_s",
                           strprintf("%.1f",
                                     options_.quarantineCooldown.toSeconds())},
-                         {"error", result.error().toString()}});
+                         {"error", result.error()}});
       }
       if (recorder_ != nullptr) recorder_->addSample("quarantine", 1.0);
       ES_WARN("dispatcher", "quarantining %s for %.1fs after: %s",

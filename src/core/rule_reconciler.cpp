@@ -71,7 +71,7 @@ void RuleReconciler::sweep(std::function<void()> done) {
     state->rid = trace_->newRequest();
     state->span = trace_->beginSpan(
         state->rid, "reconcile_sweep", "reconcile", sim_.now(),
-        {{"switches", std::to_string(switches.size())}});
+        {{"switches", std::uint64_t{switches.size()}}});
   }
   for (const auto& [sw, topo] : switches) {
     OpenFlowSwitch* swPtr = sw;
@@ -159,9 +159,9 @@ void RuleReconciler::finishSweep(const std::shared_ptr<SweepState>& state) {
   if (sweepHist_ != nullptr) sweepHist_->observe(elapsed.toSeconds());
   if (trace_ != nullptr) {
     trace_->endSpan(state->span, sim_.now(),
-                    {{"missing", std::to_string(state->missing)},
-                     {"orphans", std::to_string(state->orphans)},
-                     {"timed_out", std::to_string(state->remaining)}});
+                    {{"missing", std::uint64_t{state->missing}},
+                     {"orphans", std::uint64_t{state->orphans}},
+                     {"timed_out", std::uint64_t{state->remaining}}});
   }
   sweeping_ = false;
   if (state->done) state->done();

@@ -257,9 +257,8 @@ void Testbed::request(std::size_t clientIndex, Endpoint address,
                          trace_.instant(0, "request-failed", "client",
                                         sim_.now(),
                                         {{"series", series},
-                                         {"client", clientIp.toString()},
-                                         {"error",
-                                          r.error().toString()}});
+                                         {"client", clientIp},
+                                         {"error", r.error()}});
                        }
                        recorder_.add(record);
                        if (cb) cb(std::move(r));

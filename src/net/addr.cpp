@@ -36,9 +36,17 @@ Ipv4 clientAddress(std::size_t index) {
               static_cast<std::uint32_t>(overflow));
 }
 
+char* Ipv4::format(char* out) const {
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    out = std::to_chars(out, out + 3, (value >> shift) & 0xff).ptr;
+    if (shift != 0) *out++ = '.';
+  }
+  return out;
+}
+
 std::string Ipv4::toString() const {
-  return strprintf("%u.%u.%u.%u", (value >> 24) & 0xff, (value >> 16) & 0xff,
-                   (value >> 8) & 0xff, value & 0xff);
+  char text[kMaxText];
+  return std::string(text, format(text));
 }
 
 std::string Mac::toString() const {
@@ -67,8 +75,15 @@ std::optional<Endpoint> Endpoint::parse(std::string_view text) {
   return Endpoint(*ip, static_cast<std::uint16_t>(port));
 }
 
+char* Endpoint::format(char* out) const {
+  out = ip.format(out);
+  *out++ = ':';
+  return std::to_chars(out, out + 5, port).ptr;
+}
+
 std::string Endpoint::toString() const {
-  return strprintf("%s:%u", ip.toString().c_str(), port);
+  char text[kMaxText];
+  return std::string(text, format(text));
 }
 
 std::string FourTuple::toString() const {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -25,6 +26,11 @@ struct Ipv4 {
 
   static std::optional<Ipv4> parse(std::string_view text);
   std::string toString() const;
+  /// Longest toString() text: "255.255.255.255".
+  static constexpr std::size_t kMaxText = 15;
+  /// Write toString()'s text (no NUL) at `out`, which has room for
+  /// kMaxText chars; returns one past the last char written.
+  char* format(char* out) const;
 
   constexpr auto operator<=>(const Ipv4&) const = default;
   constexpr bool isZero() const { return value == 0; }
@@ -52,6 +58,10 @@ struct Endpoint {
   /// Parse "10.0.0.5:80".
   static std::optional<Endpoint> parse(std::string_view text);
   std::string toString() const;
+  /// Longest toString() text: "255.255.255.255:65535".
+  static constexpr std::size_t kMaxText = Ipv4::kMaxText + 6;
+  /// As Ipv4::format, with room for kMaxText chars.
+  char* format(char* out) const;
 
   constexpr auto operator<=>(const Endpoint&) const = default;
 };

@@ -1,6 +1,8 @@
 #include "net/packet.hpp"
 
-#include "util/strings.hpp"
+#include <algorithm>
+#include <charconv>
+#include <utility>
 
 namespace edgesim {
 
@@ -28,16 +30,23 @@ Packet makeBase(Mac srcMac, Endpoint src, Endpoint dst, std::uint8_t flags) {
 
 }  // namespace
 
-std::string Packet::summary() const {
-  std::string flags;
-  if (hasFlag(tcpflags::kSyn)) flags += "S";
-  if (hasFlag(tcpflags::kAck)) flags += "A";
-  if (hasFlag(tcpflags::kFin)) flags += "F";
-  if (hasFlag(tcpflags::kRst)) flags += "R";
-  if (hasFlag(tcpflags::kPsh)) flags += "P";
-  return strprintf("%s -> %s [%s] %llu B", srcEndpoint().toString().c_str(),
-                   dstEndpoint().toString().c_str(), flags.c_str(),
-                   static_cast<unsigned long long>(payloadBytes.value));
+std::string PacketHeader::toString() const {
+  // src " -> " dst " [" flags "] " bytes " B": at most 77 chars.
+  char text[96];
+  char* out = src.format(text);
+  out = std::copy_n(" -> ", 4, out);
+  out = dst.format(out);
+  out = std::copy_n(" [", 2, out);
+  constexpr std::pair<std::uint8_t, char> kLetters[] = {
+      {tcpflags::kSyn, 'S'}, {tcpflags::kAck, 'A'}, {tcpflags::kFin, 'F'},
+      {tcpflags::kRst, 'R'}, {tcpflags::kPsh, 'P'}};
+  for (const auto& [flag, letter] : kLetters) {
+    if ((flags & flag) != 0) *out++ = letter;
+  }
+  out = std::copy_n("] ", 2, out);
+  out = std::to_chars(out, out + 20, bytes).ptr;
+  out = std::copy_n(" B", 2, out);
+  return std::string(text, out);
 }
 
 Packet makeSyn(Mac srcMac, Endpoint src, Endpoint dst) {

@@ -34,6 +34,20 @@ struct AppPayload {
   HttpResponse response;
 };
 
+/// The addressing, flags and payload size of one packet: what
+/// Packet::summary() prints.  A plain value, so a trace argument can hold
+/// it and format it only when the trace is exported.
+struct PacketHeader {
+  Endpoint src;
+  Endpoint dst;
+  std::uint8_t flags = 0;
+  std::uint64_t bytes = 0;
+
+  /// "10.0.2.1:40000 -> 203.0.113.10:80 [SA] 0 B"; flags print in the
+  /// order S A F R P.
+  std::string toString() const;
+};
+
 struct Packet {
   // L2
   Mac ethSrc;
@@ -63,7 +77,10 @@ struct Packet {
   /// (Eth 14 + IP 20 + TCP 20 + payload).
   Bytes wireSize() const { return Bytes{54} + payloadBytes; }
 
-  std::string summary() const;
+  PacketHeader header() const {
+    return {srcEndpoint(), dstEndpoint(), tcpFlags, payloadBytes.value};
+  }
+  std::string summary() const { return header().toString(); }
 };
 
 /// Builders for the packet shapes the TCP layer emits.

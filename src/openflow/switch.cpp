@@ -161,7 +161,7 @@ void OpenFlowSwitch::countEviction(const Packet& packet) {
   if (evictionCounter_ != nullptr) evictionCounter_->add(1);
   if (trace_ != nullptr) {
     trace_->instant(0, "buffer_evict", "ofswitch", network().sim().now(),
-                    {{"switch", name()}, {"packet", packet.summary()}});
+                    {{"switch", name()}, {"packet", packet.header()}});
   }
 }
 

@@ -174,7 +174,7 @@ void DomainProbe::onAdvance(const AdvanceInfo& info) {
     recorder_->completeTrackSpan(
         static_cast<std::int64_t>(info.domain), "advance", "domain",
         wallStamp(info.wallStart), wallStamp(info.wallEnd),
-        {{"dispatched", strprintf("%zu", info.dispatched)}});
+        {{"dispatched", std::uint64_t{info.dispatched}}});
   }
   if (state.stalled && (progressed || info.idleAtHorizon)) {
     // The stall ended when this slice started doing something (progress) or
@@ -203,9 +203,7 @@ std::uint64_t DomainProbe::onCrossSend(DomainId from, DomainId to,
                                "domain", at, at,
                                {{"to", idLabel(to)},
                                 {"when_us", strprintf("%.3f", when.toMicros())},
-                                {"flow", strprintf("%llu",
-                                                   static_cast<unsigned long long>(
-                                                       flow))}});
+                                {"flow", flow}});
   recorder_->flowBegin(flow, static_cast<std::int64_t>(from), "xdom", "domain",
                        at);
   return flow;
@@ -221,9 +219,7 @@ void DomainProbe::onCrossReceive(std::uint64_t flow, DomainId from,
                                "domain", at, at,
                                {{"from", idLabel(from)},
                                 {"when_us", strprintf("%.3f", when.toMicros())},
-                                {"flow", strprintf("%llu",
-                                                   static_cast<unsigned long long>(
-                                                       flow))}});
+                                {"flow", flow}});
 }
 
 void DomainProbe::onWatchdogPass() {

@@ -145,7 +145,7 @@ void SloWatchdog::recordBreach(BudgetState& state, const std::string& kind,
          {"kind", kind},
          {"observed", strprintf("%.6g", observed)},
          {"budget_value", strprintf("%.6g", budgetValue)},
-         {"window_samples", std::to_string(windowSamples)}});
+         {"window_samples", std::uint64_t{windowSamples}}});
   }
   if (state.breachCounter == nullptr) {
     state.breachCounter = &registry_.counter("edgesim_slo_breaches_total",

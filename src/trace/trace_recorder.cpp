@@ -1,6 +1,7 @@
 #include "trace/trace_recorder.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <unordered_map>
 
 #include "util/strings.hpp"
@@ -34,6 +35,27 @@ std::uint64_t nextRecorderId() {
 }
 
 }  // namespace
+
+std::string formatTraceValue(const TraceValue& value) {
+  struct Format {
+    std::string operator()(const std::string& text) const { return text; }
+    std::string operator()(Ipv4 ip) const { return ip.toString(); }
+    std::string operator()(Endpoint endpoint) const {
+      return endpoint.toString();
+    }
+    std::string operator()(std::uint64_t number) const {
+      char text[20];
+      return std::string(text, std::to_chars(text, text + 20, number).ptr);
+    }
+    std::string operator()(const PacketHeader& header) const {
+      return header.toString();
+    }
+    std::string operator()(const Error& error) const {
+      return error.toString();
+    }
+  };
+  return std::visit(Format{}, value);
+}
 
 double RequestBreakdown::segmentSum() const {
   double sum = 0.0;
@@ -123,6 +145,7 @@ void TraceRecorder::endSpan(SpanId span, SimTime now, TraceArgs extraArgs) {
   TraceSpan& s = buffer->spans[local - 1];
   s.end = now;
   s.open = false;
+  s.args.reserve(s.args.size() + extraArgs.size());
   for (auto& arg : extraArgs) s.args.push_back(std::move(arg));
 }
 
@@ -223,12 +246,12 @@ RequestId TraceRecorder::clientRequestDone(Ipv4 client, Endpoint service,
     // flows (warm path) -- it still gets its own timeline row.
     request = newRequest();
     instant(request, "warm-path", "client", start,
-            {{"client", client.toString()}, {"service", service.toString()}});
+            {{"client", client}, {"service", service}});
   }
   completeSpan(request, "request", "client", start, end,
                {{"series", series},
-                {"client", client.toString()},
-                {"service", service.toString()},
+                {"client", client},
+                {"service", service},
                 {"success", success ? "true" : "false"}});
   return request;
 }
@@ -316,7 +339,9 @@ namespace {
 
 JsonValue argsObject(const TraceArgs& args) {
   JsonValue obj = JsonValue::object();
-  for (const auto& [key, value] : args) obj.set(key, value);
+  for (const auto& [key, value] : args) {
+    obj.set(key.c_str(), formatTraceValue(value));
+  }
   return obj;
 }
 
@@ -423,15 +448,12 @@ JsonValue TraceRecorder::chromeTrace() const {
       event.set("pid", 1);
       event.set("tid", span.request);
     }
-    TraceArgs args = span.args;
-    args.emplace_back("span_id", strprintf("%llu", static_cast<unsigned long long>(
-                                                       span.id)));
+    JsonValue args = argsObject(span.args);
+    args.set("span_id", formatTraceValue(span.id));
     if (span.parent != 0) {
-      args.emplace_back("parent_span",
-                        strprintf("%llu",
-                                  static_cast<unsigned long long>(span.parent)));
+      args.set("parent_span", formatTraceValue(span.parent));
     }
-    event.set("args", argsObject(args));
+    event.set("args", std::move(args));
     events.push(std::move(event));
   }
 

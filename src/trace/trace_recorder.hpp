@@ -42,11 +42,14 @@
 #include <mutex>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "net/addr.hpp"
+#include "net/packet.hpp"
 #include "sim/time.hpp"
 #include "util/json.hpp"
+#include "util/result.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -58,7 +61,35 @@ using RequestId = std::uint64_t;
 /// buffer 0 (single-threaded recording) yields dense 1-based IDs.
 using SpanId = std::uint64_t;
 
-using TraceArgs = std::vector<std::pair<std::string, std::string>>;
+/// A trace argument's key.  Only a string literal binds (a consteval
+/// constructor over `const char (&)[N]`), so the recorder keeps the bare
+/// pointer: the text outlives every trace and costs no allocation.
+class TraceKey {
+ public:
+  template <std::size_t N>
+  consteval TraceKey(const char (&literal)[N]) : text_(literal) {}
+
+  constexpr const char* c_str() const { return text_; }
+
+ private:
+  const char* text_;
+};
+
+/// A trace argument's value, stored as recorded and formatted only at
+/// export (formatTraceValue), so the request path never prints an address.
+using TraceValue = std::variant<std::string, Ipv4, Endpoint, std::uint64_t,
+                                PacketHeader, Error>;
+
+/// The exported text of `value`: the string itself, `toString()` of an
+/// address, packet header or error, or the decimal digits of an integer.
+std::string formatTraceValue(const TraceValue& value);
+
+struct TraceArg {
+  TraceKey key;
+  TraceValue value;
+};
+
+using TraceArgs = std::vector<TraceArg>;
 
 struct TraceSpan {
   SpanId id = 0;

@@ -83,14 +83,19 @@ std::string strprintf(const char* fmt, ...) {
   va_start(args, fmt);
   va_list copy;
   va_copy(copy, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, copy);
-  va_end(copy);
-  std::string out;
-  if (needed > 0) {
-    out.resize(static_cast<std::size_t>(needed));
-    std::vsnprintf(out.data(), out.size() + 1, fmt, args);
-  }
+  // One pass into a stack buffer covers nearly every call; only longer
+  // output pays a second, exactly sized pass.
+  char stackBuffer[256];
+  const int needed = std::vsnprintf(stackBuffer, sizeof stackBuffer, fmt, args);
   va_end(args);
+  std::string out;
+  if (needed > 0 && static_cast<std::size_t>(needed) < sizeof stackBuffer) {
+    out.assign(stackBuffer, static_cast<std::size_t>(needed));
+  } else if (needed > 0) {
+    out.resize(static_cast<std::size_t>(needed));
+    std::vsnprintf(out.data(), out.size() + 1, fmt, copy);
+  }
+  va_end(copy);
   return out;
 }
 

@@ -6,12 +6,14 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/host.hpp"
 #include "net/network.hpp"
 #include "net/packet.hpp"
 #include "sim/simulation.hpp"
+#include "util/strings.hpp"
 
 namespace edgesim {
 namespace {
@@ -70,6 +72,70 @@ TEST(Addr, ClientAddressesStayDistinctPastTheSubnet) {
     const Ipv4 ip = clientAddress(i);
     EXPECT_TRUE(seen.insert(ip).second) << "index " << i;
     EXPECT_EQ(hosts.count(ip), 0u) << "index " << i;
+  }
+}
+
+/// The printf expressions addresses and packet summaries were formatted
+/// with before they moved to std::to_chars; the output must not change.
+std::string oldIpv4Text(Ipv4 ip) {
+  const std::uint32_t v = ip.value;
+  return strprintf("%u.%u.%u.%u", (v >> 24) & 0xff, (v >> 16) & 0xff,
+                   (v >> 8) & 0xff, v & 0xff);
+}
+
+std::string oldEndpointText(Endpoint ep) {
+  return strprintf("%s:%u", oldIpv4Text(ep.ip).c_str(), ep.port);
+}
+
+std::string oldSummaryText(const Packet& p) {
+  std::string flags;
+  if (p.hasFlag(tcpflags::kSyn)) flags += "S";
+  if (p.hasFlag(tcpflags::kAck)) flags += "A";
+  if (p.hasFlag(tcpflags::kFin)) flags += "F";
+  if (p.hasFlag(tcpflags::kRst)) flags += "R";
+  if (p.hasFlag(tcpflags::kPsh)) flags += "P";
+  return strprintf("%s -> %s [%s] %llu B",
+                   oldEndpointText(p.srcEndpoint()).c_str(),
+                   oldEndpointText(p.dstEndpoint()).c_str(), flags.c_str(),
+                   static_cast<unsigned long long>(p.payloadBytes.value));
+}
+
+TEST(Addr, FormattingMatchesThePrintfExpressionsAtTheExtremes) {
+  const std::vector<Ipv4> ips{Ipv4(0, 0, 0, 0), Ipv4(255, 255, 255, 255),
+                              Ipv4(10, 0, 2, 1), Ipv4(203, 0, 113, 10),
+                              Ipv4(100, 9, 10, 99)};
+  const std::vector<std::uint16_t> ports{0, 9, 80, 65535};
+  for (const Ipv4 ip : ips) {
+    EXPECT_EQ(ip.toString(), oldIpv4Text(ip));
+    for (const std::uint16_t port : ports) {
+      const Endpoint ep(ip, port);
+      EXPECT_EQ(ep.toString(), oldEndpointText(ep));
+    }
+  }
+  EXPECT_EQ(Endpoint(Ipv4(255, 255, 255, 255), 65535).toString().size(),
+            Endpoint::kMaxText);
+}
+
+TEST(Packet, SummaryMatchesThePrintfExpressionForEveryFlagCombination) {
+  const Endpoint low(Ipv4(0, 0, 0, 0), 0);
+  const Endpoint high(Ipv4(255, 255, 255, 255), 65535);
+  const std::vector<std::pair<Endpoint, Endpoint>> routes{
+      {low, high}, {high, low}, {high, high}};
+  const std::vector<std::uint64_t> sizes{0, 1, 1448, ~std::uint64_t{0}};
+  for (unsigned flags = 0; flags < 32; ++flags) {
+    for (const std::uint64_t bytes : sizes) {
+      for (const auto& [src, dst] : routes) {
+        Packet p;
+        p.ipSrc = src.ip;
+        p.tcpSrc = src.port;
+        p.ipDst = dst.ip;
+        p.tcpDst = dst.port;
+        p.tcpFlags = static_cast<std::uint8_t>(flags);
+        p.payloadBytes = Bytes{bytes};
+        EXPECT_EQ(p.summary(), oldSummaryText(p)) << "flags " << flags;
+        EXPECT_EQ(p.header().toString(), p.summary());
+      }
+    }
   }
 }
 

@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <type_traits>
 
 #include "core/testbed.hpp"
+#include "net/packet.hpp"
 #include "trace/trace_recorder.hpp"
 #include "util/json.hpp"
 
@@ -130,6 +134,107 @@ TEST(TraceRecorder, ChromeTraceHasSchemaFields) {
   const auto parsed = JsonValue::parse(recorder.chromeTraceJson());
   ASSERT_TRUE(parsed.ok()) << parsed.error().toString();
   EXPECT_EQ(parsed.value().find("traceEvents")->size(), events->size());
+}
+
+// ------------------------------------------------------- typed values ----
+
+// Keys are string literals only: the recorder stores the bare pointer.
+static_assert(std::is_constructible_v<trace::TraceKey, const char (&)[7]>);
+static_assert(!std::is_constructible_v<trace::TraceKey, std::string>);
+static_assert(!std::is_constructible_v<trace::TraceKey, const std::string&>);
+static_assert(!std::is_constructible_v<trace::TraceKey, const char*>);
+static_assert(!std::is_constructible_v<trace::TraceKey, const char*&>);
+static_assert(!std::is_convertible_v<std::string, trace::TraceKey>);
+static_assert(!std::is_convertible_v<const char*, trace::TraceKey>);
+
+TEST(TraceValue, EachAlternativeFormatsAsTheStringItReplaces) {
+  using trace::formatTraceValue;
+  EXPECT_EQ(formatTraceValue(std::string("nginx-1")), "nginx-1");
+  EXPECT_EQ(formatTraceValue(std::string()), "");
+  for (const Ipv4 ip : {Ipv4(0, 0, 0, 0), Ipv4(255, 255, 255, 255),
+                        Ipv4(10, 0, 2, 1)}) {
+    EXPECT_EQ(formatTraceValue(ip), ip.toString());
+    for (const std::uint16_t port : {0, 80, 65535}) {
+      const Endpoint ep(ip, port);
+      EXPECT_EQ(formatTraceValue(ep), ep.toString());
+    }
+  }
+  for (const std::uint64_t n :
+       {std::uint64_t{0}, std::uint64_t{7}, std::uint64_t{1} << 40,
+        ~std::uint64_t{0}}) {
+    EXPECT_EQ(formatTraceValue(n), std::to_string(n));
+  }
+  Packet packet = makeData(Mac(1), Endpoint(Ipv4(10, 0, 2, 1), 40000),
+                           Endpoint(Ipv4(203, 0, 113, 10), 80), Bytes{1448},
+                           nullptr);
+  for (unsigned flags = 0; flags < 32; ++flags) {
+    packet.tcpFlags = static_cast<std::uint8_t>(flags);
+    EXPECT_EQ(formatTraceValue(packet.header()), packet.summary());
+  }
+  const Error error = makeError(Errc::kTimeout, "deployment timed out");
+  EXPECT_EQ(formatTraceValue(error), error.toString());
+}
+
+/// The same events recorded twice: once with typed values, once with the
+/// strings those values used to be formatted into at record time.
+void recordTypedOrFormatted(TraceRecorder& recorder, bool typed) {
+  const Ipv4 client(10, 0, 2, 17);
+  const Endpoint service(Ipv4(203, 0, 113, 10), 80);
+  const Endpoint instance(Ipv4(10, 0, 1, 1), 30001);
+  Packet syn = makeSyn(Mac(1), Endpoint(client, 40001), service);
+  const Error error = makeError(Errc::kUnavailable, "pull failed");
+  const auto value = [typed](const trace::TraceValue& v) -> trace::TraceValue {
+    return typed ? v : trace::TraceValue(trace::formatTraceValue(v));
+  };
+  const RequestId rid = recorder.newRequest();
+  recorder.instant(rid, "packet-in", "controller", 1_ms,
+                   {{"client", value(client)},
+                    {"service", value(service)},
+                    {"packet", value(syn.header())}});
+  const SpanId resolve = recorder.beginSpan(
+      rid, "resolve", "controller", 1_ms, {{"service", "nginx-1"}});
+  recorder.completeSpan(rid, "pull", "deploy", 2_ms, 90_ms,
+                        {{"ok", "false"}, {"error", value(error)}}, resolve);
+  recorder.instant(rid, "join-deployment", "deploy", 3_ms,
+                   {{"key", "nginx-1@egs"},
+                    {"initiator", value(std::uint64_t{rid})}});
+  recorder.endSpan(resolve, 100_ms,
+                   {{"ok", "true"},
+                    {"instance", value(instance)},
+                    {"retries", value(std::uint64_t{2})}});
+  recorder.completeTrackSpan(0, "advance", "domain", 1_ms, 2_ms,
+                             {{"dispatched", value(std::uint64_t{12})}});
+}
+
+TEST(TraceRecorder, TypedArgumentsExportLikePreformattedStrings) {
+  TraceRecorder typed;
+  TraceRecorder formatted;
+  recordTypedOrFormatted(typed, true);
+  recordTypedOrFormatted(formatted, false);
+  const std::string json = typed.chromeTraceJson(2);
+  EXPECT_EQ(json, formatted.chromeTraceJson(2));
+  EXPECT_NE(json.find("\"10.0.2.17:40001 -> 203.0.113.10:80 [S] 0 B\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"unavailable: pull failed\""),
+            std::string::npos)
+      << json;
+
+  // The client-side root span and the warm-path marker are typed too.
+  TraceRecorder warm;
+  const Ipv4 client(10, 0, 2, 1);
+  const Endpoint service(Ipv4(203, 0, 113, 10), 80);
+  warm.clientRequestDone(client, service, 0_s, 1_ms, true, "nginx/warm");
+  TraceRecorder manual;
+  const RequestId rid = manual.newRequest();
+  manual.instant(rid, "warm-path", "client", 0_s,
+                 {{"client", "10.0.2.1"}, {"service", "203.0.113.10:80"}});
+  manual.completeSpan(rid, "request", "client", 0_s, 1_ms,
+                      {{"series", "nginx/warm"},
+                       {"client", "10.0.2.1"},
+                       {"service", "203.0.113.10:80"},
+                       {"success", "true"}});
+  EXPECT_EQ(warm.chromeTraceJson(), manual.chromeTraceJson());
 }
 
 // ------------------------------------------- end-to-end via the testbed ----

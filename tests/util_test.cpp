@@ -264,6 +264,18 @@ TEST(Strings, NumberPredicates) {
 TEST(Strings, Strprintf) {
   EXPECT_EQ(strprintf("%s=%d", "x", 7), "x=7");
   EXPECT_EQ(strprintf("%.2f", 1.0 / 3), "0.33");
+  EXPECT_EQ(strprintf("%s", ""), "");
+}
+
+TEST(Strings, StrprintfPastTheStackBufferTakesTheSizedPass) {
+  // Output of 255 chars fits the 256-byte stack buffer with its NUL; 256,
+  // 257 and 4002 chars need the second pass.
+  for (const std::size_t length : {253u, 254u, 255u, 4000u}) {
+    const std::string text(length, 'x');
+    const std::string out = strprintf("<%s>", text.c_str());
+    ASSERT_EQ(out.size(), length + 2);
+    EXPECT_EQ(out, "<" + text + ">");
+  }
 }
 
 // --------------------------------------------------------------- units ----
