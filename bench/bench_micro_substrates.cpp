@@ -25,15 +25,8 @@ using namespace edgesim::timeliterals;
 /// reports carry a spread, not a single number.
 constexpr int kRepetitions = 5;
 
-/// Schedule one event and dispatch it, with `range(0)` far-future entries
-/// queued behind it: 60000 is the depth of warm_250's heap, which is
-/// mostly the 120 s TCP total timers every connection leaves behind.
-void BM_EventScheduleDispatch(benchmark::State& state) {
-  Simulation sim;
-  const SimTime far = SimTime::seconds(1e6);
-  for (std::int64_t i = 0; i < state.range(0); ++i) {
-    sim.schedule(far + SimTime::nanos(i), [] {});
-  }
+/// Each iteration schedules one event 1 us ahead and dispatches it.
+void scheduleAndDispatch(benchmark::State& state, Simulation& sim) {
   std::int64_t counter = 0;
   for (auto _ : state) {
     sim.schedule(1_us, [&counter] { ++counter; });
@@ -41,9 +34,34 @@ void BM_EventScheduleDispatch(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(counter);
 }
+
+/// Schedule one event and dispatch it, with `range(0)` live far-future
+/// entries queued behind it: 60000 is the depth of warm_250's heap.
+void BM_EventScheduleDispatch(benchmark::State& state) {
+  Simulation sim;
+  const SimTime far = SimTime::seconds(1e6);
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    sim.schedule(far + SimTime::nanos(i), [] {});
+  }
+  scheduleAndDispatch(state, sim);
+}
 BENCHMARK(BM_EventScheduleDispatch)
     ->Repetitions(kRepetitions)
     ->Arg(0)
+    ->Arg(60000);
+
+/// The same loop behind `range(0)` cancelled 120 s timers: the shape of
+/// warm_250's heap, where each connection's TCP total timer is cancelled
+/// when the request completes but stays queued until its time comes.
+void BM_EventScheduleDispatchCancelledTimers(benchmark::State& state) {
+  Simulation sim;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    sim.schedule(120_s + SimTime::nanos(i), [] {}).cancel();
+  }
+  scheduleAndDispatch(state, sim);
+}
+BENCHMARK(BM_EventScheduleDispatchCancelledTimers)
+    ->Repetitions(kRepetitions)
     ->Arg(60000);
 
 void BM_EventQueueBurst(benchmark::State& state) {

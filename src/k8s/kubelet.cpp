@@ -15,9 +15,9 @@ Kubelet::Kubelet(Simulation& sim, ApiServer& api,
   api_.pods().watch(
       [this](const WatchEvent<Pod>& event) { onPodEvent(event); });
   resync_.start(sim_, params_.kubeletResyncPeriod, [this] {
-    for (const auto* pod : api_.pods().list()) {
-      if (pod->spec.nodeName == node_.name) syncPod(pod->meta.name);
-    }
+    api_.pods().forEach([this](const Pod& pod) {
+      if (pod.spec.nodeName == node_.name) syncPod(pod.meta.name);
+    });
     return true;
   }, params_.kubeletResyncPeriod);
 }
@@ -34,7 +34,7 @@ void Kubelet::onPodEvent(const WatchEvent<Pod>& event) {
   sim_.schedule(params_.kubeletSyncLatency, [this, name] { syncPod(name); });
 }
 
-void Kubelet::syncPod(std::string podName) {
+void Kubelet::syncPod(const std::string& podName) {
   const Pod* pod = api_.pods().get(podName);
   if (pod == nullptr) {
     if (workers_.count(podName) != 0) teardown(podName);
@@ -240,7 +240,7 @@ void Kubelet::markFailed(std::string podName) {
   });
 }
 
-void Kubelet::teardown(std::string podName) {
+void Kubelet::teardown(const std::string& podName) {
   auto it = workers_.find(podName);
   if (it == workers_.end()) return;
   it->second.probe.cancel();

@@ -48,15 +48,17 @@ class Kubelet {
     PeriodicTimer probe;
   };
 
-  // Pod names are passed by value below: several of these erase the
-  // worker map entry that (indirectly) owns the caller's string.
+  // syncPod and teardown borrow a name the pod store, a watch event or a
+  // queued closure owns: store mutations commit in later events, so the
+  // name outlives the call.  beginProbing and markFailed take theirs by
+  // value: their closures keep a copy.
   void onPodEvent(const WatchEvent<Pod>& event);
-  void syncPod(std::string podName);
+  void syncPod(const std::string& podName);
   void startPod(const Pod& pod);
   void launchContainers(const Pod& pod);
   void beginProbing(std::string podName);
   void probePod(const std::string& podName);
-  void teardown(std::string podName);
+  void teardown(const std::string& podName);
   void markFailed(std::string podName);
 
   Simulation& sim_;

@@ -119,28 +119,33 @@ EventHandle EventDomain::scheduleAt(SimTime when, std::function<void()> fn) {
   ES_ASSERT_MSG(when >= now_, "scheduling into the past");
   ES_ASSERT(fn != nullptr);
   const std::uint32_t slot = slots_->acquire(std::move(fn));
-  heap_.push_back(Key{when, nextSeq_++, slot});
-  std::push_heap(heap_.begin(), heap_.end(), KeyAfter{});
+  std::vector<Key>& heap = when - now_ < kNearHorizon ? near_ : far_;
+  heap.push_back(Key{when, nextSeq_++, slot});
+  std::push_heap(heap.begin(), heap.end(), KeyAfter{});
   queueSize_.fetch_add(1, std::memory_order_relaxed);
   return EventHandle{slots_, slot, slots_->generation(slot)};
 }
 
 EventDomain::Key EventDomain::popKey() {
-  const Key front = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), KeyAfter{});
-  heap_.pop_back();
+  const Key* key = front();
+  ES_ASSERT(key != nullptr);
+  // front() points at the front of the heap that holds the earliest key.
+  std::vector<Key>& heap = key == near_.data() ? near_ : far_;
+  const Key earliest = *key;
+  std::pop_heap(heap.begin(), heap.end(), KeyAfter{});
+  heap.pop_back();
   queueSize_.fetch_sub(1, std::memory_order_relaxed);
-  return front;
+  return earliest;
 }
 
 bool EventDomain::runFront() {
-  const Key front = popKey();
+  const Key key = popKey();
   // The closure leaves its slot before the slot is freed and before it
   // runs: a handler that schedules may reallocate the slot table or reuse
   // this very slot, and its own handle no longer reports pending.
   std::function<void()> fn;
-  if (!slots_->release(front.slot, fn)) return false;  // cancelled
-  setNow(front.when);
+  if (!slots_->release(key.slot, fn)) return false;  // cancelled
+  setNow(key.when);
   processed_.fetch_add(1, std::memory_order_relaxed);
   CurrentDomainScope scope(this);
   fn();
@@ -173,9 +178,8 @@ std::size_t EventDomain::advance(SimTime horizon) {
 
     bool progressed = false;
     std::size_t ranThisRound = 0;
-    while (!heap_.empty()) {
-      const Key& front = heap_.front();
-      if (front.when > horizon || front.when >= bound) break;
+    while (const Key* key = front()) {
+      if (key->when > horizon || key->when >= bound) break;
       if (!runFront()) continue;
       ++dispatched;
       ++ranThisRound;

@@ -215,6 +215,15 @@ class DomainChannel {
 
 class EventDomain {
  public:
+  /// Keys due less than this long after now() at schedule time go to the
+  /// near heap, the rest to the far heap.  1 s is TCP's initial SYN RTO
+  /// (RequestOptions::synRto): packet deliveries, handler delays and
+  /// retransmits stay near, while the long protocol timers -- above all the
+  /// 120 s TCP total timers, nearly all cancelled before they fall due --
+  /// go far, so the near heap that every packet event touches stays a few
+  /// keys deep.
+  static constexpr SimTime kNearHorizon = SimTime::seconds(1);
+
   /// `sharedRng` non-null aliases an external stream (domain 0 shares the
   /// Simulation's master RNG); otherwise the domain owns an `rngSeed` fork.
   EventDomain(Simulation& sim, DomainId id, std::string name, Rng* sharedRng,
@@ -246,9 +255,8 @@ class EventDomain {
   /// none.  Owning thread only (mutates the queue).  Inline: the sequential
   /// driver calls it once per event.
   SimTime nextEventTime() {
-    while (!heap_.empty()) {
-      const Key& front = heap_.front();
-      if (slots_->live(front.slot)) return front.when;
+    while (const Key* key = front()) {
+      if (slots_->live(key->slot)) return key->when;
       std::function<void()> cancelled;  // prune the cancelled front entry
       slots_->release(popKey().slot, cancelled);
     }
@@ -276,9 +284,11 @@ class EventDomain {
     if (now_ < when) setNow(when);
   }
 
-  /// Live heap depth / dispatched-event count.  Relaxed atomics: exact on
-  /// the owning thread, a moment-in-time approximation from any other
-  /// (feeds the heap-depth gauge polled at snapshot time).
+  /// Queued keys in both heaps -- cancelled keys included, until they are
+  /// popped -- / dispatched-event count.  pathbench's steady-state heap
+  /// guard depends on the queued count including the dead timers.  Relaxed
+  /// atomics: exact on the owning thread, a moment-in-time approximation
+  /// from any other (feeds the heap-depth gauge polled at snapshot time).
   std::size_t pendingEvents() const {
     return queueSize_.load(std::memory_order_relaxed);
   }
@@ -317,7 +327,15 @@ class EventDomain {
     }
   };
 
-  /// Remove the heap's earliest key (its slot is still held).
+  /// The queue's earliest key: the smaller of the two heap fronts under
+  /// KeyAfter, or nullptr when both heaps are empty.
+  const Key* front() const {
+    const Key* near = near_.empty() ? nullptr : &near_.front();
+    if (far_.empty()) return near;
+    const Key* far = &far_.front();
+    return near != nullptr && KeyAfter{}(*far, *near) ? near : far;
+  }
+  /// Remove the queue's earliest key (its slot is still held).
   Key popKey();
   /// Pop the earliest event and free its slot, then run it if it was live.
   /// Returns whether it ran.
@@ -343,7 +361,9 @@ class EventDomain {
   /// Domain 0 aliases the Simulation's master RNG; others own a fork.
   Rng* rng_ = nullptr;
   std::unique_ptr<Rng> ownedRng_;
-  std::vector<Key> heap_;  // binary min-heap under KeyAfter
+  // Binary min-heaps under KeyAfter, split at kNearHorizon.
+  std::vector<Key> near_;
+  std::vector<Key> far_;
   std::shared_ptr<EventSlots> slots_ = std::make_shared<EventSlots>();
   std::vector<DomainChannel*> inbound_;
   std::vector<DomainChannel*> outbound_;

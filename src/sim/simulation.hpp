@@ -143,6 +143,9 @@ class Simulation {
   void stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }
 
+  /// Queued keys over every domain's near and far heaps, cancelled keys
+  /// included until they are popped (EventDomain::pendingEvents); this is
+  /// the depth pathbench's steady-state heap guard compares.
   std::size_t pendingEvents() const;
   std::uint64_t processedEvents() const;
 

@@ -324,11 +324,18 @@ class QueueOracle {
  public:
   explicit QueueOracle(std::uint64_t seed) : sim_(seed), rng_(seed * 31 + 7) {}
 
-  void scheduleTop() {
+  void scheduleTop() { scheduleTop(drawDelay()); }
+  void scheduleTop(std::int64_t delay) {
     const int id = nextId_++;
-    const std::int64_t delay = drawDelay();
     handles_[id] = sim_.schedule(SimTime::nanos(delay), handler(id));
-    track(id, reference_.schedule(delay));
+    track(id, reference_.schedule(delay), delay);
+  }
+  /// A far key, then -- 1 ns later -- a near key due at the same time:
+  /// seq decides, so the far key runs first.
+  void scheduleTiedPair() {
+    scheduleTop(kHorizon);
+    runFor(1);
+    scheduleTop(kHorizon - 1);
   }
   void cancelOne() {
     if (keys_.empty()) return;
@@ -343,6 +350,9 @@ class QueueOracle {
                      static_cast<long>(rng_.uniformInt(0, keys_.size() - 1)));
       }
     }
+    if (far_.count(it->first) != 0 && reference_.live(it->second)) {
+      ++farCancels_;
+    }
     handles_[it->first].cancel();
     reference_.cancel(it->second);
   }
@@ -352,10 +362,14 @@ class QueueOracle {
     if (key) dispatchReference(*key);
     EXPECT_EQ(ran, key.has_value());
   }
+  /// Mostly a few microseconds; one span in five reaches the far heap.
   void runUntil() {
-    const std::int64_t until =
-        sim_.now().toNanos() +
-        static_cast<std::int64_t>(rng_.uniformInt(0, 6'000));
+    runFor(rng_.chance(0.2)
+               ? kLongDelays[rng_.uniformInt(0, kLongDelays.size() - 1)]
+               : static_cast<std::int64_t>(rng_.uniformInt(0, 6'000)));
+  }
+  void runFor(std::int64_t span) {
+    const std::int64_t until = sim_.now().toNanos() + span;
     sim_.runUntil(SimTime::nanos(until));
     while (reference_.liveAtOrBefore(until)) {
       if (const auto key = reference_.step()) dispatchReference(*key);
@@ -379,6 +393,8 @@ class QueueOracle {
 
   Rng& rng() { return rng_; }
   std::size_t dispatched() const { return ran_.size(); }
+  /// Cancels that hit a live key in the far heap.
+  std::size_t farCancels() const { return farCancels_; }
 
  private:
   struct Spawn {
@@ -386,11 +402,22 @@ class QueueOracle {
     std::int64_t delayNs;
   };
 
-  /// Mostly a few microseconds, drawn from a small set so times tie often.
+  static constexpr std::int64_t kHorizon =
+      EventDomain::kNearHorizon.toNanos();
+  /// Either side of the near/far split, and TCP's 120 s total timer.
+  static constexpr std::array<std::int64_t, 4> kLongDelays{
+      kHorizon - 1, kHorizon, kHorizon + 1, 120'000'000'000};
+
+  /// Mostly a few microseconds, drawn from a small set so times tie often;
+  /// the rest are the long delays, so keys land in both heaps.
   std::int64_t drawDelay() {
-    static constexpr std::array<std::int64_t, 6> kDelays{0, 1'000, 1'000,
-                                                         2'000, 3'000, 5'000};
-    return kDelays[rng_.uniformInt(0, kDelays.size() - 1)];
+    static constexpr std::array<std::int64_t, 6> kShortDelays{
+        0, 1'000, 1'000, 2'000, 3'000, 5'000};
+    const auto pick =
+        rng_.uniformInt(0, kShortDelays.size() + kLongDelays.size() - 1);
+    return pick < kShortDelays.size()
+               ? kShortDelays[pick]
+               : kLongDelays[pick - kShortDelays.size()];
   }
 
   std::function<void()> handler(int id) {
@@ -407,9 +434,10 @@ class QueueOracle {
       }
     };
   }
-  void track(int id, ReferenceQueue::Key key) {
+  void track(int id, ReferenceQueue::Key key, std::int64_t delayNs) {
     keys_[id] = key;
     ids_[key] = id;
+    if (delayNs >= kHorizon) far_.insert(id);
   }
   void dispatchReference(const ReferenceQueue::Key& key) {
     const int id = ids_.at(key);
@@ -417,7 +445,7 @@ class QueueOracle {
     const auto plan = children_.find(id);
     if (plan == children_.end()) return;
     for (const Spawn& child : plan->second) {
-      track(child.id, reference_.schedule(child.delayNs));
+      track(child.id, reference_.schedule(child.delayNs), child.delayNs);
     }
   }
 
@@ -431,6 +459,8 @@ class QueueOracle {
   std::map<int, std::vector<Spawn>> children_;
   std::vector<int> ran_;
   std::vector<int> expected_;
+  std::set<int> far_;  // ids scheduled at least kHorizon ahead
+  std::size_t farCancels_ = 0;
 };
 
 class EventQueueOracleProperty : public ::testing::TestWithParam<int> {};
@@ -439,8 +469,10 @@ TEST_P(EventQueueOracleProperty, MatchesOrderedSetReference) {
   QueueOracle oracle(static_cast<std::uint64_t>(GetParam()));
   for (int op = 0; op < 600; ++op) {
     const auto pick = oracle.rng().uniformInt(0, 99);
-    if (pick < 40) {
+    if (pick < 36) {
       oracle.scheduleTop();
+    } else if (pick < 40) {
+      oracle.scheduleTiedPair();
     } else if (pick < 60) {
       oracle.cancelOne();
     } else if (pick < 85) {
@@ -454,6 +486,7 @@ TEST_P(EventQueueOracleProperty, MatchesOrderedSetReference) {
   oracle.drain();
   oracle.check();
   EXPECT_GT(oracle.dispatched(), 100u);
+  EXPECT_GT(oracle.farCancels(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueOracleProperty,
