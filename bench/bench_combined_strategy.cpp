@@ -43,6 +43,7 @@ StrategyResult runStrategy(ClusterMode mode, bool alsoDeployK8s) {
         });
   }
   bed.sim().runUntil(60_s);
+  requireLedger(bed, "combined strategy");
   return result;
 }
 

@@ -73,6 +73,7 @@ RunResult runScenario(bool faulty) {
     });
   }
   bed.sim().runUntil(SimTime::seconds(240.0));
+  requireLedger(bed, "fault resilience");
 
   result.degraded = bed.controller().requestsDegraded();
   result.retries = bed.controller().dispatcher().retries();

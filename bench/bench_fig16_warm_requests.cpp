@@ -39,6 +39,7 @@ Samples warmSamples(const std::string& key, ClusterMode mode,
                        });
   }
   bed.sim().runUntil(SimTime::seconds(60.0 + 0.4 * static_cast<double>(requests) + 60.0));
+  requireLedger(bed, "fig16 warm requests");
   const auto* warm = bed.recorder().series("warm");
   ES_ASSERT(warm != nullptr && warm->count() == requests);
   return *warm;

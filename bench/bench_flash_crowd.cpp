@@ -115,6 +115,7 @@ CrowdResult runCrowd(bool withAutoscaler) {
     return bed.sim().now() < SimTime::seconds(259.0);
   });
   bed.sim().runUntil(SimTime::seconds(260.0));
+  requireLedger(bed, "flash crowd");
 
   CrowdResult result;
   auto fill = [&bed](const char* series, PhaseStats& stats) {

@@ -44,6 +44,7 @@ AblationResult runWithTimeout(SimTime memoryTimeout) {
     });
   }
   bed.sim().runUntil(SimTime::seconds(660.0));
+  requireLedger(bed, "flowmemory ablation");
 
   AblationResult result;
   const auto* trickle = bed.recorder().series("trickle");

@@ -15,6 +15,7 @@
 
 #include "bench_output.hpp"
 #include "core/testbed.hpp"
+#include "ledger_check.hpp"
 #include "mobility/attachment.hpp"
 #include "mobility/handover.hpp"
 #include "mobility/mobility_model.hpp"
@@ -114,6 +115,7 @@ WaveResult runWave(bool predeployTarget) {
     });
   }
   bed.sim().runUntil(150_s);
+  bench::requireLedger(bed, "mobility handover");
 
   if (const auto* series = bed.recorder().series("post-move")) {
     for (double v : series->values()) result.postMove.add(v);

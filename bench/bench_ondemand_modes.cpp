@@ -66,6 +66,7 @@ ModeResult runMode(const std::string& scheduler, bool farInstanceRunning) {
                        }
                      });
   bed.sim().runUntil(60_s);
+  requireLedger(bed, "ondemand modes");
   result.backgroundDeployments =
       bed.controller().dispatcher().backgroundDeployments();
   return result;

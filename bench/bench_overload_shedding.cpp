@@ -33,6 +33,7 @@
 
 #include "bench_output.hpp"
 #include "core/testbed.hpp"
+#include "ledger_check.hpp"
 #include "util/stats.hpp"
 
 using namespace edgesim;
@@ -95,6 +96,7 @@ LegResult runLeg(bool governed) {
                          });
   }
   bed.sim().runUntil(300_s);
+  bench::requireLedger(bed, "overload shedding");
 
   if (governed) {
     ES_ASSERT(bed.snapshotWriter() != nullptr);

@@ -58,6 +58,7 @@ SweepResult runWithHitRate(double hitRate, std::uint64_t seed) {
                          });
   }
   bed.sim().runUntil(traceParams.duration + 60_s);
+  requireLedger(bed, "proactive prediction");
 
   SweepResult result;
   const auto* first = bed.recorder().series("first");

@@ -21,6 +21,7 @@
 #include "core/rule_reconciler.hpp"
 #include "core/testbed.hpp"
 #include "fault/fault_plan.hpp"
+#include "ledger_check.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -94,6 +95,7 @@ int main() {
   }
 
   bed.sim().runUntil(90_s);
+  requireLedger(bed, "rule reconciliation");
   ES_ASSERT(ready);
 
   std::vector<double> warmRate(issuedInWindow.size(), 0.0);

@@ -50,6 +50,7 @@ double containerFirstRequest(const std::string& key, CacheState state) {
     total = r.value().timings.timeTotal().toSeconds();
   });
   bed.sim().runUntil(120_s);
+  requireLedger(bed, "serverless comparison, container");
   return total;
 }
 
@@ -76,6 +77,7 @@ double serverlessFirstRequest(const std::string& key, CacheState state) {
     total = r.value().timings.timeTotal().toSeconds();
   });
   bed.sim().runUntil(60_s);
+  requireLedger(bed, "serverless comparison, serverless");
   return total;
 }
 

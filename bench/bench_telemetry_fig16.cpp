@@ -21,6 +21,7 @@
 
 #include "bench_output.hpp"
 #include "core/testbed.hpp"
+#include "ledger_check.hpp"
 #include "telemetry/snapshot.hpp"
 #include "util/strings.hpp"
 
@@ -101,6 +102,7 @@ int main() {
                        });
   }
   bed.sim().runUntil(60_s + SimTime::seconds(1.2 * kRequests) + 60_s);
+  requireLedger(bed, "telemetry fig16");
 
   const auto* warm = bed.recorder().series("warm");
   ES_ASSERT(warm != nullptr && warm->count() == kRequests);

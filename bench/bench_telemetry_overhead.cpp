@@ -25,6 +25,7 @@
 
 #include "bench_output.hpp"
 #include "core/testbed.hpp"
+#include "ledger_check.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 
@@ -96,6 +97,7 @@ class Arm {
     ES_ASSERT(controller.packetInCount() - packetInsBefore ==
               rounds * kClients);
     ES_ASSERT(controller.dispatcher().deploymentsTriggered() == deploysBefore);
+    requireLedger(*bed_, "telemetry overhead");
     return seconds;
   }
 

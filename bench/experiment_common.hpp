@@ -13,6 +13,7 @@
 
 #include "bench_output.hpp"
 #include "core/testbed.hpp"
+#include "ledger_check.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "workload/bigflows.hpp"
@@ -110,6 +111,7 @@ inline DeploymentExperimentResult runDeploymentExperiment(
   }
 
   bed.sim().runUntil(traceParams.duration + 120_s);
+  requireLedger(bed, "deployment experiment");
 
   if (const auto* totals = bed.recorder().series("total")) {
     for (const double v : totals->values()) result.totals.add(v);

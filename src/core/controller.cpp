@@ -6,6 +6,7 @@
 
 #include "core/rule_reconciler.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 
 namespace edgesim::core {
 
@@ -212,6 +213,29 @@ EdgeController::RequestContext EdgeController::beginRequest(
   request.span = trace_->beginSpan(request.rid, "resolve", "controller", now,
                                    std::move(spanArgs));
   return request;
+}
+
+std::vector<std::string> EdgeController::ledgerViolations() const {
+  std::vector<std::string> violations;
+  const auto count = [](std::uint64_t n) {
+    return static_cast<unsigned long long>(n);
+  };
+  if (requestsSubmitted() !=
+      requestsResolved() + requestsFailed() + requestsShed()) {
+    violations.push_back(strprintf(
+        "requests: submitted %llu != resolved %llu + failed %llu + shed %llu",
+        count(requestsSubmitted()), count(requestsResolved()),
+        count(requestsFailed()), count(requestsShed())));
+  }
+  if (flowModsSent() != flowModsAcked() + flowModsTimedOut() ||
+      pendingInstallCount() != 0) {
+    violations.push_back(strprintf(
+        "flow mods: sent %llu != acked %llu + timed out %llu, or %zu "
+        "installs pending",
+        count(flowModsSent()), count(flowModsAcked()),
+        count(flowModsTimedOut()), pendingInstallCount()));
+  }
+  return violations;
 }
 
 void EdgeController::recordOutcome(const RequestContext& request,

@@ -315,6 +315,14 @@ class EdgeController : public openflow::ControllerApp {
   /// Install transactions still waiting for acks (0 at quiescence).
   std::size_t pendingInstallCount() const { return pendingInstalls_.size(); }
 
+  /// The end-of-run accounting invariants that do not hold, one line each
+  /// (empty when both hold):
+  ///   requestsSubmitted() == requestsResolved() + requestsFailed()
+  ///                          + requestsShed()
+  ///   flowModsSent() == flowModsAcked() + flowModsTimedOut(), with
+  ///   pendingInstallCount() == 0
+  std::vector<std::string> ledgerViolations() const;
+
   // ---- rule reconciliation ------------------------------------------------
   /// The anti-entropy reconciler, or nullptr when reconcilePeriod was zero.
   RuleReconciler* reconciler() { return reconciler_.get(); }

@@ -56,6 +56,13 @@ const std::string* ownerOf(const T& /*object*/) {
 /// stands still, listBySelector(selector) returns the same objects in the
 /// same state.  Counters are bumped at commit, the moment the live store
 /// changes, not at watch delivery.
+///
+/// Two more counters serve the controllers' memos (DESIGN.md §16.7):
+/// ownerVersion, bumped by every commit to an object owned (see ownerOf)
+/// before or after it, so while it stands still listByOwner returns the
+/// same objects in the same state; and membershipVersion, bumped only by a
+/// committed create or remove, so while it stands still every get() returns
+/// the same pointer (see CachedLookup).
 template <typename T>
 class Store {
  public:
@@ -78,6 +85,7 @@ class Store {
       object.meta.resourceVersion = ++resourceVersion_;
       object.meta.creationTime = sim_.now();
       const T& stored = items_.emplace(name, object).first->second;
+      ++membershipVersion_;
       indexLabels(name, stored.meta.labels);
       indexOwner(name, ownerOf(stored));
       notify(WatchEventType::kAdded, std::move(object));
@@ -111,6 +119,8 @@ class Store {
       if (owner != nullptr && *owner != ownerBefore) {
         unindexOwner(name, &ownerBefore);
         indexOwner(name, owner);
+      } else {
+        bumpOwner(owner);
       }
       object.meta.resourceVersion = ++resourceVersion_;
       notify(WatchEventType::kModified, object);
@@ -128,6 +138,7 @@ class Store {
       }
       T object = std::move(it->second);
       items_.erase(it);
+      ++membershipVersion_;
       unindexLabels(name, object.meta.labels);
       unindexOwner(name, ownerOf(object));
       notify(WatchEventType::kDeleted, std::move(object));
@@ -179,8 +190,8 @@ class Store {
     std::vector<const T*> out;
     const auto it = ownerIndex_.find(owner);
     if (it == ownerIndex_.end()) return out;
-    out.reserve(it->second.size());
-    for (const auto& name : it->second) {
+    out.reserve(it->second.names.size());
+    for (const auto& name : it->second.names) {
       out.push_back(&items_.find(name)->second);
     }
     return out;
@@ -196,6 +207,18 @@ class Store {
                                     const std::string& value) {
     return labelIndex_[key][value].version;
   }
+
+  /// Commit counter of the objects owned by `owner` (see the class
+  /// comment); a re-own bumps the old and the new owner's.  Never erased,
+  /// for the same reason as labelVersion's.
+  const std::uint64_t& ownerVersion(const std::string& owner) {
+    return ownerIndex_[owner].version;
+  }
+
+  /// Committed creates plus committed removes.  Updates and failed calls
+  /// leave it alone: while it stands still, no name gained or lost its
+  /// object, and every object stayed at its address.
+  std::uint64_t membershipVersion() const { return membershipVersion_; }
 
   /// Register a watcher; events arrive `watchLatency` after commit.
   void watch(Watcher watcher) { watchers_.push_back(std::move(watcher)); }
@@ -255,15 +278,31 @@ class Store {
     }
   }
 
+  /// One owner: the names it owns and their commit counter.  Like a
+  /// LabelEntry, an entry outlives its last name.
+  struct OwnerEntry {
+    NameSet names;
+    std::uint64_t version = 0;
+  };
+
   void indexOwner(const std::string& name, const std::string* owner) {
-    if (owner != nullptr && !owner->empty()) ownerIndex_[*owner].insert(name);
+    if (owner == nullptr || owner->empty()) return;
+    OwnerEntry& entry = ownerIndex_[*owner];
+    entry.names.insert(name);
+    ++entry.version;
   }
 
   void unindexOwner(const std::string& name, const std::string* owner) {
     if (owner == nullptr || owner->empty()) return;
-    const auto it = ownerIndex_.find(*owner);
-    it->second.erase(name);
-    if (it->second.empty()) ownerIndex_.erase(it);
+    OwnerEntry& entry = ownerIndex_.find(*owner)->second;
+    entry.names.erase(name);
+    ++entry.version;
+  }
+
+  /// A commit that keeps the object's owner still changes an owned object.
+  void bumpOwner(const std::string* owner) {
+    if (owner == nullptr || owner->empty()) return;
+    ++ownerIndex_.find(*owner)->second.version;
   }
 
   Simulation& sim_;
@@ -273,10 +312,34 @@ class Store {
   /// label key -> label value -> names carrying that label, and its
   /// commit counter.
   std::map<std::string, std::map<std::string, LabelEntry>> labelIndex_;
-  std::map<std::string, NameSet> ownerIndex_;
+  std::map<std::string, OwnerEntry> ownerIndex_;
   std::deque<Watcher> watchers_;
   std::uint64_t nextUid_ = 1;
   std::uint64_t resourceVersion_ = 0;
+  std::uint64_t membershipVersion_ = 0;
+};
+
+/// A membershipVersion no store reaches: "not looked up yet".
+inline constexpr std::uint64_t kNeverLooked = ~std::uint64_t{0};
+
+/// One name's get() result, looked up again only when the store's
+/// membershipVersion moved since the last lookup.  Between two moves the
+/// store neither created nor removed an object, so the pointer it holds
+/// (nullptr included) is still what get() would return.
+template <typename T>
+class CachedLookup {
+ public:
+  const T* get(const Store<T>& store, const std::string& name) {
+    if (seen_ != store.membershipVersion()) {
+      object_ = store.get(name);
+      seen_ = store.membershipVersion();
+    }
+    return object_;
+  }
+
+ private:
+  const T* object_ = nullptr;
+  std::uint64_t seen_ = kNeverLooked;
 };
 
 /// The API server bundles one store per resource kind.

@@ -33,36 +33,33 @@ bool podAlive(const Pod& pod) {
 
 DeploymentController::DeploymentController(Simulation& sim, ApiServer& api,
                                            const ControlPlaneParams& params)
-    : sim_(sim), api_(api), params_(params) {
+    : api_(api),
+      queue_(sim, api.deployments(), params.controllerSyncLatency,
+             [this](const std::string& name, Record& record) {
+               reconcile(name, record);
+             }) {
   api_.deployments().watch([this](const WatchEvent<Deployment>& event) {
-    enqueue(event.object.meta.name);
+    queue_.enqueue(event.object.meta.name);
   });
   // ReplicaSet status changes roll up into Deployment status.
   api_.replicaSets().watch([this](const WatchEvent<ReplicaSet>& event) {
     if (!event.object.ownerDeployment.empty()) {
-      enqueue(event.object.ownerDeployment);
+      queue_.enqueue(event.object.ownerDeployment);
     }
   });
-  resync_.start(sim_, params_.controllerResyncPeriod, [this] {
-    for (const auto* deployment : api_.deployments().list()) {
-      enqueue(deployment->meta.name);
-    }
+  resync_.start(sim, params.controllerResyncPeriod, [this] {
+    queue_.enqueueAll();
     return true;
-  }, params_.controllerResyncPeriod);
+  }, params.controllerResyncPeriod);
 }
 
-void DeploymentController::enqueue(const std::string& name) {
-  if (!queued_.insert(name).second) return;  // already pending
-  sim_.schedule(params_.controllerSyncLatency, [this, name] {
-    queued_.erase(name);
-    reconcile(name);
-  });
-}
-
-void DeploymentController::reconcile(const std::string& name) {
-  const Deployment* deployment = api_.deployments().get(name);
-  const std::string rsName = rsNameFor(name);
-  const ReplicaSet* rs = api_.replicaSets().get(rsName);
+void DeploymentController::reconcile(const std::string& name,
+                                     Record& record) {
+  if (record.rsName.empty()) record.rsName = rsNameFor(name);
+  const std::string& rsName = record.rsName;
+  const Deployment* deployment =
+      record.deployment.get(api_.deployments(), name);
+  const ReplicaSet* rs = record.replicaSet.get(api_.replicaSets(), rsName);
 
   if (deployment == nullptr) {
     if (rs != nullptr) api_.replicaSets().remove(rsName);
@@ -83,6 +80,13 @@ void DeploymentController::reconcile(const std::string& name) {
     return;
   }
 
+  if (record.deploymentVersion == deployment->meta.resourceVersion &&
+      record.rsVersion == rs->meta.resourceVersion) {
+    return;
+  }
+  ++fullReconciles_;
+
+  bool wrote = false;
   if (rs->spec.replicas != deployment->spec.replicas ||
       !templatesEqual(rs->spec.podTemplate, deployment->spec.podTemplate)) {
     const int replicas = deployment->spec.replicas;
@@ -91,6 +95,7 @@ void DeploymentController::reconcile(const std::string& name) {
       r.spec.replicas = replicas;
       r.spec.podTemplate = podTemplate;
     });
+    wrote = true;
   }
 
   // Roll the RS status up into the Deployment status when stale.
@@ -101,7 +106,12 @@ void DeploymentController::reconcile(const std::string& name) {
       d.status.replicas = status.replicas;
       d.status.readyReplicas = status.readyReplicas;
     });
+    wrote = true;
   }
+
+  // Versions start at 1: a reconcile that wrote records no memo.
+  record.deploymentVersion = wrote ? 0 : deployment->meta.resourceVersion;
+  record.rsVersion = wrote ? 0 : rs->meta.resourceVersion;
 }
 
 // ------------------------------------------------------------------------
@@ -110,33 +120,36 @@ void DeploymentController::reconcile(const std::string& name) {
 
 ReplicaSetController::ReplicaSetController(Simulation& sim, ApiServer& api,
                                            const ControlPlaneParams& params)
-    : sim_(sim), api_(api), params_(params) {
+    : api_(api),
+      queue_(sim, api.replicaSets(), params.controllerSyncLatency,
+             [this](const std::string& name, Record& record) {
+               reconcile(name, record);
+             }) {
   api_.replicaSets().watch([this](const WatchEvent<ReplicaSet>& event) {
-    enqueue(event.object.meta.name);
+    queue_.enqueue(event.object.meta.name);
   });
   api_.pods().watch([this](const WatchEvent<Pod>& event) {
     if (!event.object.ownerReplicaSet.empty()) {
-      enqueue(event.object.ownerReplicaSet);
+      queue_.enqueue(event.object.ownerReplicaSet);
     }
   });
-  resync_.start(sim_, params_.controllerResyncPeriod, [this] {
-    for (const auto* rs : api_.replicaSets().list()) {
-      enqueue(rs->meta.name);
-    }
+  resync_.start(sim, params.controllerResyncPeriod, [this] {
+    queue_.enqueueAll();
     return true;
-  }, params_.controllerResyncPeriod);
+  }, params.controllerResyncPeriod);
 }
 
-void ReplicaSetController::enqueue(const std::string& name) {
-  if (!queued_.insert(name).second) return;
-  sim_.schedule(params_.controllerSyncLatency, [this, name] {
-    queued_.erase(name);
-    reconcile(name);
-  });
-}
-
-void ReplicaSetController::reconcile(const std::string& name) {
-  const ReplicaSet* rs = api_.replicaSets().get(name);
+void ReplicaSetController::reconcile(const std::string& name,
+                                     Record& record) {
+  const ReplicaSet* rs = record.replicaSet.get(api_.replicaSets(), name);
+  if (record.ownedCounter == nullptr) {
+    record.ownedCounter = &api_.pods().ownerVersion(name);
+  }
+  if (rs != nullptr && record.rsVersion == rs->meta.resourceVersion &&
+      record.ownedVersion == *record.ownedCounter) {
+    return;
+  }
+  ++fullReconciles_;
 
   // Owned pods, in name order (the order the removals below are issued).
   const std::vector<const Pod*> owned = api_.pods().listByOwner(name);
@@ -146,6 +159,7 @@ void ReplicaSetController::reconcile(const std::string& name) {
     return;
   }
 
+  bool wrote = false;
   std::vector<const Pod*> alive;
   for (const auto* pod : owned) {
     if (podAlive(*pod)) {
@@ -153,6 +167,7 @@ void ReplicaSetController::reconcile(const std::string& name) {
     } else {
       // Failed/succeeded pods are garbage-collected and replaced.
       api_.pods().remove(pod->meta.name);
+      wrote = true;
     }
   }
 
@@ -170,6 +185,7 @@ void ReplicaSetController::reconcile(const std::string& name) {
       ES_DEBUG("k8s.rs", "creating pod %s", pod.meta.name.c_str());
       api_.pods().create(std::move(pod));
     }
+    wrote = true;
   } else if (have > want) {
     // Scale down: prefer not-ready pods, then newest first.
     std::vector<const Pod*> victims = alive;
@@ -182,6 +198,7 @@ void ReplicaSetController::reconcile(const std::string& name) {
                victims[static_cast<std::size_t>(i)]->meta.name.c_str());
       api_.pods().remove(victims[static_cast<std::size_t>(i)]->meta.name);
     }
+    wrote = true;
   }
 
   // Refresh status.
@@ -194,7 +211,11 @@ void ReplicaSetController::reconcile(const std::string& name) {
       r.status.replicas = have;
       r.status.readyReplicas = ready;
     });
+    wrote = true;
   }
+
+  record.rsVersion = wrote ? 0 : rs->meta.resourceVersion;
+  record.ownedVersion = *record.ownedCounter;
 }
 
 // ------------------------------------------------------------------------
@@ -203,67 +224,27 @@ void ReplicaSetController::reconcile(const std::string& name) {
 
 EndpointsController::EndpointsController(Simulation& sim, ApiServer& api,
                                          const ControlPlaneParams& params)
-    : sim_(sim), api_(api), params_(params) {
+    : api_(api),
+      queue_(sim, api.services(), params.endpointsSyncLatency,
+             [this](const std::string& name, Record& record) {
+               reconcile(name, record);
+             }) {
   api_.services().watch([this](const WatchEvent<Service>& event) {
-    enqueue(event.object.meta.name);
+    queue_.enqueue(event.object.meta.name);
   });
   api_.pods().watch(
-      [this](const WatchEvent<Pod>& /*event*/) { enqueueAll(); });
-  resync_.start(sim_, params_.controllerResyncPeriod, [this] {
-    enqueueAll();
+      [this](const WatchEvent<Pod>& /*event*/) { queue_.enqueueAll(); });
+  resync_.start(sim, params.controllerResyncPeriod, [this] {
+    queue_.enqueueAll();
     return true;
-  }, params_.controllerResyncPeriod);
-}
-
-void EndpointsController::enqueueAll() {
-  // Every service not already queued, as one event rather than one per
-  // service: the per-service events would share one timestamp and take
-  // consecutive sequence numbers, so nothing could run between them and
-  // this batch runs the same reconciles in the same order.  The services
-  // and the records are both in name order, so one merged walk finds or
-  // adds each service's record.
-  const std::uint64_t batch = ++lastBatch_;
-  bool any = false;
-  auto record = records_.begin();
-  api_.services().forEach([&](const Service& service) {
-    const std::string& name = service.meta.name;
-    while (record != records_.end() && record->first < name) ++record;
-    if (record == records_.end() || record->first != name) {
-      record = records_.emplace_hint(record, name, ServiceRecord{});
-    }
-    any |= mark(record->second, batch);
-  });
-  if (!any) return;
-  sim_.schedule(params_.endpointsSyncLatency,
-                [this, batch] { runBatch(batch); });
-}
-
-void EndpointsController::enqueue(const std::string& serviceName) {
-  const std::uint64_t batch = ++lastBatch_;
-  if (!mark(records_[serviceName], batch)) return;
-  sim_.schedule(params_.endpointsSyncLatency,
-                [this, batch] { runBatch(batch); });
-}
-
-bool EndpointsController::mark(ServiceRecord& record, std::uint64_t batch) {
-  if (record.queued) return false;  // already pending
-  record.queued = true;
-  record.batch = batch;
-  return true;
-}
-
-void EndpointsController::runBatch(std::uint64_t batch) {
-  for (auto& [serviceName, record] : records_) {
-    if (!record.queued || record.batch != batch) continue;
-    record.queued = false;
-    reconcile(serviceName, record);
-  }
+  }, params.controllerResyncPeriod);
 }
 
 void EndpointsController::reconcile(const std::string& serviceName,
-                                    ServiceRecord& record) {
-  const Service* service = api_.services().get(serviceName);
-  const Endpoints* existing = api_.endpoints().get(serviceName);
+                                    Record& record) {
+  const Service* service = record.service.get(api_.services(), serviceName);
+  const Endpoints* existing =
+      record.endpoints.get(api_.endpoints(), serviceName);
 
   if (service == nullptr) {
     if (existing != nullptr) api_.endpoints().remove(serviceName);

@@ -8,51 +8,84 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <unordered_set>
 
 #include "k8s/api_server.hpp"
+#include "k8s/reconcile_queue.hpp"
 
 namespace edgesim::k8s {
 
 /// Deployment -> ReplicaSet.  One RS per Deployment (no rolling-update
 /// history; the paper's workflow only creates and scales).
+///
+/// Watch events queue one Deployment each; the resync queues them all as
+/// one batch (ReconcileQueue).  A reconcile whose Deployment and
+/// ReplicaSet are both at the resourceVersions of its last no-op reconcile
+/// is skipped on the host: it would compare the same specs and statuses
+/// and write nothing again (DESIGN.md §16.7).
 class DeploymentController {
  public:
   DeploymentController(Simulation& sim, ApiServer& api,
                        const ControlPlaneParams& params);
 
+  /// Reconciles that found the Deployment and were not skipped by a memo.
+  std::uint64_t fullReconciles() const { return fullReconciles_; }
+
  private:
-  void enqueue(const std::string& name);
-  void reconcile(const std::string& name);
+  /// Per Deployment name: its ReplicaSet's name, both objects' cached
+  /// lookups, and the memo of the last reconcile that wrote nothing
+  /// (resourceVersions start at 1, so 0 is "nothing recorded").
+  struct Record {
+    std::string rsName;
+    CachedLookup<Deployment> deployment;
+    CachedLookup<ReplicaSet> replicaSet;
+    std::uint64_t deploymentVersion = 0;
+    std::uint64_t rsVersion = 0;
+  };
+
+  void reconcile(const std::string& name, Record& record);
   static std::string rsNameFor(const std::string& deploymentName) {
     return deploymentName + "-rs";
   }
 
-  Simulation& sim_;
   ApiServer& api_;
-  const ControlPlaneParams& params_;
   PeriodicTimer resync_;
-  std::unordered_set<std::string> queued_;
+  ReconcileQueue<Deployment, Record> queue_;
+  std::uint64_t fullReconciles_ = 0;
 };
 
 /// ReplicaSet -> Pods.
+///
+/// Queued like the Deployments above.  A reconcile whose ReplicaSet is at
+/// the resourceVersion, and whose owned pods at the commit counter
+/// (Store::ownerVersion), of its last no-op reconcile is skipped on the
+/// host: it would list the same pods and write nothing again.
 class ReplicaSetController {
  public:
   ReplicaSetController(Simulation& sim, ApiServer& api,
                        const ControlPlaneParams& params);
 
- private:
-  void enqueue(const std::string& name);
-  void reconcile(const std::string& name);
+  /// Reconciles that listed the owned pods: the ones a memo did not skip.
+  std::uint64_t fullReconciles() const { return fullReconciles_; }
 
-  Simulation& sim_;
+ private:
+  /// Per ReplicaSet name: its cached lookup, its owned pods' commit
+  /// counter (fetched once; the reference never dangles) and the memo of
+  /// the last reconcile that wrote nothing (rsVersion 0: none recorded).
+  struct Record {
+    CachedLookup<ReplicaSet> replicaSet;
+    const std::uint64_t* ownedCounter = nullptr;
+    std::uint64_t rsVersion = 0;
+    std::uint64_t ownedVersion = 0;
+  };
+
+  void reconcile(const std::string& name, Record& record);
+
   ApiServer& api_;
-  const ControlPlaneParams& params_;
   PeriodicTimer resync_;
-  std::unordered_set<std::string> queued_;
+  ReconcileQueue<ReplicaSet, Record> queue_;
   std::uint64_t podCounter_ = 0;
+  std::uint64_t fullReconciles_ = 0;
 };
 
 /// Services + ready Pods -> Endpoints objects.
@@ -85,30 +118,19 @@ class EndpointsController {
     std::uint64_t serviceVersion = 0;
     std::uint64_t endpointsVersion = 0;
   };
-  /// Per service name, kept in name order: whether it is queued, under
-  /// which batch, and its memo.
-  struct ServiceRecord {
-    bool queued = false;
-    std::uint64_t batch = 0;
+  /// Per service name: the Service's and the Endpoints' cached lookups and
+  /// the memo.
+  struct Record {
+    CachedLookup<Service> service;
+    CachedLookup<Endpoints> endpoints;
     Memo memo;
   };
 
-  /// Queue every service not already queued (on each pod event and at
-  /// resync), as one batch event.
-  void enqueueAll();
-  void enqueue(const std::string& serviceName);
-  /// Mark `record` queued under `batch`; false when it already was queued.
-  static bool mark(ServiceRecord& record, std::uint64_t batch);
-  /// Reconcile, in name order, the services still queued under `batch`.
-  void runBatch(std::uint64_t batch);
-  void reconcile(const std::string& serviceName, ServiceRecord& record);
+  void reconcile(const std::string& serviceName, Record& record);
 
-  Simulation& sim_;
   ApiServer& api_;
-  const ControlPlaneParams& params_;
   PeriodicTimer resync_;
-  std::map<std::string, ServiceRecord> records_;
-  std::uint64_t lastBatch_ = 0;
+  ReconcileQueue<Service, Record> queue_;
   std::uint64_t fullReconciles_ = 0;
 };
 

@@ -15,11 +15,30 @@ Kubelet::Kubelet(Simulation& sim, ApiServer& api,
   api_.pods().watch(
       [this](const WatchEvent<Pod>& event) { onPodEvent(event); });
   resync_.start(sim_, params_.kubeletResyncPeriod, [this] {
-    api_.pods().forEach([this](const Pod& pod) {
-      if (pod.spec.nodeName == node_.name) syncPod(pod.meta.name);
-    });
+    resyncPods();
     return true;
   }, params_.kubeletResyncPeriod);
+}
+
+void Kubelet::resyncPods() {
+  // The pod store and workers_ are both in name order, so one merged walk
+  // pairs each pod with its worker.  syncPod acts only on a pod of this
+  // node with no worker or with a worker for an older uid; every other pod
+  // is skipped here without a lookup.  syncPod may add the current pod's
+  // worker and erase it first, never another's, so the walk steps past it
+  // before the call.
+  auto worker = workers_.begin();
+  api_.pods().forEach([&](const Pod& pod) {
+    if (pod.spec.nodeName != node_.name) return;
+    const std::string& name = pod.meta.name;
+    while (worker != workers_.end() && worker->first < name) ++worker;
+    if (worker == workers_.end() || worker->first != name) {
+      syncPod(pod, nullptr);
+    } else if (worker->second.podUid != pod.meta.uid) {
+      const auto current = worker++;
+      syncPod(pod, &current->second);
+    }
+  });
 }
 
 void Kubelet::onPodEvent(const WatchEvent<Pod>& event) {
@@ -40,19 +59,23 @@ void Kubelet::syncPod(const std::string& podName) {
     if (workers_.count(podName) != 0) teardown(podName);
     return;
   }
-  if (pod->spec.nodeName != node_.name) return;
-  if (pod->status.phase == PodPhase::kFailed) return;
+  const auto it = workers_.find(podName);
+  syncPod(*pod, it == workers_.end() ? nullptr : &it->second);
+}
 
-  auto it = workers_.find(podName);
-  if (it == workers_.end()) {
-    startPod(*pod);
+void Kubelet::syncPod(const Pod& pod, const PodWorker* worker) {
+  if (pod.spec.nodeName != node_.name) return;
+  if (pod.status.phase == PodPhase::kFailed) return;
+
+  if (worker == nullptr) {
+    startPod(pod);
     return;
   }
   // If the API object was replaced (same name, new uid), restart from
   // scratch.
-  if (it->second.podUid != pod->meta.uid) {
-    teardown(podName);
-    startPod(*pod);
+  if (worker->podUid != pod.meta.uid) {
+    teardown(pod.meta.name);
+    startPod(pod);
   }
 }
 

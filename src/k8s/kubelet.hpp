@@ -53,7 +53,11 @@ class Kubelet {
   // name outlives the call.  beginProbing and markFailed take theirs by
   // value: their closures keep a copy.
   void onPodEvent(const WatchEvent<Pod>& event);
+  /// The 1 s resync: syncPod for every pod of this node it can act on.
+  void resyncPods();
   void syncPod(const std::string& podName);
+  /// `worker` is the pod's worker (nullptr: none).
+  void syncPod(const Pod& pod, const PodWorker* worker);
   void startPod(const Pod& pod);
   void launchContainers(const Pod& pod);
   void beginProbing(std::string podName);

@@ -323,6 +323,110 @@ TEST(StoreLabelVersion, CommitsBumpExactlyThePairsCarried) {
   EXPECT_EQ(unrelated, 0u);
 }
 
+// Store::membershipVersion moves on a committed create or remove, and on
+// nothing else; Store::ownerVersion moves on every commit to an object the
+// owner owns before or after it, the old and the new owner on a re-own.
+TEST(StoreMembership, OnlyCommittedCreatesAndRemovesMoveIt) {
+  Simulation sim(1);
+  const ControlPlaneParams params;
+  Store<Pod> store(sim, params, "Pod");
+  const std::uint64_t& ownerA = store.ownerVersion("rs-a");
+  const std::uint64_t& ownerB = store.ownerVersion("rs-b");
+  const auto commit = [&sim] { sim.run(); };
+  EXPECT_EQ(store.membershipVersion(), 0u);
+
+  Pod pod;
+  pod.meta.name = "p";
+  pod.ownerReplicaSet = "rs-a";
+  store.create(pod);
+  commit();
+  EXPECT_EQ(store.membershipVersion(), 1u);
+  EXPECT_EQ(ownerA, 1u);
+  const Pod* cached = store.get("p");
+
+  // An update changes the object in place: membership and address stay,
+  // the owner's counter moves.
+  store.update("p", [](Pod& p) { p.status.ready = true; });
+  commit();
+  EXPECT_EQ(store.membershipVersion(), 1u);
+  EXPECT_EQ(store.get("p"), cached);
+  EXPECT_EQ(ownerA, 2u);
+  EXPECT_EQ(ownerB, 0u);
+
+  // Failed calls change nothing.
+  std::vector<Errc> failures;
+  const auto record = [&failures](Status status) {
+    if (!status.ok()) failures.push_back(status.error().code);
+  };
+  store.create(pod, record);                     // kAlreadyExists
+  store.remove("missing", record);               // kNotFound
+  store.update("missing", [](Pod&) {}, record);  // kNotFound
+  commit();
+  EXPECT_EQ(failures, (std::vector<Errc>{Errc::kAlreadyExists,
+                                         Errc::kNotFound, Errc::kNotFound}));
+  EXPECT_EQ(store.membershipVersion(), 1u);
+  EXPECT_EQ(ownerA, 2u);
+
+  // Re-own rs-a -> rs-b: both owners' counters move, membership does not.
+  store.update("p", [](Pod& p) { p.ownerReplicaSet = "rs-b"; });
+  commit();
+  EXPECT_EQ(store.membershipVersion(), 1u);
+  EXPECT_EQ(ownerA, 3u);
+  EXPECT_EQ(ownerB, 1u);
+  EXPECT_TRUE(store.listByOwner("rs-a").empty());
+  EXPECT_EQ(store.listByOwner("rs-b").size(), 1u);
+
+  store.remove("p");
+  commit();
+  EXPECT_EQ(store.membershipVersion(), 2u);
+  EXPECT_EQ(ownerA, 3u);
+  EXPECT_EQ(ownerB, 2u);
+
+  // rs-b owns nothing now; its counter stays and keeps counting.
+  EXPECT_EQ(&store.ownerVersion("rs-b"), &ownerB);
+  pod.ownerReplicaSet = "rs-b";
+  store.create(pod);
+  commit();
+  EXPECT_EQ(store.membershipVersion(), 3u);
+  EXPECT_EQ(ownerB, 3u);
+}
+
+// CachedLookup looks a name up again exactly when membership moved: it
+// follows a create, a remove and a re-create under the same name, and
+// sees an update through the pointer it already holds.
+TEST(StoreMembership, CachedLookupFollowsCreatesAndRemoves) {
+  Simulation sim(1);
+  const ControlPlaneParams params;
+  Store<Pod> store(sim, params, "Pod");
+  CachedLookup<Pod> lookup;
+  EXPECT_EQ(lookup.get(store, "p"), nullptr);
+
+  Pod pod;
+  pod.meta.name = "p";
+  store.create(pod);
+  sim.run();
+  const Pod* first = lookup.get(store, "p");
+  ASSERT_NE(first, nullptr);
+  const std::uint64_t firstUid = first->meta.uid;
+
+  store.update("p", [](Pod& p) { p.status.ready = true; });
+  sim.run();
+  EXPECT_EQ(lookup.get(store, "p"), first);
+  EXPECT_TRUE(lookup.get(store, "p")->status.ready);
+
+  store.remove("p");
+  sim.run();
+  EXPECT_EQ(lookup.get(store, "p"), nullptr);
+
+  store.create(pod);
+  sim.run();
+  const Pod* second = lookup.get(store, "p");
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(second, store.get("p"));
+  EXPECT_NE(second->meta.uid, firstUid);
+  EXPECT_FALSE(second->status.ready);
+}
+
 // ------------------------------------------------- reconcile pipeline ----
 
 TEST_F(K8sFixture, ScaleToZeroCreatesNoPods) {
@@ -719,6 +823,196 @@ TEST(EndpointsControllerWork, BatchListsPodsOnlyForTheChangedService) {
   h.advance(1_s);
   EXPECT_EQ(h.controller.fullReconciles() - before, 1u);
 }
+
+// An ApiServer with only the Deployment and ReplicaSet controllers: no
+// scheduler and no kubelet, so the pods they create stay Pending (alive)
+// and the tests below commit failures and readiness themselves, as a
+// kubelet would.
+struct ReconcileHarness {
+  explicit ReconcileHarness(std::uint64_t seed)
+      : sim(seed),
+        api(sim, params),
+        deployments(sim, api, params),
+        replicaSets(sim, api, params) {}
+
+  void addDeployment(const std::string& name, int replicas) {
+    api.deployments().create(makeNginxDeployment(name, replicas, image));
+  }
+
+  void scale(const std::string& name, int replicas) {
+    api.deployments().update(
+        name, [replicas](Deployment& d) { d.spec.replicas = replicas; });
+  }
+
+  void advance(SimTime by) { sim.runUntil(sim.now() + by); }
+
+  /// Owned pods that are Pending or Running.
+  std::vector<const Pod*> alivePods(const std::string& rsName) {
+    std::vector<const Pod*> out;
+    for (const Pod* pod : api.pods().listByOwner(rsName)) {
+      if (pod->status.phase == PodPhase::kPending ||
+          pod->status.phase == PodPhase::kRunning) {
+        out.push_back(pod);
+      }
+    }
+    return out;
+  }
+
+  const ControlPlaneParams params;
+  const container::ImageRef image = *container::ImageRef::parse("nginx:1.23.2");
+  Simulation sim;
+  ApiServer api;
+  DeploymentController deployments;
+  ReplicaSetController replicaSets;
+};
+
+// Work: with 40 settled deployments, a resync schedules one batch event
+// per controller (not one event per object) and every queued reconcile is
+// skipped by its memo; scaling one deployment fully reconciles that one
+// only, exactly as much as with no other deployment around.
+TEST(ControllerResyncWork, ResyncIsOneEventPerControllerAndSkipsSettled) {
+  ReconcileHarness h(7);
+  for (int i = 0; i < 40; ++i) h.addDeployment(strprintf("dep-%02d", i), 1);
+  // Settle well before the first resync at 10 s.
+  h.advance(h.params.controllerResyncPeriod - 500_ms);
+  for (int i = 0; i < 40; ++i) {
+    const std::string name = strprintf("dep-%02d", i);
+    ASSERT_EQ(h.alivePods(name + "-rs").size(), 1u) << name;
+    const Deployment* deployment = h.api.deployments().get(name);
+    ASSERT_NE(deployment, nullptr);
+    ASSERT_EQ(deployment->status.replicas, 1);
+  }
+
+  // The resync: two timer ticks plus one batch event per controller, and
+  // no full reconcile (so no write, and nothing else runs).
+  const std::uint64_t eventsBefore = h.sim.processedEvents();
+  const std::uint64_t deploymentsBefore = h.deployments.fullReconciles();
+  const std::uint64_t replicaSetsBefore = h.replicaSets.fullReconciles();
+  h.advance(1_s);
+  EXPECT_EQ(h.sim.processedEvents() - eventsBefore, 4u);
+  EXPECT_EQ(h.deployments.fullReconciles(), deploymentsBefore);
+  EXPECT_EQ(h.replicaSets.fullReconciles(), replicaSetsBefore);
+
+  // Scaling dep-17 costs what it costs with dep-17 alone: the other 39
+  // memos hold through every batch the scale-up triggers, and the
+  // resyncs in between.
+  ReconcileHarness alone(7);
+  alone.addDeployment("dep-17", 1);
+  alone.advance(h.sim.now());
+  const auto scaleUp = [](ReconcileHarness& harness) {
+    const std::uint64_t deploymentsAt = harness.deployments.fullReconciles();
+    const std::uint64_t replicaSetsAt = harness.replicaSets.fullReconciles();
+    harness.scale("dep-17", 3);
+    harness.advance(harness.params.controllerResyncPeriod * 2);
+    EXPECT_EQ(harness.alivePods("dep-17-rs").size(), 3u);
+    return std::pair(harness.deployments.fullReconciles() - deploymentsAt,
+                     harness.replicaSets.fullReconciles() - replicaSetsAt);
+  };
+  const auto work = scaleUp(h);
+  EXPECT_GT(work.first, 0u);
+  EXPECT_GT(work.second, 0u);
+  EXPECT_EQ(work, scaleUp(alone));
+}
+
+// Property: under seeded random churn -- scale, pod failure, readiness
+// flips, a relabelled pod template, and a Deployment deleted and recreated
+// under the same name (a new uid and address, so a stale cached pointer or
+// memo would show) -- every ReplicaSet mirrors its Deployment's spec at
+// quiescence, owns exactly `replicas` alive pods, and both statuses roll
+// up.  Steps are 0-300 ms apart, so churn lands while reconciles are
+// queued.
+class DeploymentControllerProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(DeploymentControllerProperty, QuiescentReplicaSetsMirrorDeployments) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()));
+  ReconcileHarness h(static_cast<std::uint64_t>(GetParam()));
+  std::vector<std::string> names;
+  for (int i = 0; i < 6; ++i) names.push_back(strprintf("dep-%d", i));
+  const auto pick = [&rng](const auto& pool) {
+    return pool[rng.uniformInt(0, pool.size() - 1)];
+  };
+  for (const auto& name : names) {
+    h.addDeployment(name, static_cast<int>(rng.uniformInt(0, 2)));
+  }
+  h.advance(2_s);
+
+  std::size_t recreated = 0;
+  for (int step = 0; step < 300; ++step) {
+    const std::string name = pick(names);
+    const auto pods = h.api.pods().listByOwner(name + "-rs");
+    const std::string victim = pods.empty() ? "" : pick(pods)->meta.name;
+    const auto op = rng.uniformInt(0, 9);
+    if (op < 3 || victim.empty()) {  // scale
+      h.scale(name, static_cast<int>(rng.uniformInt(0, 3)));
+    } else if (op < 5) {  // pod failure
+      h.api.pods().update(victim, [](Pod& pod) {
+        pod.status.phase = PodPhase::kFailed;
+        pod.status.ready = false;
+      });
+    } else if (op < 7) {  // readiness flip
+      h.api.pods().update(
+          victim, [](Pod& pod) { pod.status.ready = !pod.status.ready; });
+    } else if (op < 8) {  // relabel the pod template
+      const std::string tier =
+          strprintf("t%d", static_cast<int>(rng.uniformInt(0, 2)));
+      h.api.deployments().update(name, [tier](Deployment& d) {
+        d.spec.podTemplate.labels["tier"] = tier;
+      });
+    } else {  // delete, then recreate under the same name
+      const Deployment* current = h.api.deployments().get(name);
+      if (current == nullptr) continue;  // already being recreated
+      Deployment again = *current;
+      again.spec.replicas = static_cast<int>(rng.uniformInt(0, 3));
+      again.status = DeploymentStatus{};
+      h.api.deployments().remove(name);
+      // Right away (the controllers see the new object behind the old
+      // one's watch event) or after the old ReplicaSet may be gone.
+      SimTime later = SimTime::zero();
+      if (rng.chance(0.5)) {
+        later = SimTime::millis(
+            static_cast<std::int64_t>(rng.uniformInt(100, 3000)));
+      }
+      h.sim.schedule(later, [&h, again] { h.api.deployments().create(again); });
+      ++recreated;
+    }
+    h.advance(SimTime::millis(static_cast<std::int64_t>(
+        rng.uniformInt(0, 300))));
+  }
+  // Quiescence: every recreate, reconcile and write has landed.
+  h.advance(h.params.controllerResyncPeriod * 2);
+
+  for (const auto& name : names) {
+    const Deployment* deployment = h.api.deployments().get(name);
+    const ReplicaSet* rs = h.api.replicaSets().get(name + "-rs");
+    ASSERT_NE(deployment, nullptr) << "seed " << GetParam() << " " << name;
+    ASSERT_NE(rs, nullptr) << "seed " << GetParam() << " " << name;
+    EXPECT_EQ(rs->spec.replicas, deployment->spec.replicas)
+        << "seed " << GetParam() << " " << name;
+    EXPECT_EQ(rs->spec.podTemplate.labels, deployment->spec.podTemplate.labels)
+        << "seed " << GetParam() << " " << name;
+
+    const auto alive = h.alivePods(name + "-rs");
+    EXPECT_EQ(static_cast<int>(alive.size()), deployment->spec.replicas)
+        << "seed " << GetParam() << " " << name;
+    EXPECT_EQ(h.api.pods().listByOwner(name + "-rs").size(), alive.size())
+        << "seed " << GetParam() << " " << name << ": failed pods remain";
+    const int ready = static_cast<int>(std::count_if(
+        alive.begin(), alive.end(),
+        [](const Pod* pod) { return pod->status.ready; }));
+    EXPECT_EQ(rs->status.replicas, static_cast<int>(alive.size()))
+        << "seed " << GetParam() << " " << name;
+    EXPECT_EQ(rs->status.readyReplicas, ready)
+        << "seed " << GetParam() << " " << name;
+    EXPECT_EQ(deployment->status.replicas, rs->status.replicas)
+        << "seed " << GetParam() << " " << name;
+    EXPECT_EQ(deployment->status.readyReplicas, rs->status.readyReplicas)
+        << "seed " << GetParam() << " " << name;
+  }
+  EXPECT_GT(recreated, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DeploymentControllerProperty,
+                         ::testing::Range(1, 11));
 
 // ---------------------------------------------------------- scheduler ----
 

@@ -8,6 +8,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/rule_reconciler.hpp"
 #include "core/testbed.hpp"
@@ -105,6 +106,30 @@ TEST(ReconcileTest, CleanChannelAcksEveryInstall) {
   EXPECT_EQ(ctrl.flowModsTimedOut(), 0u);
   EXPECT_EQ(ctrl.flowModResends(), 0u);
   expectAccountingInvariant(ctrl);
+}
+
+// ledgerViolations() names an install still waiting for its acks, and is
+// empty once the run is quiescent.
+TEST(ReconcileTest, LedgerViolationsNameAnInstallInFlight) {
+  TestbedOptions options;
+  options.clusterMode = ClusterMode::kDockerOnly;
+  Testbed bed(options);
+  ASSERT_TRUE(bed.registerCatalogService("nginx", kNginxAddr).ok());
+  bed.warmImageCache("nginx");
+  auto& ctrl = bed.controller();
+  EXPECT_TRUE(ctrl.ledgerViolations().empty());
+
+  bed.requestCatalog(0, "nginx", kNginxAddr, "t");
+  while (ctrl.pendingInstallCount() == 0 && bed.sim().step()) {
+  }
+  ASSERT_EQ(ctrl.pendingInstallCount(), 1u);
+  const std::vector<std::string> inFlight = ctrl.ledgerViolations();
+  ASSERT_FALSE(inFlight.empty());
+  EXPECT_NE(inFlight.back().find("1 installs pending"), std::string::npos)
+      << inFlight.back();
+
+  bed.sim().runUntil(10_s);
+  EXPECT_TRUE(ctrl.ledgerViolations().empty());
 }
 
 TEST(ReconcileTest, LegacyModeSendsUntracked) {
