@@ -8,7 +8,7 @@
 #include <map>
 
 #include "experiment_common.hpp"
-#include "util/lane_executor.hpp"
+#include "util/parallel_for.hpp"
 
 using namespace edgesim;
 using namespace edgesim::bench;
@@ -33,7 +33,7 @@ int main() {
     jobs.push_back({key, ClusterMode::kDockerOnly, true});  // delta baseline
   }
   std::vector<DeploymentExperimentResult> results(jobs.size());
-  LaneExecutor::parallelFor(jobs.size(), 0, [&](std::size_t i) {
+  parallelFor(jobs.size(), 0, [&](std::size_t i) {
     DeploymentExperimentConfig config;
     config.catalogKey = jobs[i].key;
     config.mode = jobs[i].mode;

@@ -8,7 +8,7 @@
 #include <map>
 
 #include "experiment_common.hpp"
-#include "util/lane_executor.hpp"
+#include "util/parallel_for.hpp"
 
 using namespace edgesim;
 using namespace edgesim::bench;
@@ -64,7 +64,7 @@ int main() {
     jobs.push_back({key, ClusterMode::kK8sOnly});
   }
   std::vector<Samples> samples(jobs.size());
-  LaneExecutor::parallelFor(jobs.size(), 0, [&](std::size_t i) {
+  parallelFor(jobs.size(), 0, [&](std::size_t i) {
     samples[i] = warmSamples(jobs[i].key, jobs[i].mode, 100);
   });
   metrics::BenchReport report("fig16_warm_requests");

@@ -10,7 +10,7 @@
 
 #include "experiment_common.hpp"
 #include "k8s/autoscaler.hpp"
-#include "util/lane_executor.hpp"
+#include "util/parallel_for.hpp"
 
 using namespace edgesim;
 using namespace edgesim::bench;
@@ -137,7 +137,7 @@ CrowdResult runCrowd(bool withAutoscaler) {
 int main() {
   CrowdResult with{};
   CrowdResult without{};
-  LaneExecutor::parallelFor(2, 2, [&with, &without](std::size_t i) {
+  parallelFor(2, 2, [&with, &without](std::size_t i) {
     if (i == 0) {
       with = runCrowd(true);
     } else {

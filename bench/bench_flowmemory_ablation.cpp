@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "experiment_common.hpp"
-#include "util/lane_executor.hpp"
+#include "util/parallel_for.hpp"
 
 using namespace edgesim;
 using namespace edgesim::bench;
@@ -62,7 +62,7 @@ AblationResult runWithTimeout(SimTime memoryTimeout) {
 int main() {
   const std::vector<double> timeoutsSeconds{1, 5, 15, 60, 300};
   std::vector<AblationResult> results(timeoutsSeconds.size());
-  LaneExecutor::parallelFor(timeoutsSeconds.size(), 0, [&](std::size_t i) {
+  parallelFor(timeoutsSeconds.size(), 0, [&](std::size_t i) {
     results[i] = runWithTimeout(SimTime::seconds(timeoutsSeconds[i]));
   });
 

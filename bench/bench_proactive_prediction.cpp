@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "experiment_common.hpp"
-#include "util/lane_executor.hpp"
+#include "util/parallel_for.hpp"
 
 using namespace edgesim;
 using namespace edgesim::bench;
@@ -75,7 +75,7 @@ SweepResult runWithHitRate(double hitRate, std::uint64_t seed) {
 int main() {
   const std::vector<double> hitRates{0.0, 0.5, 0.8, 0.95, 1.0};
   std::vector<SweepResult> results(hitRates.size());
-  LaneExecutor::parallelFor(hitRates.size(), 0, [&](std::size_t i) {
+  parallelFor(hitRates.size(), 0, [&](std::size_t i) {
     results[i] = runWithHitRate(hitRates[i], /*seed=*/5);
   });
 

@@ -39,13 +39,6 @@ class ClusterAdapter {
   int distanceRank() const { return distanceRank_; }
   virtual bool isCloud() const { return false; }
 
-  /// Time domain this cluster's substrate (engine/kubelets/reconcilers)
-  /// runs in.  The Dispatcher routes deployment-phase RPCs into it and
-  /// marshals callbacks back onto the control domain; the default (control
-  /// domain) keeps phase calls direct and bit-identical.
-  DomainId domain() const { return domain_; }
-  void setDomain(DomainId domain) { domain_ = domain; }
-
   /// Snapshot for the Global Scheduler.
   virtual ClusterView view(const ServiceModel& service) const = 0;
 
@@ -87,26 +80,8 @@ class ClusterAdapter {
  private:
   std::string name_;
   int distanceRank_;
-  DomainId domain_ = kControlDomain;
   fault::FaultPlan* faults_ = nullptr;
 };
-
-// --------------------------------------------------------------------------
-
-/// Run `fn` in `cluster`'s time domain.  When the active domain already
-/// matches (the single-domain default, or a call made from inside the
-/// cluster's own events) the call is DIRECT -- bit-identical to the
-/// pre-domain engine.  Otherwise the closure hops through the domain
-/// channel, paying at least the channel lookahead (the modelled
-/// management-plane latency between controller and cluster).
-template <typename Fn>
-void runOnCluster(Simulation& sim, ClusterAdapter& cluster, Fn&& fn) {
-  if (cluster.domain() == sim.activeDomainId()) {
-    std::forward<Fn>(fn)();
-    return;
-  }
-  sim.scheduleOn(cluster.domain(), SimTime::zero(), std::forward<Fn>(fn));
-}
 
 // --------------------------------------------------------------------------
 

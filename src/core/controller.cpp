@@ -235,6 +235,24 @@ std::vector<std::string> EdgeController::ledgerViolations() const {
         count(flowModsSent()), count(flowModsAcked()),
         count(flowModsTimedOut()), pendingInstallCount()));
   }
+  if (handoversStarted() !=
+          handoversCompleted() + handoversAbortedToCloud() ||
+      !handovers_.empty()) {
+    std::string inFlight;
+    for (const auto& [key, handover] : handovers_) {
+      inFlight += strprintf(" %s->%s (%s to %s)",
+                            key.client.toString().c_str(),
+                            key.service.toString().c_str(),
+                            handover.oldCluster.c_str(),
+                            handover.targetCluster.c_str());
+    }
+    violations.push_back(strprintf(
+        "handovers: started %llu != completed %llu + aborted %llu, or %zu "
+        "in flight:%s",
+        count(handoversStarted()), count(handoversCompleted()),
+        count(handoversAbortedToCloud()), handovers_.size(),
+        inFlight.empty() ? " none" : inFlight.c_str()));
+  }
   return violations;
 }
 
@@ -788,11 +806,7 @@ void EdgeController::finishExpiry() {
     ledger_.scaleDowns.add();
     ES_INFO("controller", "scaling down idle service %s on %s",
             service->uniqueName.c_str(), flow.cluster.c_str());
-    ClusterAdapter* adapterPtr = adapter;
-    const ServiceModel* servicePtr = service;
-    runOnCluster(sim_, *adapter, [adapterPtr, servicePtr] {
-      adapterPtr->scaleDown(*servicePtr, [](Status) {});
-    });
+    adapter->scaleDown(*service, [](Status) {});
     scaledDownAt_[{flow.service, flow.cluster}] = sim_.now();
   }
 
@@ -817,16 +831,10 @@ void EdgeController::finishExpiry() {
       ES_INFO("controller", "removing long-idle service %s from %s",
               service->uniqueName.c_str(), clusterName.c_str());
       const bool deleteImages = options_.deleteImagesOnRemove;
-      ClusterAdapter* adapterPtr = adapter;
-      const ServiceModel* servicePtr = service;
-      runOnCluster(sim_, *adapter, [deleteImages, adapterPtr, servicePtr] {
-        auto afterRemove = [deleteImages, adapterPtr, servicePtr](Status) {
-          if (deleteImages) {
-            adapterPtr->deleteImages(*servicePtr, [](Status) {});
-          }
-        };
-        adapterPtr->removeService(*servicePtr, std::move(afterRemove));
-      });
+      adapter->removeService(
+          *service, [deleteImages, adapter, service](Status) {
+            if (deleteImages) adapter->deleteImages(*service, [](Status) {});
+          });
     }
     it = scaledDownAt_.erase(it);
   }
@@ -1084,10 +1092,7 @@ void EdgeController::settleHandover(const PendingKey& key,
       ledger_.scaleDowns.add();
       ES_INFO("controller", "scaling down vacated service %s on %s",
               servicePtr->uniqueName.c_str(), ah.oldCluster.c_str());
-      ClusterAdapter* oldPtr = old;
-      runOnCluster(sim_, *old, [oldPtr, servicePtr] {
-        oldPtr->scaleDown(*servicePtr, [](Status) {});
-      });
+      old->scaleDown(*servicePtr, [](Status) {});
       scaledDownAt_[{key.service, ah.oldCluster}] = now;
     }
   }

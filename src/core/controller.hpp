@@ -316,11 +316,14 @@ class EdgeController : public openflow::ControllerApp {
   std::size_t pendingInstallCount() const { return pendingInstalls_.size(); }
 
   /// The end-of-run accounting invariants that do not hold, one line each
-  /// (empty when both hold):
+  /// (empty when all hold):
   ///   requestsSubmitted() == requestsResolved() + requestsFailed()
   ///                          + requestsShed()
   ///   flowModsSent() == flowModsAcked() + flowModsTimedOut(), with
   ///   pendingInstallCount() == 0
+  ///   handoversStarted() == handoversCompleted()
+  ///                         + handoversAbortedToCloud(), with no handover
+  ///   in flight (each one still in flight is named)
   std::vector<std::string> ledgerViolations() const;
 
   // ---- rule reconciliation ------------------------------------------------

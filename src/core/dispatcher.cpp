@@ -547,45 +547,6 @@ void Dispatcher::onPhaseFailure(const ServiceModelPtr& service,
   });
 }
 
-void Dispatcher::invokeOnCluster(
-    ClusterAdapter& cluster,
-    std::function<void(ClusterAdapter::Callback)> invoke,
-    ClusterAdapter::Callback done) {
-  if (cluster.domain() == sim_.activeDomainId()) {
-    invoke(std::move(done));
-    return;
-  }
-  Simulation& sim = sim_;
-  // The completion fires inside the cluster's domain; hop home before
-  // touching any dispatcher state (pending_, telemetry, traces -- all
-  // control-domain-owned).
-  auto homeward = [&sim, done = std::move(done)](Status status) {
-    sim.scheduleOn(kControlDomain, SimTime::zero(),
-                   [done, status] { done(status); });
-  };
-  sim_.scheduleOn(cluster.domain(), SimTime::zero(),
-                  [invoke = std::move(invoke),
-                   homeward = std::move(homeward)] { invoke(homeward); });
-}
-
-void Dispatcher::probeOnCluster(ClusterAdapter& cluster, Endpoint instance,
-                                ClusterAdapter::ProbeCallback done) {
-  if (cluster.domain() == sim_.activeDomainId()) {
-    cluster.probeInstance(instance, std::move(done));
-    return;
-  }
-  Simulation& sim = sim_;
-  ClusterAdapter* clusterPtr = &cluster;
-  auto homeward = [&sim, done = std::move(done)](bool open) {
-    sim.scheduleOn(kControlDomain, SimTime::zero(),
-                   [done, open] { done(open); });
-  };
-  sim_.scheduleOn(cluster.domain(), SimTime::zero(),
-                  [clusterPtr, instance, homeward = std::move(homeward)] {
-                    clusterPtr->probeInstance(instance, homeward);
-                  });
-}
-
 void Dispatcher::runPhases(const ServiceModelPtr& service,
                            ClusterAdapter& cluster, const std::string& key,
                            std::uint64_t epoch) {
@@ -595,14 +556,10 @@ void Dispatcher::runPhases(const ServiceModelPtr& service,
   const SimTime phaseStart = sim_.now();
   armPhaseTimer(service, cluster, key, epoch);
 
-  ClusterAdapter* clusterPtr = &cluster;
   if (!view.imageCached) {
     // Phase 1: Pull.
-    invokeOnCluster(
-        cluster,
-        [clusterPtr, service](ClusterAdapter::Callback cb) {
-          clusterPtr->pullImages(*service, std::move(cb));
-        },
+    cluster.pullImages(
+        *service,
         [this, service, &cluster, key, epoch, phaseStart](Status status) {
           const auto pit = pending_.find(key);
           if (pit == pending_.end() || pit->second.epoch != epoch) return;
@@ -619,11 +576,8 @@ void Dispatcher::runPhases(const ServiceModelPtr& service,
 
   if (!view.serviceCreated) {
     // Phase 2: Create.
-    invokeOnCluster(
-        cluster,
-        [clusterPtr, service](ClusterAdapter::Callback cb) {
-          clusterPtr->createService(*service, std::move(cb));
-        },
+    cluster.createService(
+        *service,
         [this, service, &cluster, key, epoch, phaseStart](Status status) {
           const auto pit = pending_.find(key);
           if (pit == pending_.end() || pit->second.epoch != epoch) return;
@@ -640,11 +594,8 @@ void Dispatcher::runPhases(const ServiceModelPtr& service,
 
   // Phase 3: Scale Up, then wait for the port to open.  The phase timer
   // armed above spans the scale-up command plus the wait.
-  invokeOnCluster(
-      cluster,
-      [clusterPtr, service](ClusterAdapter::Callback cb) {
-        clusterPtr->scaleUp(*service, std::move(cb));
-      },
+  cluster.scaleUp(
+      *service,
       [this, service, &cluster, key, epoch, phaseStart](Status status) {
         const auto pit = pending_.find(key);
         if (pit == pending_.end() || pit->second.epoch != epoch) return;
@@ -670,8 +621,8 @@ void Dispatcher::pollUntilReady(const ServiceModelPtr& service,
   const auto ready = cluster.readyInstances(*service);
   if (!ready.empty()) {
     const Endpoint candidate = ready.front();
-    probeOnCluster(
-        cluster, candidate,
+    cluster.probeInstance(
+        candidate,
         [this, service, &cluster, key, scaledUpAt, epoch,
          candidate](bool open) {
           const auto pit = pending_.find(key);

@@ -201,18 +201,6 @@ class Dispatcher {
     EventHandle phaseTimer;     // per-phase watchdog
   };
 
-  /// Run one deployment-phase RPC (`invoke` calls the adapter method with
-  /// the callback it is given) in `cluster`'s time domain, marshalling the
-  /// completion back onto the control domain.  Clusters homed on the
-  /// control domain -- every single-domain setup -- keep the historical
-  /// direct call; cross-domain clusters pay one channel-lookahead hop each
-  /// way, the modelled management-plane round trip.
-  void invokeOnCluster(ClusterAdapter& cluster,
-                       std::function<void(ClusterAdapter::Callback)> invoke,
-                       ClusterAdapter::Callback done);
-  /// probeInstance variant (bool payload instead of Status).
-  void probeOnCluster(ClusterAdapter& cluster, Endpoint instance,
-                      ClusterAdapter::ProbeCallback done);
   void runPhases(const ServiceModelPtr& service, ClusterAdapter& cluster,
                  const std::string& key, std::uint64_t epoch);
   void pollUntilReady(const ServiceModelPtr& service,

@@ -1,7 +1,5 @@
 #include "core/testbed.hpp"
 
-#include <optional>
-
 #include "util/strings.hpp"
 
 namespace edgesim::core {
@@ -29,20 +27,6 @@ Testbed::Testbed(TestbedOptions options)
   }
   net_ = std::make_unique<Network>(sim_);
 
-  // ---- time domains ---------------------------------------------------------
-  // Per-cluster partition: each edge site's substrate and host advance in
-  // their own EventDomain; the site link latencies (egsLatency,
-  // farEdgeLatency) become the cross-domain lookahead bounds when the links
-  // are wired below.  kSingle leaves everything in the control domain, on
-  // one event queue.
-  const bool perCluster =
-      options_.domainPartition == DomainPartition::kPerCluster;
-  const DomainId egsDomain = perCluster ? sim_.addDomain("egs")
-                                        : kControlDomain;
-  const DomainId farDomain = (perCluster && options_.farEdge)
-                                 ? sim_.addDomain("far-edge")
-                                 : kControlDomain;
-
   // ---- hosts ---------------------------------------------------------------
   for (std::size_t i = 0; i < options_.clientCount; ++i) {
     clients_.push_back(std::make_unique<Host>(
@@ -51,7 +35,6 @@ Testbed::Testbed(TestbedOptions options)
         Mac(0x020000000000ULL + i)));
   }
   egs_ = std::make_unique<Host>(*net_, "egs", Ipv4(10, 0, 1, 1), Mac(0x10));
-  egs_->setDomain(egsDomain);  // before links: connect() reads endpoint domains
   cloud_ = std::make_unique<Host>(*net_, "cloud", Ipv4(198, 51, 100, 1),
                                   Mac(0xC0));
   switch_ = std::make_unique<openflow::OpenFlowSwitch>(*net_, "ovs");
@@ -84,68 +67,53 @@ Testbed::Testbed(TestbedOptions options)
       options_.privateRegistry ? privateRegistry_.get() : publicRegistry_.get();
 
   // ---- EGS: shared containerd under Docker AND Kubernetes -------------------
-  {
-    // Per-cluster partition: build the whole EGS substrate with the EGS
-    // domain active, so every setup event -- and, via EventDomain::current,
-    // every event those events schedule (reconcile re-arms, pull
-    // completions, kubelet syncs) -- stays cluster-local.
-    std::optional<Simulation::DomainScope> egsScope;
-    if (perCluster) egsScope.emplace(sim_, egsDomain);
+  egsStore_ = std::make_unique<container::LayerStore>();
+  egsRuntime_ = std::make_unique<container::ContainerdRuntime>(
+      sim_, *egs_, *egsStore_);
+  egsPuller_ = std::make_unique<container::ImagePuller>(sim_, *egsStore_);
+  dockerEngine_ = std::make_unique<docker::DockerEngine>(
+      sim_, *egsRuntime_, *egsPuller_, activeRegistry_);
 
-    egsStore_ = std::make_unique<container::LayerStore>();
-    egsRuntime_ = std::make_unique<container::ContainerdRuntime>(
-        sim_, *egs_, *egsStore_);
-    egsPuller_ = std::make_unique<container::ImagePuller>(sim_, *egsStore_);
-    dockerEngine_ = std::make_unique<docker::DockerEngine>(
-        sim_, *egsRuntime_, *egsPuller_, activeRegistry_);
-
-    if (options_.clusterMode == ClusterMode::kDockerOnly ||
-        options_.clusterMode == ClusterMode::kBoth) {
-      auto adapter = std::make_unique<DockerAdapter>(
-          sim_, "docker-egs", /*distanceRank=*/0, *dockerEngine_);
-      adapter->setDomain(dockerEngine_->homeDomain());
-      dockerAdapter_ = adapter.get();
-      adapters_.push_back(std::move(adapter));
-    }
-    if (options_.serverlessEdge ||
-        options_.clusterMode == ClusterMode::kServerlessOnly) {
-      faasRuntime_ = std::make_unique<serverless::FaasRuntime>(sim_, *egs_);
-      auto adapter = std::make_unique<ServerlessAdapter>(
-          sim_, "faas-egs", /*distanceRank=*/0, *faasRuntime_);
-      adapter->setDomain(egsDomain);
-      serverlessAdapter_ = adapter.get();
-      adapters_.push_back(std::move(adapter));
-    }
-    if (options_.clusterMode == ClusterMode::kK8sOnly ||
-        options_.clusterMode == ClusterMode::kBoth) {
-      k8s::NodeHandle node;
-      node.name = "egs";
-      node.host = egs_.get();
-      node.runtime = egsRuntime_.get();
-      node.puller = egsPuller_.get();
-      node.registry = activeRegistry_;
-      k8sCluster_ = std::make_unique<k8s::K8sCluster>(
-          sim_, options_.k8sParams, std::vector<k8s::NodeHandle>{node});
-      auto adapter = std::make_unique<K8sAdapter>(
-          sim_, "k8s-egs", /*distanceRank=*/0, *k8sCluster_,
-          std::vector<k8s::NodeHandle>{node});
-      adapter->setDomain(k8sCluster_->homeDomain());
-      k8sAdapter_ = adapter.get();
-      adapters_.push_back(std::move(adapter));
-    }
+  if (options_.clusterMode == ClusterMode::kDockerOnly ||
+      options_.clusterMode == ClusterMode::kBoth) {
+    auto adapter = std::make_unique<DockerAdapter>(
+        sim_, "docker-egs", /*distanceRank=*/0, *dockerEngine_);
+    dockerAdapter_ = adapter.get();
+    adapters_.push_back(std::move(adapter));
+  }
+  if (options_.serverlessEdge ||
+      options_.clusterMode == ClusterMode::kServerlessOnly) {
+    faasRuntime_ = std::make_unique<serverless::FaasRuntime>(sim_, *egs_);
+    auto adapter = std::make_unique<ServerlessAdapter>(
+        sim_, "faas-egs", /*distanceRank=*/0, *faasRuntime_);
+    serverlessAdapter_ = adapter.get();
+    adapters_.push_back(std::move(adapter));
+  }
+  if (options_.clusterMode == ClusterMode::kK8sOnly ||
+      options_.clusterMode == ClusterMode::kBoth) {
+    k8s::NodeHandle node;
+    node.name = "egs";
+    node.host = egs_.get();
+    node.runtime = egsRuntime_.get();
+    node.puller = egsPuller_.get();
+    node.registry = activeRegistry_;
+    k8sCluster_ = std::make_unique<k8s::K8sCluster>(
+        sim_, options_.k8sParams, std::vector<k8s::NodeHandle>{node});
+    auto adapter = std::make_unique<K8sAdapter>(
+        sim_, "k8s-egs", /*distanceRank=*/0, *k8sCluster_,
+        std::vector<k8s::NodeHandle>{node});
+    k8sAdapter_ = adapter.get();
+    adapters_.push_back(std::move(adapter));
   }
 
   // ---- optional far edge (fig. 3: without-waiting scenarios) ----------------
   if (options_.farEdge) {
     farEdgeHost_ = std::make_unique<Host>(*net_, "far-edge",
                                           Ipv4(10, 0, 3, 1), Mac(0x20));
-    farEdgeHost_->setDomain(farDomain);
     const auto farPorts = net_->connect(*switch_, *farEdgeHost_,
                                         options_.farEdgeLatency,
                                         options_.clientBandwidth);
     topo.hostPorts[farEdgeHost_->ip()] = farPorts.portA;
-    std::optional<Simulation::DomainScope> farScope;
-    if (perCluster) farScope.emplace(sim_, farDomain);
     farStore_ = std::make_unique<container::LayerStore>();
     farRuntime_ = std::make_unique<container::ContainerdRuntime>(
         sim_, *farEdgeHost_, *farStore_);
@@ -154,7 +122,6 @@ Testbed::Testbed(TestbedOptions options)
         sim_, *farRuntime_, *farPuller_, activeRegistry_);
     auto adapter = std::make_unique<DockerAdapter>(
         sim_, "docker-far", /*distanceRank=*/1, *farEngine_);
-    adapter->setDomain(farEngine_->homeDomain());
     farAdapter_ = adapter.get();
     adapters_.push_back(std::move(adapter));
   }

@@ -29,26 +29,10 @@ namespace edgesim::core {
 
 enum class ClusterMode { kDockerOnly, kK8sOnly, kBoth, kServerlessOnly };
 
-/// How the simulation's event queue is partitioned into time domains.
-enum class DomainPartition {
-  /// Everything in the control domain: one event queue.  The default, and
-  /// the layout the determinism goldens were recorded with.
-  kSingle,
-  /// Each edge site (EGS, far edge) gets its own EventDomain: cluster
-  /// substrate (containerd, Docker engine, kubelets, reconcile loops) and
-  /// the site's host advance there, with the site links' latencies as the
-  /// cross-domain lookahead.  Clients, switch, controller, and cloud stay
-  /// in the control domain.  Sequential drivers (run/runUntil) execute a
-  /// canonical global order; parallel advance is for partition-local
-  /// workloads (see DomainScheduler).
-  kPerCluster,
-};
-
 struct TestbedOptions {
   std::uint64_t seed = 1;
   std::size_t clientCount = 20;
   ClusterMode clusterMode = ClusterMode::kBoth;
-  DomainPartition domainPartition = DomainPartition::kSingle;
   /// Use the in-network private registry instead of the public one.
   bool privateRegistry = false;
   /// Add a second, farther edge cluster (Docker) for fig. 3 scenarios.

@@ -13,8 +13,7 @@ DockerEngine::DockerEngine(Simulation& sim,
       runtime_(runtime),
       puller_(puller),
       registry_(registry),
-      params_(params),
-      homeDomain_(sim.activeDomainId()) {}
+      params_(params) {}
 
 void DockerEngine::afterApi(std::function<void()> fn) {
   sim_.schedule(params_.apiLatency, std::move(fn));

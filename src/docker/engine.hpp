@@ -70,10 +70,6 @@ class DockerEngine {
   /// calls; the target is the engine's node name.  Pass nullptr to detach.
   void setFaultPlan(fault::FaultPlan* plan) { faults_ = plan; }
 
-  /// Time domain active when the engine was built: its API-latency events
-  /// and the underlying runtime/puller all advance with that domain.
-  DomainId homeDomain() const { return homeDomain_; }
-
  private:
   void afterApi(std::function<void()> fn);
   /// Non-null when the daemon call must fail with an injected fault.
@@ -85,7 +81,6 @@ class DockerEngine {
   const container::Registry* registry_;
   fault::FaultPlan* faults_ = nullptr;
   EngineParams params_;
-  DomainId homeDomain_ = kControlDomain;
 };
 
 }  // namespace edgesim::docker

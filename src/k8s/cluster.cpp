@@ -4,7 +4,7 @@ namespace edgesim::k8s {
 
 K8sCluster::K8sCluster(Simulation& sim, ControlPlaneParams params,
                        std::vector<NodeHandle> nodes)
-    : sim_(sim), params_(params), homeDomain_(sim.activeDomainId()) {
+    : sim_(sim), params_(params) {
   api_ = std::make_unique<ApiServer>(sim_, params_);
   deploymentController_ =
       std::make_unique<DeploymentController>(sim_, *api_, params_);

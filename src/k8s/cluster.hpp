@@ -24,12 +24,6 @@ class K8sCluster {
   PodScheduler& scheduler() { return *scheduler_; }
   const ControlPlaneParams& params() const { return params_; }
 
-  /// Time domain active when the cluster was built: all reconcile loops
-  /// (deployment/replica-set/endpoints controllers, kubelet sync) armed
-  /// their timers there, so they advance with that domain.  Adapters homed
-  /// elsewhere must marshal operations into this domain.
-  DomainId homeDomain() const { return homeDomain_; }
-
   // -- client operations (as the SDN controller's K8s adapter uses them) --
   void applyDeployment(Deployment deployment,
                        std::function<void(Status)> cb = nullptr);
@@ -52,7 +46,6 @@ class K8sCluster {
  private:
   Simulation& sim_;
   ControlPlaneParams params_;
-  DomainId homeDomain_ = kControlDomain;
   std::unique_ptr<ApiServer> api_;
   std::unique_ptr<DeploymentController> deploymentController_;
   std::unique_ptr<ReplicaSetController> replicaSetController_;

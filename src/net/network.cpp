@@ -29,13 +29,6 @@ Network::LinkPorts Network::connect(NetNode& a, NetNode& b, SimTime latency,
       HalfLink{&b, portB, &a, portA, latency, bandwidth, SimTime::zero()}));
   ports_[b.id()].resize(b.portCount(), nullptr);
   ports_[b.id()][portB] = halves_.back().get();
-  if (a.domain() != b.domain()) {
-    // This link's propagation delay is the conservative lookahead bound
-    // between the two domains (tightened to the minimum across links); the
-    // link name identifies the channel for stall attribution.
-    sim_.connectDomains(a.domain(), b.domain(), latency,
-                        a.name() + "<->" + b.name());
-  }
   return LinkPorts{portA, portB};
 }
 
@@ -91,13 +84,13 @@ void Network::transmit(const NetNode& node, PortId port,
                        const Packet& packet) {
   HalfLink* half = findHalf(node, port);
   if (half == nullptr) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    ++dropped_;
     ES_WARN("net", "drop: %s out of unwired port %u on %s",
             packet.summary().c_str(), port, node.name().c_str());
     return;
   }
   if (!half->up) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    ++dropped_;
     ES_DEBUG("net", "drop: %s on down link at %s port %u",
              packet.summary().c_str(), node.name().c_str(), port);
     return;
@@ -112,19 +105,10 @@ void Network::transmit(const NetNode& node, PortId port,
 
   NetNode* to = half->to;
   const PortId toPort = half->toPort;
-  auto deliver = [this, to, toPort, packet] {
-    delivered_.fetch_add(1, std::memory_order_relaxed);
+  sim_.scheduleAt(arrival, [this, to, toPort, packet] {
+    ++delivered_;
     to->receive(packet, toPort);
-  };
-  if (to->domain() == node.domain()) {
-    // Same-domain delivery: the historical (bit-identical) path.
-    sim_.scheduleAt(arrival, std::move(deliver));
-  } else {
-    // Cross-domain: hand off through the domain channel.  arrival >= now +
-    // latency >= now + lookahead (the lookahead is the min link latency for
-    // this domain pair), so the conservative bound holds by construction.
-    sim_.scheduleOnAt(to->domain(), arrival, std::move(deliver));
-  }
+  });
 }
 
 }  // namespace edgesim

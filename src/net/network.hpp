@@ -6,7 +6,6 @@
 // pulls slow down concurrent request traffic in the experiments.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -32,10 +31,7 @@ class Network {
   NodeId registerNode(NetNode& node);
 
   /// Wire a bidirectional link; allocates one new port on each node and
-  /// returns the pair (port on a, port on b).  A link whose endpoints live
-  /// in different time domains declares its latency as the cross-domain
-  /// lookahead bound (tightening any existing bound), so assign node
-  /// domains before wiring.  Cross-domain latencies must be positive.
+  /// returns the pair (port on a, port on b).
   struct LinkPorts {
     PortId portA;
     PortId portB;
@@ -64,12 +60,8 @@ class Network {
                           const std::string& label, const NetNode& node,
                           PortId port);
 
-  std::uint64_t deliveredPackets() const {
-    return delivered_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t droppedPackets() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t deliveredPackets() const { return delivered_; }
+  std::uint64_t droppedPackets() const { return dropped_; }
 
  private:
   struct HalfLink {
@@ -96,10 +88,8 @@ class Network {
   std::vector<std::unique_ptr<HalfLink>> halves_;
   /// Per node (by NodeId), the half-link leaving each port (by PortId).
   std::vector<std::vector<HalfLink*>> ports_;
-  // Atomic: deliveries execute in the RECEIVER's domain, which in parallel
-  // runs is another thread.  (All other link state is sender-domain-owned.)
-  std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> dropped_{0};
+  std::uint64_t delivered_ = 0;
+  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace edgesim

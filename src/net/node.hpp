@@ -9,7 +9,6 @@
 #include <string>
 
 #include "net/packet.hpp"
-#include "sim/event_domain.hpp"
 
 namespace edgesim {
 
@@ -38,13 +37,6 @@ class NetNode {
   /// Number of ports currently wired (assigned by Network::connect).
   PortId portCount() const { return portCount_; }
 
-  /// Time domain this node's events run in (default: the control domain).
-  /// Partitioned topologies assign cluster hosts to their cluster's domain
-  /// BEFORE wiring links: Network::connect uses the endpoint domains to
-  /// declare the cross-domain lookahead bound (the link latency).
-  DomainId domain() const { return domain_; }
-  void setDomain(DomainId domain) { domain_ = domain; }
-
  private:
   friend class Network;
   PortId allocatePort() { return portCount_++; }
@@ -53,7 +45,6 @@ class NetNode {
   std::string name_;
   NodeId id_ = 0;
   PortId portCount_ = 0;
-  DomainId domain_ = kControlDomain;
 };
 
 }  // namespace edgesim

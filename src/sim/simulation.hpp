@@ -1,38 +1,17 @@
-// Deterministic discrete-event simulation engine, partitioned into time
-// domains (see sim/event_domain.hpp).
+// Deterministic discrete-event simulation engine: one event queue (see
+// sim/event_domain.hpp), one clock and one master RNG stream per experiment.
 //
-// A Simulation is a set of EventDomains sharing one logical experiment.  The
-// default configuration has exactly ONE domain.  Partitioned setups call
-// addDomain()/connectDomains() during construction; domains then advance
-// either
-//
-//   * sequentially (run/runUntil/step): one loop, whatever the domain count,
-//     executes the globally earliest live event across all domains -- a
-//     canonical total order, used by determinism tests as the reference for
-//     parallel runs; or
-//   * in parallel (DomainScheduler::runParallel): each domain advances on a
-//     LaneExecutor worker under the conservative lookahead rule.
-//
-// Ordinary components never name domains: schedule()/now()/rng() route to
-// the ACTIVE domain -- the one dispatching the current event, or the
-// DomainScope-selected domain during setup.  An event scheduled from inside
-// a handler therefore stays in its component's domain automatically.
-// Cross-domain posting is explicit (scheduleOn/scheduleOnAt) and pays at
-// least the channel's lookahead latency.
-//
-// There is no cross-thread injection seam: other threads schedule nothing
-// while a run is in flight.  A sequential run executes on the calling
-// thread; a parallel run hands each domain to one worker at a time.
+// Everything runs on the thread that drives the Simulation: run/runUntil/
+// step execute the earliest live event next, and handlers schedule further
+// events through schedule()/scheduleAt().  Other threads schedule nothing
+// while a run is in flight; sweeps that want several cores run several
+// Simulations side by side (util/parallel_for.hpp).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "sim/event_domain.hpp"
 #include "sim/time.hpp"
@@ -41,115 +20,47 @@
 
 namespace edgesim {
 
-class DomainScheduler;
-
 class Simulation {
  public:
-  explicit Simulation(std::uint64_t seed = 1);
-  ~Simulation();
+  explicit Simulation(std::uint64_t seed = 1) : rng_(seed) {}
 
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
-  /// Clock of the active domain (single-domain: THE clock).
-  SimTime now() const;
-  /// RNG stream of the active domain (single-domain: the master stream).
-  Rng& rng();
+  SimTime now() const { return queue_.now(); }
+  /// The master RNG stream.
+  Rng& rng() { return rng_; }
 
-  /// Schedule `fn` in the active domain, `delay` after its now (delay >= 0).
-  EventHandle schedule(SimTime delay, std::function<void()> fn);
-  /// Schedule `fn` in the active domain at an absolute time (>= its now).
-  EventHandle scheduleAt(SimTime when, std::function<void()> fn);
-
-  // ---- time domains --------------------------------------------------------
-  /// Create a new domain (setup phase only).  Its RNG stream is derived
-  /// deterministically from the simulation seed and the domain id, so adding
-  /// domains never perturbs the master stream.
-  DomainId addDomain(const std::string& name);
-  std::size_t domainCount() const { return domains_.size(); }
-  EventDomain& domain(DomainId id) {
-    ES_ASSERT(id < domains_.size());
-    return *domains_[id];
+  /// Schedule `fn` `delay` after now (delay >= 0).
+  EventHandle schedule(SimTime delay, std::function<void()> fn) {
+    return queue_.schedule(delay, std::move(fn));
   }
-  /// Domain dispatching the current event on this thread, else the
-  /// DomainScope-selected setup domain (default: the control domain).
-  EventDomain& activeDomain();
-  DomainId activeDomainId() { return activeDomain().id(); }
-
-  /// Declare (or tighten) the bidirectional lookahead bound between two
-  /// domains -- the minimum model latency any cross-domain event pays.
-  /// Links crossing domains call this with their latency (setup phase only).
-  /// `via` names the link for stall attribution (e.g. "edge-3<->edge-7");
-  /// the tightest link owns the channel identity.
-  void connectDomains(DomainId a, DomainId b, SimTime lookahead,
-                      const std::string& via = {});
-  /// Lookahead of the from->to channel; SimTime::max() when unconnected.
-  SimTime domainLookahead(DomainId from, DomainId to) const;
-  /// The from->to channel, nullptr when unconnected.  Observers use this to
-  /// enumerate channel identities; the engine's own callers go through
-  /// scheduleOn/scheduleOnAt.
-  const DomainChannel* domainChannel(DomainId from, DomainId to) const {
-    return channelBetween(from, to);
+  /// Schedule `fn` at an absolute time (>= now).
+  EventHandle scheduleAt(SimTime when, std::function<void()> fn) {
+    return queue_.scheduleAt(when, std::move(fn));
   }
 
-  /// Attach (or detach, with nullptr) a DomainObserver: every domain's
-  /// advance() slices, cross-domain sends, and the parallel driver's
-  /// watchdog report through it.  Setup phase only -- never while a run is
-  /// in flight.  Null observer (the default) keeps the engine on its
-  /// zero-instrumentation path.
-  void setDomainObserver(DomainObserver* observer);
-  DomainObserver* domainObserver() const { return observer_; }
-
-  /// Schedule `fn` on `target`, at least max(delay, channel lookahead) after
-  /// the active domain's now.  Same-domain calls degrade to schedule().
-  /// Cross-domain sends return an inert (non-cancellable) handle.
-  EventHandle scheduleOn(DomainId target, SimTime delay,
-                         std::function<void()> fn);
-  /// Schedule `fn` on `target` at an absolute time.  Cross-domain, `when`
-  /// must be >= the active domain's now + channel lookahead (parallel runs
-  /// enforce this; it is what makes the conservative advance rule sound).
-  EventHandle scheduleOnAt(DomainId target, SimTime when,
-                           std::function<void()> fn);
-
-  /// Route setup-phase schedule()/now()/rng() calls to a chosen domain for
-  /// the scope's lifetime, so component constructors (stores, engines,
-  /// kubelets, reconcile timers) land their events cluster-locally without
-  /// threading DomainIds through every signature.  Setup only (asserts no
-  /// event is dispatching); scopes nest.
-  class DomainScope {
-   public:
-    DomainScope(Simulation& sim, DomainId id);
-    ~DomainScope();
-    DomainScope(const DomainScope&) = delete;
-    DomainScope& operator=(const DomainScope&) = delete;
-
-   private:
-    Simulation& sim_;
-    DomainId saved_;
-  };
-
-  /// Run until every domain's queue drains or `stop()` is called, always
-  /// executing the globally earliest live event next.
+  /// Run until the queue drains or `stop()` is called, always executing
+  /// the earliest live event next.
   void run();
   /// Run every live event due at or before `until`, earliest first; no
-  /// event beyond `until` runs.  Afterwards every domain's now() == until,
-  /// also when stop() ended the run early (due events it skipped stay
-  /// queued).
+  /// event beyond `until` runs.  Afterwards now() == until, also when
+  /// stop() ended the run early (due events it skipped stay queued).
   void runUntil(SimTime until);
-  /// Execute the globally earliest live event, if any; returns false if no
-  /// live event was queued.
+  /// Execute the earliest live event, if any; returns false if no live
+  /// event was queued.
   bool step();
 
   void stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }
 
-  /// Queued keys over every domain's near and far heaps, cancelled keys
-  /// included until they are popped (EventDomain::pendingEvents); this is
-  /// the depth pathbench's steady-state heap guard compares.
-  std::size_t pendingEvents() const;
-  std::uint64_t processedEvents() const;
+  /// Queued keys over the near and far heaps, cancelled keys included
+  /// until they are popped (EventDomain::pendingEvents); this is the depth
+  /// pathbench's steady-state heap guard compares.
+  std::size_t pendingEvents() const { return queue_.pendingEvents(); }
+  std::uint64_t processedEvents() const { return queue_.processedEvents(); }
 
-  /// "[t=...] " prefix for the logger (control-domain clock).
+  /// "[t=...] " prefix for the logger.
   std::string timePrefix() const;
 
   /// Route the global logger's time prefix to this simulation for the
@@ -163,38 +74,19 @@ class Simulation {
   };
 
  private:
-  friend class DomainScheduler;
-
-  DomainChannel* channelBetween(DomainId from, DomainId to) const;
-  void drainAllChannels();
-  /// The one sequential loop body behind run/runUntil/step: admit channel
-  /// messages, then run the globally earliest live event (across all
-  /// domains) if it is due at or before `until`.  Returns whether an event
+  /// The one loop body behind run/runUntil/step: run the earliest live
+  /// event if it is due at or before `until`.  Returns whether an event
   /// ran.
   bool stepUntil(SimTime until);
-  void beginParallel();
-  void endParallel();
-  bool parallelPhase() const {
-    return parallel_.load(std::memory_order_relaxed);
-  }
 
-  std::uint64_t seed_;
-  Rng rng_;  // master stream, aliased by domain 0
-  std::vector<std::unique_ptr<EventDomain>> domains_;
-  std::vector<std::unique_ptr<DomainChannel>> channels_;
-  std::map<std::pair<DomainId, DomainId>, DomainChannel*> channelIndex_;
-  DomainId setupDomain_ = kControlDomain;
-  std::atomic<bool> parallel_{false};
-  DomainObserver* observer_ = nullptr;  // setup-phase writes only
+  Rng rng_;
+  EventDomain queue_;
   bool stopped_ = false;
 };
 
 /// Periodic callback helper; fires every `period` until cancelled or the
 /// callback returns false.  Safe to cancel or even destroy from within its
 /// own tick callback (common when a tick tears down the owning object).
-/// Ticks re-arm through Simulation::schedule, so a timer started while a
-/// domain is active (via DomainScope or from one of its events) stays in
-/// that domain.
 class PeriodicTimer {
  public:
   PeriodicTimer() = default;

@@ -1,9 +1,8 @@
 // Lock-light metrics registry for live introspection of the running system.
 //
-// Parallel-domain workers (DomainScheduler::runParallel + DomainProbe)
-// update it concurrently with the coordinating thread; the existing
-// Recorder/TraceRecorder buffer *events* and export at end of
-// run, which is both post-hoc and (for million-request runs) unbounded.
+// Any thread may update it; the existing Recorder/TraceRecorder buffer
+// *events* and export at end of run, which is both post-hoc and (for
+// million-request runs) unbounded.
 // This registry holds *state* -- named counters, gauges and log-linear
 // histograms -- cheap enough to update from the warm path and readable at
 // any time:

@@ -166,57 +166,7 @@ void TraceRecorder::instant(RequestId request, const std::string& name,
   if (!admitEvent()) return;
   Buffer& buffer = *myBuffer().second;
   std::lock_guard lock(buffer.mutex);
-  buffer.instants.push_back({request, -1, name, category, at, std::move(args)});
-}
-
-SpanId TraceRecorder::completeTrackSpan(std::int64_t track,
-                                        const std::string& name,
-                                        const std::string& category,
-                                        SimTime start, SimTime end,
-                                        TraceArgs args) {
-  if (!enabled()) return 0;
-  if (!admitEvent()) return 0;
-  const auto [bufferIndex, bufferPtr] = myBuffer();
-  Buffer& buffer = *bufferPtr;
-  std::lock_guard lock(buffer.mutex);
-  TraceSpan span;
-  span.id = encodeSpanId(bufferIndex, buffer.spans.size());
-  span.track = track;
-  span.name = name;
-  span.category = category;
-  span.start = start;
-  span.end = end;
-  span.open = false;
-  span.args = std::move(args);
-  buffer.spans.push_back(std::move(span));
-  spanCount_.fetch_add(1, std::memory_order_relaxed);
-  return buffer.spans.back().id;
-}
-
-void TraceRecorder::flowBegin(std::uint64_t flow, std::int64_t track,
-                              const std::string& name,
-                              const std::string& category, SimTime at) {
-  if (!enabled()) return;
-  if (!admitEvent()) return;
-  Buffer& buffer = *myBuffer().second;
-  std::lock_guard lock(buffer.mutex);
-  buffer.flows.push_back({flow, track, name, category, at, true});
-}
-
-void TraceRecorder::flowEnd(std::uint64_t flow, std::int64_t track,
-                            const std::string& name,
-                            const std::string& category, SimTime at) {
-  if (!enabled()) return;
-  if (!admitEvent()) return;
-  Buffer& buffer = *myBuffer().second;
-  std::lock_guard lock(buffer.mutex);
-  buffer.flows.push_back({flow, track, name, category, at, false});
-}
-
-void TraceRecorder::nameTrack(std::int64_t track, const std::string& name) {
-  if (!enabled()) return;
-  std::lock_guard lock(trackNamesMutex_);
-  trackNames_[track] = name;
+  buffer.instants.push_back({request, name, category, at, std::move(args)});
 }
 
 void TraceRecorder::bindFlow(Ipv4 client, Endpoint service, RequestId request) {
@@ -287,7 +237,6 @@ std::vector<TraceSpan> TraceRecorder::spans() const {
                    [](const TraceSpan& a, const TraceSpan& b) {
                      if (a.start != b.start) return a.start < b.start;
                      if (a.request != b.request) return a.request < b.request;
-                     if (a.track != b.track) return a.track < b.track;
                      if (a.category != b.category) return a.category < b.category;
                      if (a.name != b.name) return a.name < b.name;
                      return a.id < b.id;
@@ -315,24 +264,6 @@ std::vector<TraceInstant> TraceRecorder::instants() const {
   return merged;
 }
 
-std::vector<TraceFlow> TraceRecorder::flows() const {
-  std::vector<TraceFlow> merged;
-  std::size_t populated = 0;
-  for (Buffer* buffer : bufferList()) {
-    std::lock_guard lock(buffer->mutex);
-    if (!buffer->flows.empty()) ++populated;
-    merged.insert(merged.end(), buffer->flows.begin(), buffer->flows.end());
-  }
-  if (populated <= 1) return merged;
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const TraceFlow& a, const TraceFlow& b) {
-                     if (a.at != b.at) return a.at < b.at;
-                     if (a.flow != b.flow) return a.flow < b.flow;
-                     return a.begin && !b.begin;  // send before receive
-                   });
-  return merged;
-}
-
 // ---- export -----------------------------------------------------------------
 
 namespace {
@@ -350,7 +281,6 @@ JsonValue argsObject(const TraceArgs& args) {
 JsonValue TraceRecorder::chromeTrace() const {
   const std::vector<TraceSpan> allSpans = spans();
   const std::vector<TraceInstant> allInstants = instants();
-  const std::vector<TraceFlow> allFlows = flows();
 
   // Close still-open spans at the maximum observed timestamp so the file
   // stays loadable even for aborted runs.
@@ -359,15 +289,6 @@ JsonValue TraceRecorder::chromeTrace() const {
     maxTime = std::max(maxTime, std::max(span.start, span.end));
   }
   for (const auto& i : allInstants) maxTime = std::max(maxTime, i.at);
-  for (const auto& f : allFlows) maxTime = std::max(maxTime, f.at);
-
-  // Track-addressed events live in their own process row block (pid 2);
-  // traces without them (every request-path-only export, including the
-  // determinism goldens) emit no pid-2 metadata and stay bytewise identical
-  // to the historical layout.
-  bool anyTrack = !allFlows.empty();
-  for (const auto& span : allSpans) anyTrack = anyTrack || span.track >= 0;
-  for (const auto& i : allInstants) anyTrack = anyTrack || i.track >= 0;
 
   JsonValue events = JsonValue::array();
 
@@ -381,12 +302,8 @@ JsonValue TraceRecorder::chromeTrace() const {
   events.push(std::move(processName));
 
   std::vector<RequestId> requests;
-  for (const auto& span : allSpans) {
-    if (span.track < 0) requests.push_back(span.request);
-  }
-  for (const auto& i : allInstants) {
-    if (i.track < 0) requests.push_back(i.request);
-  }
+  for (const auto& span : allSpans) requests.push_back(span.request);
+  for (const auto& i : allInstants) requests.push_back(i.request);
   std::sort(requests.begin(), requests.end());
   requests.erase(std::unique(requests.begin(), requests.end()),
                  requests.end());
@@ -405,34 +322,6 @@ JsonValue TraceRecorder::chromeTrace() const {
     events.push(std::move(threadName));
   }
 
-  if (anyTrack) {
-    JsonValue domainProcess = JsonValue::object();
-    domainProcess.set("ph", "M");
-    domainProcess.set("pid", 2);
-    domainProcess.set("name", "process_name");
-    JsonValue domainArgs = JsonValue::object();
-    domainArgs.set("name", "edgesim-domains");
-    domainProcess.set("args", std::move(domainArgs));
-    events.push(std::move(domainProcess));
-
-    std::map<std::int64_t, std::string> names;
-    {
-      std::lock_guard lock(trackNamesMutex_);
-      names = trackNames_;
-    }
-    for (const auto& [track, name] : names) {
-      JsonValue trackName = JsonValue::object();
-      trackName.set("ph", "M");
-      trackName.set("pid", 2);
-      trackName.set("tid", track);
-      trackName.set("name", "thread_name");
-      JsonValue nameArgs = JsonValue::object();
-      nameArgs.set("name", name);
-      trackName.set("args", std::move(nameArgs));
-      events.push(std::move(trackName));
-    }
-  }
-
   for (const auto& span : allSpans) {
     const SimTime end = span.open ? maxTime : span.end;
     JsonValue event = JsonValue::object();
@@ -441,13 +330,8 @@ JsonValue TraceRecorder::chromeTrace() const {
     event.set("ph", "X");
     event.set("ts", span.start.toMicros());
     event.set("dur", (end - span.start).toMicros());
-    if (span.track >= 0) {
-      event.set("pid", 2);
-      event.set("tid", span.track);
-    } else {
-      event.set("pid", 1);
-      event.set("tid", span.request);
-    }
+    event.set("pid", 1);
+    event.set("tid", span.request);
     JsonValue args = argsObject(span.args);
     args.set("span_id", formatTraceValue(span.id));
     if (span.parent != 0) {
@@ -464,27 +348,9 @@ JsonValue TraceRecorder::chromeTrace() const {
     event.set("ph", "i");
     event.set("s", "t");  // thread-scoped instant
     event.set("ts", i.at.toMicros());
-    if (i.track >= 0) {
-      event.set("pid", 2);
-      event.set("tid", i.track);
-    } else {
-      event.set("pid", 1);
-      event.set("tid", i.request);
-    }
+    event.set("pid", 1);
+    event.set("tid", i.request);
     event.set("args", argsObject(i.args));
-    events.push(std::move(event));
-  }
-
-  for (const auto& f : allFlows) {
-    JsonValue event = JsonValue::object();
-    event.set("name", f.name);
-    event.set("cat", f.category);
-    event.set("ph", f.begin ? "s" : "f");
-    if (!f.begin) event.set("bp", "e");  // bind the arrow to the enclosing slice
-    event.set("id", f.flow);
-    event.set("ts", f.at.toMicros());
-    event.set("pid", 2);
-    event.set("tid", f.track);
     events.push(std::move(event));
   }
 

@@ -12,10 +12,9 @@
 //
 // Thread model: recording goes to PER-THREAD buffers.  The first thread to
 // record (the recorder's creator, i.e. the simulation thread) owns buffer
-// 0; other threads (parallel-domain workers) lazily acquire their own
-// buffer on first use.  Request IDs come from one atomic counter, so IDs
-// allocated on different threads never collide.  Buffers are
-// merged only at export:
+// 0; other threads lazily acquire their own buffer on first use.  Request
+// IDs come from one atomic counter, so IDs allocated on different threads
+// never collide.  Buffers are merged only at export:
 //   * one populated buffer (every single-threaded run) -> events export in
 //     recording order with the same span IDs as the pre-threading layout,
 //     so deterministic runs stay BIT-IDENTICAL to the seed;
@@ -95,12 +94,6 @@ struct TraceSpan {
   SpanId id = 0;
   SpanId parent = 0;        // enclosing span, 0 = top level
   RequestId request = 0;
-  /// Timeline row OUTSIDE the per-request process: >= 0 routes the span to
-  /// pid 2 ("edgesim-domains") with tid = track (one row per EventDomain in
-  /// the parallel-core trace); -1 (the default, and the only value the
-  /// request path ever produces) keeps the historical pid 1 / tid = request
-  /// layout, so exports without track events stay bytewise identical.
-  std::int64_t track = -1;
   std::string name;         // "request", "resolve", "pull", "scaleup", ...
   std::string category;     // "client", "controller", "scheduler", "deploy"
   SimTime start;
@@ -113,23 +106,10 @@ struct TraceSpan {
 
 struct TraceInstant {
   RequestId request = 0;
-  std::int64_t track = -1;  // see TraceSpan::track
   std::string name;         // "packet-in", "flow-memory-hit", "retry", ...
   std::string category;
   SimTime at;
   TraceArgs args;
-};
-
-/// One endpoint of a Chrome flow event ("s" begin / "f" end): the arrow
-/// linking a cross-domain send span to its matching receive.  `flow` is the
-/// causality stamp shared by both endpoints.
-struct TraceFlow {
-  std::uint64_t flow = 0;
-  std::int64_t track = 0;   // timeline row (domain id) the endpoint sits on
-  std::string name;
-  std::string category;
-  SimTime at;
-  bool begin = true;        // true = "s" (send side), false = "f" (receive)
 };
 
 /// One request's phase decomposition.  `segments` partition `total` exactly
@@ -186,24 +166,6 @@ class TraceRecorder {
   void instant(RequestId request, const std::string& name,
                const std::string& category, SimTime at, TraceArgs args = {});
 
-  // ---- track-addressed events (parallel-core domain trace) ----------------
-  /// Record a closed span on timeline row `track` (pid 2, one row per
-  /// EventDomain).  Counts against the event cap like any span.
-  SpanId completeTrackSpan(std::int64_t track, const std::string& name,
-                           const std::string& category, SimTime start,
-                           SimTime end, TraceArgs args = {});
-  /// Record one endpoint of a flow-event arrow on row `track`; both
-  /// endpoints of `flow` must use the same name/category for viewers to
-  /// link them.
-  void flowBegin(std::uint64_t flow, std::int64_t track,
-                 const std::string& name, const std::string& category,
-                 SimTime at);
-  void flowEnd(std::uint64_t flow, std::int64_t track, const std::string& name,
-               const std::string& category, SimTime at);
-  /// Display name for row `track` ("0:main", "3:trace-2", ...); emitted as
-  /// pid-2 thread_name metadata.  Re-naming replaces.
-  void nameTrack(std::int64_t track, const std::string& name);
-
   // ---- request-ID propagation to the client side --------------------------
   /// The controller binds the (client, service) flow key to the request ID
   /// it allocated at packet-in; the client-side measurement consumes the
@@ -221,9 +183,6 @@ class TraceRecorder {
   /// Merged snapshot of all buffers (see header comment for ordering).
   std::vector<TraceSpan> spans() const;
   std::vector<TraceInstant> instants() const;
-  /// Merged flow endpoints; multi-buffer recordings sort canonically by
-  /// (at, flow, begin-before-end).
-  std::vector<TraceFlow> flows() const;
   std::size_t spanCount() const {
     return spanCount_.load(std::memory_order_relaxed);
   }
@@ -257,7 +216,6 @@ class TraceRecorder {
     mutable std::mutex mutex;
     std::deque<TraceSpan> spans;      // deque: spanById pointers stay stable
     std::deque<TraceInstant> instants;
-    std::deque<TraceFlow> flows;
   };
 
   /// This thread's (buffer index, buffer) in this recorder, creating the
@@ -282,9 +240,6 @@ class TraceRecorder {
 
   std::mutex bindingsMutex_;
   std::map<std::pair<Ipv4, Endpoint>, RequestId> flowBindings_;
-
-  mutable std::mutex trackNamesMutex_;
-  std::map<std::int64_t, std::string> trackNames_;
 };
 
 }  // namespace edgesim::trace

@@ -1,6 +1,5 @@
-// Concurrency suite for the threaded substrate that remains: the
-// LaneExecutor behind the parallel domain core and the bench sweeps, and
-// the thread-safe Recorder / TraceRecorder.
+// Concurrency suite for the threaded substrate that remains: parallelFor
+// behind the bench sweeps, and the thread-safe Recorder / TraceRecorder.
 //
 // Run under ThreadSanitizer (cmake -DEDGESIM_SANITIZE=tsan, ctest
 // -L concurrency) -- several tests here are primarily data-race probes:
@@ -8,16 +7,12 @@
 // flag any unsynchronized access, while their functional assertions pin
 // the invariants callers depend on:
 //
-//   * LaneExecutor: per-lane FIFO + mutual exclusion (asserted WITHOUT a
-//     lock on the observation buffer, so a serialization bug is a TSan
-//     race, not just a flaky ordering check) and cross-lane parallelism.
+//   * parallelFor: every index runs exactly once, across threads.
 //   * TraceRecorder / metrics::Recorder: request-ID allocation, span
 //     recording and sample counters stay exact under contention.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdint>
-#include <future>
 #include <set>
 #include <string>
 #include <thread>
@@ -25,57 +20,23 @@
 
 #include "metrics/recorder.hpp"
 #include "trace/trace_recorder.hpp"
-#include "util/lane_executor.hpp"
+#include "util/parallel_for.hpp"
 
 namespace edgesim::core {
 namespace {
 
-// ------------------------------------------------------- LaneExecutor ----
+// -------------------------------------------------------- parallelFor ----
 
-TEST(LaneExecutorTest, SameLaneRunsFifoAndExclusive) {
-  LaneExecutor pool(4);
-  constexpr int kTasks = 2000;
-  // Deliberately unsynchronized: the per-lane serialization guarantee is
-  // the only thing keeping this write race-free.  TSan enforces it.
-  std::vector<int> order;
-  order.reserve(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    pool.post(7, [&order, i] { order.push_back(i); });
-  }
-  pool.drain();
-  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
-  for (int i = 0; i < kTasks; ++i) EXPECT_EQ(order[i], i);
+TEST(ParallelFor, CoversRange) {
+  std::vector<std::atomic<int>> hits(64);
+  parallelFor(64, 8, [&hits](std::size_t i) { hits[i]++; });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(LaneExecutorTest, DifferentLanesRunInParallel) {
-  LaneExecutor pool(2);
-  // Lane 0 blocks until lane 1 has run: only possible if the lanes map to
-  // different, concurrently running workers.
-  std::promise<void> lane1Ran;
-  std::future<void> lane1Future = lane1Ran.get_future();
-  std::atomic<bool> lane0Done{false};
-  pool.post(0, [&] {
-    lane1Future.wait();
-    lane0Done.store(true);
-  });
-  pool.post(1, [&] { lane1Ran.set_value(); });
-  pool.drain();
-  EXPECT_TRUE(lane0Done.load());
-}
-
-TEST(LaneExecutorTest, DrainCoversTransitivelyPostedWork) {
-  LaneExecutor pool(3);
-  std::atomic<int> executed{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.post(static_cast<std::uint64_t>(i), [&pool, &executed, i] {
-      executed.fetch_add(1);
-      pool.post(static_cast<std::uint64_t>(i + 1),
-                [&executed] { executed.fetch_add(1); });
-    });
-  }
-  pool.drain();
-  EXPECT_EQ(executed.load(), 20);
-  EXPECT_GE(pool.tasksExecuted(), 20u);
+TEST(ParallelFor, WithNoTasksReturns) {
+  std::atomic<int> calls{0};
+  parallelFor(0, 2, [&calls](std::size_t) { calls++; });
+  EXPECT_EQ(calls.load(), 0);
 }
 
 // ------------------------------------ recorder thread-safety probes ----

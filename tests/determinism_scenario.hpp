@@ -1,7 +1,7 @@
-// Shared fixture for the determinism suites (determinism_test and
-// domain_determinism_test): one fixed controller lifecycle whose exported
-// trace + metrics + counters are compared bytewise against committed
-// goldens, plus the golden-file plumbing.
+// Shared fixture for the determinism suite (determinism_test): one fixed
+// controller lifecycle whose exported trace + metrics + counters are
+// compared bytewise against committed goldens, plus the golden-file
+// plumbing.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -26,10 +26,6 @@ struct ScenarioResult {
   std::string traceJson;
   std::string metricsTable;
   std::string counters;
-  /// Per-series sample counts + per-series success totals: the
-  /// timing-insensitive view for comparisons where event ORDER may
-  /// legally differ (per-cluster time domains).
-  std::string outcomes;
 
   std::string combined() const {
     return traceJson + "\n---\n" + metricsTable + "---\n" + counters;
@@ -39,14 +35,12 @@ struct ScenarioResult {
 /// One fixed controller lifecycle: two services, cold deploys, coalesced
 /// joiners, warm repeats, idle expiry driving a scale-down, and a
 /// re-deployment after the memory forgot the clients.
-inline ScenarioResult runScenario(
-    std::uint64_t seed, DomainPartition partition = DomainPartition::kSingle) {
+inline ScenarioResult runScenario(std::uint64_t seed) {
   using namespace timeliterals;
   TestbedOptions options;
   options.seed = seed;
   options.clientCount = 6;
   options.clusterMode = ClusterMode::kDockerOnly;
-  options.domainPartition = partition;
   options.controller.memoryIdleTimeout = 3_s;
   options.controller.memoryScanPeriod = 500_ms;
   Testbed bed(options);
@@ -93,14 +87,6 @@ inline ScenarioResult runScenario(
       static_cast<unsigned long long>(bed.controller().removals()),
       static_cast<unsigned long long>(bed.controller().migrations()),
       bed.controller().flowMemory().size());
-  for (const auto& name : bed.recorder().seriesNames()) {
-    std::size_t ok = 0;
-    for (const auto& record : bed.recorder().records()) {
-      if (record.series == name && record.success) ++ok;
-    }
-    result.outcomes += strprintf("%s count=%zu ok=%zu\n", name.c_str(),
-                                 bed.recorder().series(name)->count(), ok);
-  }
   return result;
 }
 

@@ -411,8 +411,10 @@ TEST(StoreMembership, CachedLookupFollowsCreatesAndRemoves) {
 
   store.update("p", [](Pod& p) { p.status.ready = true; });
   sim.run();
-  EXPECT_EQ(lookup.get(store, "p"), first);
-  EXPECT_TRUE(lookup.get(store, "p")->status.ready);
+  const Pod* updated = lookup.get(store, "p");
+  ASSERT_NE(updated, nullptr);
+  EXPECT_EQ(updated, first);
+  EXPECT_TRUE(updated->status.ready);
 
   store.remove("p");
   sim.run();

@@ -132,6 +132,40 @@ TEST(ReconcileTest, LedgerViolationsNameAnInstallInFlight) {
   EXPECT_TRUE(ctrl.ledgerViolations().empty());
 }
 
+// ledgerViolations() names a handover still in flight -- client, service
+// and both clusters -- and is empty once it has settled.
+TEST(ReconcileTest, LedgerViolationsNameAHandoverInFlight) {
+  TestbedOptions options;
+  options.clusterMode = ClusterMode::kDockerOnly;
+  options.farEdge = true;
+  Testbed bed(options);
+  ASSERT_TRUE(bed.registerCatalogService("nginx", kNginxAddr).ok());
+  bed.warmImageCache("nginx");
+  auto& ctrl = bed.controller();
+  bed.requestCatalog(0, "nginx", kNginxAddr, "t");
+  bed.sim().runUntil(10_s);
+  ASSERT_TRUE(ctrl.ledgerViolations().empty());
+
+  std::optional<HandoverResult> result;
+  ctrl.requestHandover(clientAddress(0), kNginxAddr, "docker-far",
+                       [&](const HandoverResult& r) { result = r; });
+  ASSERT_EQ(ctrl.handoversStarted(), 1u);
+  ASSERT_FALSE(result.has_value());  // the far edge deploys first
+  const std::vector<std::string> inFlight = ctrl.ledgerViolations();
+  ASSERT_EQ(inFlight.size(), 1u);
+  EXPECT_NE(inFlight.back().find("1 in flight: " +
+                                 clientAddress(0).toString() + "->" +
+                                 kNginxAddr.toString() +
+                                 " (docker-egs to docker-far)"),
+            std::string::npos)
+      << inFlight.back();
+
+  bed.sim().runUntil(bed.sim().now() + 30_s);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->completed);
+  EXPECT_TRUE(ctrl.ledgerViolations().empty());
+}
+
 TEST(ReconcileTest, LegacyModeSendsUntracked) {
   TestbedOptions options;
   options.clusterMode = ClusterMode::kDockerOnly;

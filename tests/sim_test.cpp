@@ -167,29 +167,20 @@ TEST(Simulation, RunUntilStopsAtBoundary) {
 
 TEST(Simulation, RunUntilNeverDispatchesPastUntil) {
   // A cancelled entry at or before `until` must not let the next live event
-  // run when that event lies beyond `until`, whichever domain holds it.
-  for (const bool twoDomains : {false, true}) {
-    SCOPED_TRACE(twoDomains ? "two domains" : "one domain");
-    Simulation sim;
-    const DomainId edge = twoDomains ? sim.addDomain("edge") : kControlDomain;
-    bool early = false;
-    bool late = false;
-    EventHandle cancelled;
-    {
-      Simulation::DomainScope scope(sim, edge);
-      cancelled = sim.schedule(1_ms, [&] { early = true; });
-    }
-    sim.schedule(10_ms, [&] { late = true; });
-    cancelled.cancel();
-    sim.runUntil(5_ms);
-    EXPECT_FALSE(early);
-    EXPECT_FALSE(late);
-    EXPECT_EQ(sim.now(), 5_ms);
-    EXPECT_EQ(sim.domain(edge).now(), 5_ms);
-    sim.runUntil(10_ms);
-    EXPECT_TRUE(late);
-    EXPECT_EQ(sim.now(), 10_ms);
-  }
+  // run when that event lies beyond `until`.
+  Simulation sim;
+  bool early = false;
+  bool late = false;
+  EventHandle cancelled = sim.schedule(1_ms, [&] { early = true; });
+  sim.schedule(10_ms, [&] { late = true; });
+  cancelled.cancel();
+  sim.runUntil(5_ms);
+  EXPECT_FALSE(early);
+  EXPECT_FALSE(late);
+  EXPECT_EQ(sim.now(), 5_ms);
+  sim.runUntil(10_ms);
+  EXPECT_TRUE(late);
+  EXPECT_EQ(sim.now(), 10_ms);
 }
 
 TEST(Simulation, RunUntilWithEmptyQueueAdvancesClock) {
@@ -670,96 +661,6 @@ TEST(Simulation, TimePrefixFormat) {
   sim.schedule(1500_ms, [] {});
   sim.run();
   EXPECT_EQ(sim.timePrefix(), "[t=   1.500000s] ");
-}
-
-// ---- time domains ----------------------------------------------------------
-
-TEST(TimeDomains, SingleDomainByDefault) {
-  Simulation sim;
-  EXPECT_EQ(sim.domainCount(), 1u);
-  EXPECT_EQ(sim.activeDomainId(), kControlDomain);
-}
-
-TEST(TimeDomains, ScheduleOnRunsInTargetDomainAfterLookahead) {
-  Simulation sim;
-  const DomainId d = sim.addDomain("edge");
-  sim.connectDomains(kControlDomain, d, 5_ms);
-  DomainId ranIn = kControlDomain;
-  SimTime ranAt = SimTime::zero();
-  sim.scheduleOn(d, SimTime::zero(), [&] {
-    ranIn = sim.activeDomainId();
-    ranAt = sim.now();
-  });
-  sim.run();
-  EXPECT_EQ(ranIn, d);
-  // Zero-delay cross-domain posts are clamped to the channel lookahead so
-  // sequential and parallel drivers agree on timing.
-  EXPECT_EQ(ranAt, 5_ms);
-}
-
-TEST(TimeDomains, SequentialRunInterleavesDomainsByTimestamp) {
-  Simulation sim;
-  const DomainId d = sim.addDomain("edge");
-  sim.connectDomains(kControlDomain, d, 1_ms);
-  std::vector<int> order;
-  sim.scheduleAt(10_ms, [&] { order.push_back(0); });
-  sim.scheduleOnAt(d, 5_ms, [&] { order.push_back(1); });
-  sim.scheduleOnAt(d, 15_ms, [&] { order.push_back(2); });
-  sim.scheduleAt(20_ms, [&] { order.push_back(3); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 3}));
-}
-
-TEST(TimeDomains, DomainScopeRoutesSetupScheduling) {
-  Simulation sim;
-  const DomainId d = sim.addDomain("edge");
-  DomainId ranIn = kControlDomain;
-  {
-    Simulation::DomainScope scope(sim, d);
-    sim.schedule(1_ms, [&] { ranIn = sim.activeDomainId(); });
-  }
-  sim.run();
-  EXPECT_EQ(ranIn, d);
-}
-
-TEST(TimeDomains, DomainClocksAdvanceIndependently) {
-  Simulation sim;
-  const DomainId d = sim.addDomain("edge");
-  sim.connectDomains(kControlDomain, d, 1_ms);
-  sim.scheduleOnAt(d, 30_ms, [] {});
-  sim.scheduleAt(10_ms, [] {});
-  sim.run();
-  // run() drives every domain to the final event's time; per-domain clocks
-  // are still independently owned.
-  EXPECT_EQ(sim.domain(d).now(), 30_ms);
-  EXPECT_GE(sim.now(), 10_ms);
-}
-
-TEST(TimeDomains, ReschedulingInsideTargetDomainStaysLocal) {
-  Simulation sim;
-  const DomainId d = sim.addDomain("edge");
-  sim.connectDomains(kControlDomain, d, 2_ms);
-  std::vector<SimTime> ticks;
-  sim.scheduleOn(d, SimTime::zero(), [&] {
-    ticks.push_back(sim.now());
-    sim.schedule(3_ms, [&] { ticks.push_back(sim.now()); });
-  });
-  sim.run();
-  ASSERT_EQ(ticks.size(), 2u);
-  EXPECT_EQ(ticks[0], 2_ms);   // clamped to lookahead
-  EXPECT_EQ(ticks[1], 5_ms);   // local re-schedule, no extra hop
-}
-
-TEST(TimeDomains, LookaheadTightensToSmallestLink) {
-  Simulation sim;
-  const DomainId d = sim.addDomain("edge");
-  sim.connectDomains(kControlDomain, d, 5_ms);
-  sim.connectDomains(kControlDomain, d, 2_ms);  // a faster link appears
-  EXPECT_EQ(sim.domainLookahead(kControlDomain, d), 2_ms);
-  SimTime ranAt = SimTime::zero();
-  sim.scheduleOn(d, SimTime::zero(), [&] { ranAt = sim.now(); });
-  sim.run();
-  EXPECT_EQ(ranAt, 2_ms);
 }
 
 }  // namespace

@@ -1,16 +1,14 @@
 // Unit and property tests for the util module: rng, stats, strings, units,
-// config, table, lane executor as a task pool, result.
+// config, table, result.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <set>
 
 #include "util/config.hpp"
 #include "util/json.hpp"
-#include "util/lane_executor.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -386,33 +384,6 @@ TEST(Table, CsvEscaping) {
   const auto csv = t.csv();
   EXPECT_NE(csv.find("\"has,comma\""), std::string::npos);
   EXPECT_NE(csv.find("\"has\"\"quote\""), std::string::npos);
-}
-
-// ------------------------------------------------ lane executor as pool ----
-
-TEST(LaneExecutorPool, RunsAllTasks) {
-  std::atomic<int> counter{0};
-  {
-    LaneExecutor pool(4);
-    for (int i = 0; i < 100; ++i) {
-      pool.post(static_cast<std::uint64_t>(i),
-                [&counter] { counter.fetch_add(1); });
-    }
-    pool.drain();
-    EXPECT_EQ(counter.load(), 100);
-  }
-}
-
-TEST(LaneExecutorPool, ParallelForCoversRange) {
-  std::vector<std::atomic<int>> hits(64);
-  LaneExecutor::parallelFor(64, 8, [&hits](std::size_t i) { hits[i]++; });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(LaneExecutorPool, ParallelForWithNoTasksReturns) {
-  std::atomic<int> calls{0};
-  LaneExecutor::parallelFor(0, 2, [&calls](std::size_t) { calls++; });
-  EXPECT_EQ(calls.load(), 0);
 }
 
 // -------------------------------------------------------------- result ----

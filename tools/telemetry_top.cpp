@@ -7,16 +7,11 @@
 // Top mode tails a snapshot directory (as written by telemetry::SnapshotWriter
 // or `bench_telemetry_fig16`): every refresh it picks the highest-sequence
 // snapshot_*.json, parses it and renders request / shard / drop / phase /
-// overload-governor / handover / control-channel / SLO health tables.  When
-// the snapshot carries the parallel core's `edgesim_domain_*` series (a
-// telemetry::DomainProbe was attached) it also renders a per-domain table
-// (events, clock lifts, heap depth, clock lag, advance-slice latency, stall
-// time), a per-channel table (messages, lookahead, inbox depth, via link),
-// stall attribution (who blocked whom, how often) and the watchdog
-// productive/redundant wake split.  Sections whose series are absent are
-// skipped, and so are the handover and control-channel sections while their
-// counters are zero.  `--once` renders a single frame and exits (useful in
-// CI or for post-mortem inspection of a finished run).
+// overload-governor / handover / control-channel / SLO health tables.
+// Sections whose series are absent are skipped, and so are the handover and
+// control-channel sections while their counters are zero.  `--once` renders
+// a single frame and exits (useful in CI or for post-mortem inspection of a
+// finished run).
 //
 // Lint mode validates Prometheus text exposition files against
 // telemetry::lintPrometheus and exits nonzero on the first malformed file --
@@ -352,132 +347,6 @@ void renderSlo(const TelemetrySnapshot& snap, std::string& out) {
   out += "SLO budgets\n" + table.render() + "\n";
 }
 
-void renderDomains(const TelemetrySnapshot& snap, std::string& out) {
-  struct DomainRow {
-    std::string name;
-    std::uint64_t events = 0, lifts = 0;
-    double heap = 0.0, lagSeconds = 0.0;
-    const SnapshotHistogram* advance = nullptr;
-    const SnapshotHistogram* stallWall = nullptr;
-  };
-  std::map<int, DomainRow> rows;  // ordered by numeric domain id
-  const auto domainKey = [](const Labels& labels) {
-    return std::atoi(labelValue(labels, "domain").c_str());
-  };
-  for (const auto& counter : snap.counters) {
-    if (counter.name == "edgesim_domain_events_total") {
-      auto& row = rows[domainKey(counter.labels)];
-      row.events += counter.value;
-      row.name = labelValue(counter.labels, "name");
-    } else if (counter.name == "edgesim_domain_clock_lifts_total") {
-      rows[domainKey(counter.labels)].lifts += counter.value;
-    }
-  }
-  for (const auto& gauge : snap.gauges) {
-    if (gauge.name == "edgesim_domain_heap_depth") {
-      rows[domainKey(gauge.labels)].heap = gauge.value;
-    } else if (gauge.name == "edgesim_domain_clock_lag_seconds") {
-      rows[domainKey(gauge.labels)].lagSeconds = gauge.value;
-    }
-  }
-  for (const auto& hist : snap.histograms) {
-    if (hist.name == "edgesim_domain_advance_seconds") {
-      rows[domainKey(hist.labels)].advance = &hist;
-    } else if (hist.name == "edgesim_domain_stall_wall_seconds") {
-      rows[domainKey(hist.labels)].stallWall = &hist;
-    }
-  }
-  if (rows.empty()) return;
-  Table table({"domain", "events", "lifts", "heap", "lag (ms)", "slices",
-               "advance p95 (ms)", "stalls", "stall p95 (ms)",
-               "stall wall (s)"});
-  for (const auto& [id, row] : rows) {
-    const std::string label =
-        row.name.empty() ? strprintf("%d", id)
-                         : strprintf("%d:%s", id, row.name.c_str());
-    table.addRow(
-        {label, fmtCount(row.events), fmtCount(row.lifts),
-         strprintf("%.0f", row.heap), strprintf("%.2f", row.lagSeconds * 1e3),
-         row.advance != nullptr ? fmtCount(row.advance->count) : "-",
-         row.advance != nullptr ? fmtQuantileMs(*row.advance, 0.95) : "-",
-         row.stallWall != nullptr ? fmtCount(row.stallWall->count) : "-",
-         row.stallWall != nullptr ? fmtQuantileMs(*row.stallWall, 0.95) : "-",
-         row.stallWall != nullptr ? strprintf("%.4f", row.stallWall->sum)
-                                  : "-"});
-  }
-  out += "domains\n" + table.render() + "\n";
-}
-
-void renderChannels(const TelemetrySnapshot& snap, std::string& out) {
-  struct ChannelRow {
-    std::uint64_t messages = 0;
-    double lookaheadSeconds = std::nan("");
-    double inboxDepth = std::nan("");
-    std::string via;
-  };
-  std::map<std::pair<int, int>, ChannelRow> rows;
-  const auto pair = [](const Labels& labels) {
-    return std::make_pair(std::atoi(labelValue(labels, "from").c_str()),
-                          std::atoi(labelValue(labels, "to").c_str()));
-  };
-  for (const auto& counter : snap.counters) {
-    if (counter.name != "edgesim_domain_channel_messages_total") continue;
-    rows[pair(counter.labels)].messages += counter.value;
-  }
-  for (const auto& gauge : snap.gauges) {
-    if (gauge.name == "edgesim_domain_channel_lookahead_seconds") {
-      auto& row = rows[pair(gauge.labels)];
-      row.lookaheadSeconds = gauge.value;
-      row.via = labelValue(gauge.labels, "via");
-    } else if (gauge.name == "edgesim_domain_channel_inbox_depth") {
-      rows[pair(gauge.labels)].inboxDepth = gauge.value;
-    }
-  }
-  if (rows.empty()) return;
-  Table table({"channel", "messages", "lookahead (ms)", "inbox", "via"});
-  for (const auto& [key, row] : rows) {
-    table.addRow({strprintf("%d -> %d", key.first, key.second),
-                  fmtCount(row.messages),
-                  std::isnan(row.lookaheadSeconds)
-                      ? "-"
-                      : strprintf("%.3f", row.lookaheadSeconds * 1e3),
-                  std::isnan(row.inboxDepth)
-                      ? "-"
-                      : strprintf("%.0f", row.inboxDepth),
-                  row.via.empty() ? "-" : row.via});
-  }
-  out += "cross-domain channels\n" + table.render() + "\n";
-}
-
-void renderStalls(const TelemetrySnapshot& snap, std::string& out) {
-  Table table({"stalled domain", "bound by", "stalls"});
-  for (const auto& counter : snap.counters) {
-    if (counter.name != "edgesim_domain_stalls_total") continue;
-    table.addRow({labelValue(counter.labels, "domain"),
-                  labelValue(counter.labels, "bound_by"),
-                  fmtCount(counter.value)});
-  }
-  if (table.rowCount() == 0) return;
-  out += "stall attribution (bound_by = source domain of the gating "
-         "channel)\n" +
-         table.render() + "\n";
-}
-
-void renderWatchdog(const TelemetrySnapshot& snap, std::string& out) {
-  const std::uint64_t passes =
-      snap.counterTotal("edgesim_domain_watchdog_passes_total");
-  const std::uint64_t productive = snap.counterValue(
-      "edgesim_domain_watchdog_wakes_total", {{"result", "productive"}});
-  const std::uint64_t redundant = snap.counterValue(
-      "edgesim_domain_watchdog_wakes_total", {{"result", "redundant"}});
-  if (passes + productive + redundant == 0) return;
-  out += strprintf(
-      "watchdog passes %llu  wakes productive %llu / redundant %llu\n\n",
-      static_cast<unsigned long long>(passes),
-      static_cast<unsigned long long>(productive),
-      static_cast<unsigned long long>(redundant));
-}
-
 std::string renderFrame(const TelemetrySnapshot& snap,
                         const std::filesystem::path& path) {
   std::string out = strprintf("telemetry_top -- %s  (seq %llu, sim t=%.1fs)\n\n",
@@ -492,10 +361,6 @@ std::string renderFrame(const TelemetrySnapshot& snap,
   renderHandovers(snap, out);
   renderControlChannel(snap, out);
   renderSlo(snap, out);
-  renderDomains(snap, out);
-  renderChannels(snap, out);
-  renderStalls(snap, out);
-  renderWatchdog(snap, out);
   return out;
 }
 
