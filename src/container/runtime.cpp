@@ -134,6 +134,7 @@ void ContainerdRuntime::bindPort(ContainerId id) {
   ES_DEBUG("containerd", "%s: container %llu ready on port %u",
            host_.name().c_str(), static_cast<unsigned long long>(id),
            info.hostPort);
+  if (portListener_) portListener_(id);
 }
 
 Status ContainerdRuntime::stop(ContainerId id, Callback cb) {

@@ -87,6 +87,13 @@ class ContainerdRuntime {
 
   std::uint64_t startedCount() const { return started_; }
 
+  /// Called with a container's id when its service port opens, at that
+  /// moment.  One listener; nullptr detaches it.
+  using PortListener = std::function<void(ContainerId)>;
+  void setPortListener(PortListener listener) {
+    portListener_ = std::move(listener);
+  }
+
  private:
   SimTime jittered(SimTime base);
   void bindPort(ContainerId id);
@@ -100,6 +107,7 @@ class ContainerdRuntime {
   std::uint16_t nextHostPort_ = 30000;
   std::map<ContainerId, ContainerInfo> containers_;
   std::uint64_t started_ = 0;
+  PortListener portListener_;
 };
 
 }  // namespace edgesim::container

@@ -21,7 +21,19 @@ DockerAdapter::DockerAdapter(Simulation& sim, std::string name,
       sim_(sim),
       engine_(engine),
       capacity_(capacity),
-      mgmtRtt_(mgmtRtt) {}
+      mgmtRtt_(mgmtRtt) {
+  // Ready instances are this adapter's running containers with an open
+  // port: report each of them whose port opens.
+  engine_.runtime().setPortListener([this](ContainerId id) {
+    for (const auto& [uniqueName, ids] : services_) {
+      if (std::find(ids.begin(), ids.end(), id) != ids.end()) {
+        readinessChanged(uniqueName);
+      }
+    }
+  });
+}
+
+DockerAdapter::~DockerAdapter() { engine_.runtime().setPortListener(nullptr); }
 
 std::vector<const ContainerInfo*> DockerAdapter::containersOf(
     const ServiceModel& service) const {
@@ -245,7 +257,16 @@ K8sAdapter::K8sAdapter(Simulation& sim, std::string name, int distanceRank,
       sim_(sim),
       cluster_(cluster),
       nodes_(std::move(nodes)),
-      mgmtRtt_(mgmtRtt) {}
+      mgmtRtt_(mgmtRtt) {
+  // Ready instances are the addresses of the service's Endpoints object
+  // (same name as the service): report each commit to it.
+  cluster_.api().endpoints().setCommitHook(
+      [this](const std::string& service) { readinessChanged(service); });
+}
+
+K8sAdapter::~K8sAdapter() {
+  cluster_.api().endpoints().setCommitHook(nullptr);
+}
 
 k8s::Deployment K8sAdapter::toDeployment(const ServiceModel& service,
                                          int replicas) {
@@ -450,6 +471,7 @@ Endpoint CloudAdapter::hostService(const ServiceModel& service) {
     });
   });
   instances_[service.uniqueName] = endpoint;
+  readinessChanged(service.uniqueName);
   return endpoint;
 }
 

@@ -26,6 +26,19 @@
 
 namespace edgesim::core {
 
+class ClusterAdapter;
+
+/// Told when one service's readyInstances() on an adapter may have gained
+/// an instance (DESIGN §16.5): the Dispatcher parks its port poll on this
+/// instead of ticking while nothing is ready.
+class ReadinessObserver {
+ public:
+  virtual ~ReadinessObserver() = default;
+  /// `service` is the ServiceModel's uniqueName.
+  virtual void onReadinessChanged(ClusterAdapter& cluster,
+                                  const std::string& service) = 0;
+};
+
 class ClusterAdapter {
  public:
   using Callback = std::function<void(Status)>;
@@ -65,7 +78,24 @@ class ClusterAdapter {
   void setFaultPlan(fault::FaultPlan* plan) { faults_ = plan; }
   fault::FaultPlan* faultPlan() const { return faults_; }
 
+  /// The one observer of readiness changes (nullptr = none).
+  void setReadinessObserver(ReadinessObserver* observer) {
+    readinessObserver_ = observer;
+  }
+  ReadinessObserver* readinessObserver() const { return readinessObserver_; }
+
  protected:
+  /// Every adapter calls this whenever readyInstances(service) may have
+  /// gained an instance, at the moment the state it reads changes (a store
+  /// commit, a port opening) -- not when some watcher later hears of it.
+  /// A change that can only remove instances needs no call: a parked poll
+  /// waits for one to appear.
+  void readinessChanged(const std::string& service) {
+    if (readinessObserver_ != nullptr) {
+      readinessObserver_->onReadinessChanged(*this, service);
+    }
+  }
+
   /// Evaluate the kClusterRpc site for `phase` ("pull", "create", ...).
   /// Returns a fault only when the RPC must fail; stall-only triggers are
   /// ignored at this site.
@@ -81,6 +111,7 @@ class ClusterAdapter {
   std::string name_;
   int distanceRank_;
   fault::FaultPlan* faults_ = nullptr;
+  ReadinessObserver* readinessObserver_ = nullptr;
 };
 
 // --------------------------------------------------------------------------
@@ -91,6 +122,7 @@ class DockerAdapter final : public ClusterAdapter {
   DockerAdapter(Simulation& sim, std::string name, int distanceRank,
                 docker::DockerEngine& engine, int capacity = 100,
                 SimTime mgmtRtt = SimTime::millis(1));
+  ~DockerAdapter() override;
 
   ClusterView view(const ServiceModel& service) const override;
   std::vector<Endpoint> readyInstances(
@@ -125,6 +157,7 @@ class K8sAdapter final : public ClusterAdapter {
   K8sAdapter(Simulation& sim, std::string name, int distanceRank,
              k8s::K8sCluster& cluster, std::vector<k8s::NodeHandle> nodes,
              SimTime mgmtRtt = SimTime::millis(1));
+  ~K8sAdapter() override;
 
   ClusterView view(const ServiceModel& service) const override;
   std::vector<Endpoint> readyInstances(

@@ -74,7 +74,6 @@ EdgeController::Ledger::Ledger(telemetry::MetricsRegistry& registry)
       shed(registry.counter("edgesim_requests_total", {{"outcome", "shed"}})),
       degraded(registry.counter("edgesim_requests_total",
                                 {{"outcome", "degraded"}})),
-      warmHits(registry.counter("edgesim_warm_hits_total")),
       scaleDowns(registry.counter("edgesim_scale_downs_total")),
       removals(registry.counter("edgesim_removals_total")),
       migrations(registry.counter("edgesim_migrations_total")),
@@ -181,7 +180,7 @@ EdgeController::~EdgeController() { reconciler_.reset(); }
 
 EdgeController::RequestContext EdgeController::beginRequest(
     Ipv4 client, Endpoint serviceAddress, ServiceModelPtr service,
-    const Packet* packet, SimTime now) {
+    const Packet& packet, SimTime now) {
   ledger_.submitted.add();
   RequestContext request;
   request.service = std::move(service);
@@ -192,26 +191,19 @@ EdgeController::RequestContext EdgeController::beginRequest(
       governor_->options().requestBudget > SimTime::zero()) {
     request.deadline = now + governor_->options().requestBudget;
   }
-  if (trace_ == nullptr || !trace_->enabled() || request.service == nullptr) {
-    return request;
-  }
+  if (trace_ == nullptr || !trace_->enabled()) return request;
   // The request ID is allocated here, at entry: everything the request
   // triggers downstream (FlowMemory lookup, scheduler decision, deployment
-  // phases, flow install) is stamped with it.  A packet-in also binds the
-  // flow, so the client-side timecurl measurement joins the request.
+  // phases, flow install) is stamped with it.  Binding the flow joins the
+  // client-side timecurl measurement to the request.
   request.rid = trace_->newRequest();
-  trace::TraceArgs spanArgs{{"service", request.service->uniqueName}};
-  if (packet != nullptr) {
-    trace_->bindFlow(client, serviceAddress, request.rid);
-    trace_->instant(request.rid, "packet-in", "controller", now,
-                    {{"client", client},
-                     {"service", serviceAddress},
-                     {"packet", packet->header()}});
-  } else {
-    spanArgs.push_back({"client", client});
-  }
+  trace_->bindFlow(client, serviceAddress, request.rid);
+  trace_->instant(request.rid, "packet-in", "controller", now,
+                  {{"client", client},
+                   {"service", serviceAddress},
+                   {"packet", packet.header()}});
   request.span = trace_->beginSpan(request.rid, "resolve", "controller", now,
-                                   std::move(spanArgs));
+                                   {{"service", request.service->uniqueName}});
   return request;
 }
 
@@ -259,9 +251,7 @@ std::vector<std::string> EdgeController::ledgerViolations() const {
 void EdgeController::recordOutcome(const RequestContext& request,
                                    const Result<Redirect>& result,
                                    SimTime now) {
-  const char* name = request.service != nullptr
-                         ? request.service->uniqueName.c_str()
-                         : "<unregistered>";
+  const char* name = request.service->uniqueName.c_str();
   if (!result.ok()) {
     ledger_.failed.add();
     ES_WARN("controller", "resolve failed for %s: %s", name,
@@ -308,45 +298,6 @@ void EdgeController::recordOutcome(const RequestContext& request,
                      {"from_memory", redirect.fromMemory ? "true" : "false"},
                      {"degraded", redirect.degraded ? "true" : "false"}});
   }
-}
-
-void EdgeController::submitRequest(Ipv4 client, Endpoint serviceAddress,
-                                   Dispatcher::ResolveCallback cb) {
-  ES_ASSERT(cb != nullptr);
-  const SimTime now = sim_.now();
-  const RequestContext request = beginRequest(
-      client, serviceAddress, serviceAt(serviceAddress), /*packet=*/nullptr,
-      now);
-  ledger_.packetIns.add();
-  if (const auto memorized = memory_.lookup(client, serviceAddress)) {
-    // Warm path: the memorized instance is trusted -- scale-down and
-    // migration invalidate FlowMemory before the instance goes away
-    // (forgetInstance / forgetServiceExcept).
-    memory_.touch(client, serviceAddress, now);
-    ledger_.warmHits.add();
-    Result<Redirect> result =
-        Redirect{memorized->instance, memorized->cluster, true};
-    recordOutcome(request, result, now);
-    cb(std::move(result));
-    return;
-  }
-  if (request.service == nullptr) {
-    Result<Redirect> result = makeError(
-        Errc::kNotFound,
-        "no service registered at " + serviceAddress.toString());
-    recordOutcome(request, result, now);
-    cb(std::move(result));
-    return;
-  }
-  // Cold miss: the Dispatcher's per-(service, cluster) pending table
-  // coalesces concurrent cold requests into a single deployment.
-  dispatcher_->resolve(
-      request.service, client,
-      [this, request, cb = std::move(cb)](Result<Redirect> result) {
-        recordOutcome(request, result, sim_.now());
-        cb(std::move(result));
-      },
-      request.rid, request.deadline);
 }
 
 Result<const ServiceModel*> EdgeController::registerService(
@@ -480,7 +431,7 @@ void EdgeController::handleRegisteredService(OpenFlowSwitch& sw,
   }
   pending.resolving = true;
   pending.request =
-      beginRequest(client, service.address, model, &event.packet,
+      beginRequest(client, service.address, model, event.packet,
                    sim_.now());
   const RequestContext& request = pending.request;
   dispatcher_->resolve(
@@ -758,17 +709,24 @@ void EdgeController::onFlowRemoved(OpenFlowSwitch& sw,
 void EdgeController::expireMemory() {
   // Before expiring, sync FlowMemory with switch-side flow statistics:
   // long-lived entries carrying steady traffic never idle out, so their
-  // activity is only visible through stats (OFPMP_FLOW).  Expiry decisions
-  // are taken after all switches answered.
+  // activity is only visible through stats.  Each switch reports only the
+  // entries used since its last delivered report; touching an entry that
+  // did not move since then is a no-op (DESIGN §8), so the result equals a
+  // full-table scan.  Expiry decisions are taken after all switches
+  // answered.
   if (switches_.empty()) {
     finishExpiry();
     return;
   }
   auto remaining = std::make_shared<std::size_t>(switches_.size());
   for (auto& [sw, topo] : switches_) {
-    sw->requestFlowStats(
-        [this, remaining](const std::vector<openflow::FlowEntry>& entries) {
-          for (const auto& entry : entries) {
+    const openflow::OpenFlowSwitch* const reporter = sw;
+    sw->requestFlowActivity(
+        activitySince_[sw],
+        [this, remaining, reporter](
+            SimTime takenAt,
+            const std::vector<openflow::FlowActivity>& active) {
+          for (const auto& entry : active) {
             const auto& match = entry.match;
             if (!match.ipSrc || !match.ipDst || !match.tcpDst) continue;
             const Endpoint serviceAddress(*match.ipDst, *match.tcpDst);
@@ -776,6 +734,8 @@ void EdgeController::expireMemory() {
             if (entry.stats.packets == 0) continue;
             memory_.touch(*match.ipSrc, serviceAddress, entry.stats.lastUsed);
           }
+          SimTime& since = activitySince_[reporter];
+          since = std::max(since, takenAt);
           if (--*remaining == 0) finishExpiry();
         });
   }
@@ -1001,8 +961,8 @@ void EdgeController::commitReSteer(const PendingKey& key,
                                                instance));
   }
   if (installs.empty()) {
-    // Headless controller (no attached switch, e.g. pure submitRequest
-    // harnesses): the FlowMemory re-bind is the whole switchover.
+    // Headless controller (no attached switch): the FlowMemory re-bind is
+    // the whole switchover.
     settleHandover(key, service, instance, cluster, degraded, reason);
     return;
   }

@@ -17,17 +17,13 @@
 //   flow-removed (idle) -> FlowMemory bookkeeping; when the last memorized
 //   flow of a service instance expires, the instance is scaled down.
 //
-// Both request entries -- packet-in and submitRequest -- run one pipeline:
+// Every request enters as a packet-in and runs one pipeline:
 // beginRequest() counts the request, sets its deadline budget and opens its
-// trace span; recordOutcome() is the single exit that counts shed / failed
-// / resolved / degraded, observes the latency histogram, feeds the SLO
-// watchdog and ends the span.  Only the middle differs per entry:
-//   packet-in      buffers packets, resolves through Dispatcher::resolve
-//                  (which re-checks that a memorized instance is ready),
-//                  installs the redirect flows and releases the buffer.
-//   submitRequest  answers a FlowMemory hit at once (trusting FlowMemory
-//                  invalidation) and resolves a miss through
-//                  Dispatcher::resolve.
+// trace span; the packet-in is buffered and resolved through
+// Dispatcher::resolve (which re-checks that a memorized instance is ready);
+// recordOutcome() is the single exit that counts shed / failed / resolved /
+// degraded, observes the latency histogram, feeds the SLO watchdog and ends
+// the span; then the redirect flows are installed and the buffer released.
 //
 // Like the paper's Ryu controller, this is one event loop: every method
 // runs on the simulation thread, which owns all controller state.
@@ -201,15 +197,6 @@ class EdgeController : public openflow::ControllerApp {
   void onFlowRemoved(openflow::OpenFlowSwitch& sw,
                      const openflow::FlowRemoved& event) override;
 
-  // ---- direct resolve -----------------------------------------------------
-  /// Resolve a request without a packet-in.  A FlowMemory hit is answered
-  /// before the call returns; it trusts FlowMemory invalidation
-  /// (forgetInstance / forgetServiceExcept at scale-down and migration)
-  /// instead of re-querying the cluster adapter.  A miss resolves through
-  /// Dispatcher::resolve, and `cb` fires once that settles.
-  void submitRequest(Ipv4 client, Endpoint serviceAddress,
-                     Dispatcher::ResolveCallback cb);
-
   // ---- mobility / transparent handover ------------------------------------
   using HandoverCallback = std::function<void(const HandoverResult&)>;
 
@@ -264,11 +251,10 @@ class EdgeController : public openflow::ControllerApp {
   FlowMemory& flowMemory() { return memory_; }
   Dispatcher& dispatcher() { return *dispatcher_; }
   GlobalScheduler& scheduler() { return *scheduler_; }
-  /// Packet-ins received plus submitRequest() calls.
+  /// Packet-ins received.
   std::uint64_t packetInCount() const { return ledger_.packetIns.value(); }
-  /// Every request that entered the pipeline (a first packet-in of a flow
-  /// or a submitRequest() call).  At quiescence the accounting invariant
-  /// holds:
+  /// Every request that entered the pipeline (the first packet-in of a
+  /// flow).  At quiescence the accounting invariant holds:
   ///   requestsSubmitted() == requestsResolved() + requestsFailed()
   ///                          + requestsShed()
   std::uint64_t requestsSubmitted() const { return ledger_.submitted.value(); }
@@ -286,8 +272,6 @@ class EdgeController : public openflow::ControllerApp {
   std::uint64_t removals() const { return ledger_.removals.value(); }
   /// BEST deployments that became ready and triggered flow migration.
   std::uint64_t migrations() const { return ledger_.migrations.value(); }
-  /// submitRequest() calls answered straight from FlowMemory.
-  std::uint64_t warmHits() const { return ledger_.warmHits.value(); }
 
   // ---- reliable installs (acked FlowMods) ---------------------------------
   /// Tracked FlowMods sent, counting every entry of every (re)send attempt.
@@ -366,7 +350,6 @@ class EdgeController : public openflow::ControllerApp {
   /// One request in the resolve pipeline, from beginRequest() to its single
   /// recordOutcome().
   struct RequestContext {
-    /// nullptr for an unregistered address (submitRequest only).
     ServiceModelPtr service;
     /// Trace identity: the request ID and its open "resolve" span.
     trace::RequestId rid = 0;
@@ -470,14 +453,13 @@ class EdgeController : public openflow::ControllerApp {
                        const ServiceModel& service, Endpoint instance);
   void dropBuffered(const PendingKey& key);
   // ---- the resolve pipeline -------------------------------------------------
-  /// Shared entry step: count the request, set its deadline
-  /// budget, open its trace request and "resolve" span.  `packet` is the
-  /// packet-in that started it (bound to the flow and traced), or nullptr
-  /// for submitRequest.
+  /// Entry step: count the request, set its deadline budget, open its
+  /// trace request and "resolve" span.  `packet` is the packet-in that
+  /// started it (bound to the flow and traced).
   RequestContext beginRequest(Ipv4 client, Endpoint serviceAddress,
-                              ServiceModelPtr service,
-                              const Packet* packet, SimTime now);
-  /// Shared exit step, exactly once per beginRequest: count the outcome
+                              ServiceModelPtr service, const Packet& packet,
+                              SimTime now);
+  /// Exit step, exactly once per beginRequest: count the outcome
   /// (shed when the redirect says so, else failed or resolved + degraded),
   /// observe the latency histogram, feed the SLO watchdog, end the span.
   void recordOutcome(const RequestContext& request,
@@ -498,7 +480,6 @@ class EdgeController : public openflow::ControllerApp {
     telemetry::Counter& failed;
     telemetry::Counter& shed;
     telemetry::Counter& degraded;
-    telemetry::Counter& warmHits;
     telemetry::Counter& scaleDowns;
     telemetry::Counter& removals;
     telemetry::Counter& migrations;
@@ -564,6 +545,11 @@ class EdgeController : public openflow::ControllerApp {
   /// constructor; declared after switches_/memory_ so it tears down first.
   std::unique_ptr<RuleReconciler> reconciler_;
   PeriodicTimer memoryScan_;
+  /// Per switch, the `since` of the next flow-activity request: the switch
+  /// clock of the last reply that was delivered (DESIGN §8).  A lost
+  /// request or reply leaves it alone, so the next delivered reply covers
+  /// the lost window again.
+  std::map<const openflow::OpenFlowSwitch*, SimTime> activitySince_;
   /// (service address, cluster) -> when the service was scaled down; used
   /// to drive the Remove/Delete phases after prolonged idle.
   std::map<std::pair<Endpoint, std::string>, SimTime> scaledDownAt_;

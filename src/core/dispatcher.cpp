@@ -36,8 +36,17 @@ Dispatcher::Dispatcher(Simulation& sim, FlowMemory& memory,
       telemetry_(telemetry),
       ledger_(telemetry != nullptr ? *telemetry : ownRegistry_) {
   ES_ASSERT(!adapters_.empty());
-  for (const ClusterAdapter* adapter : adapters_) {
+  for (ClusterAdapter* adapter : adapters_) {
     clusterTelemetry(adapter->name());
+    adapter->setReadinessObserver(this);
+  }
+}
+
+Dispatcher::~Dispatcher() {
+  for (ClusterAdapter* adapter : adapters_) {
+    if (adapter->readinessObserver() == this) {
+      adapter->setReadinessObserver(nullptr);
+    }
   }
 }
 
@@ -516,6 +525,7 @@ void Dispatcher::onPhaseFailure(const ServiceModelPtr& service,
   PendingDeploy& deploy = it->second;
   deploy.phaseTimer.cancel();
   deploy.epoch = nextAttempt_++;  // invalidate the failed attempt's callbacks
+  unpark(deploy);
   if (deploy.retriesUsed >= options_.retry.maxRetries) {
     finishDeploy(key, std::move(error));
     return;
@@ -641,10 +651,44 @@ void Dispatcher::pollUntilReady(const ServiceModelPtr& service,
         });
     return;
   }
-  sim_.schedule(options_.portPollInterval,
-                [this, service, &cluster, key, scaledUpAt, epoch] {
-                  pollUntilReady(service, cluster, key, scaledUpAt, epoch);
-                });
+  // Nothing ready: rather than ticking on unchanged state, park until the
+  // adapter reports a change (onReadinessChanged).
+  park(it->second, scaledUpAt);
+}
+
+void Dispatcher::park(PendingDeploy& deploy, SimTime scaledUpAt) {
+  if (!deploy.parked) ++parkedWaiters_;
+  deploy.parked = true;
+  deploy.scaledUpAt = scaledUpAt;
+  deploy.lastPollAt = sim_.now();
+}
+
+void Dispatcher::unpark(PendingDeploy& deploy) {
+  if (deploy.parked) --parkedWaiters_;
+  deploy.parked = false;
+}
+
+void Dispatcher::onReadinessChanged(ClusterAdapter& cluster,
+                                    const std::string& serviceName) {
+  if (parkedWaiters_ == 0) return;
+  const std::string key = serviceName + "@" + cluster.name();
+  const auto it = pending_.find(key);
+  if (it == pending_.end() || !it->second.parked) return;
+  PendingDeploy& deploy = it->second;
+  unpark(deploy);
+  // The tick the poll would have reached by ticking all along: the first
+  // point of its grid (lastPollAt + k * interval, k >= 1) at or after now.
+  // It runs the unchanged poll, which re-checks readiness and the attempt
+  // and parks again if nothing is ready by then.
+  const std::int64_t interval = options_.portPollInterval.toNanos();
+  const std::int64_t behind = (sim_.now() - deploy.lastPollAt).toNanos();
+  const std::int64_t ticks =
+      std::max<std::int64_t>(1, (behind + interval - 1) / interval);
+  sim_.scheduleAt(deploy.lastPollAt + options_.portPollInterval * ticks,
+                  [this, service = deploy.service, &cluster, key,
+                   scaledUpAt = deploy.scaledUpAt, epoch = deploy.epoch] {
+                    pollUntilReady(service, cluster, key, scaledUpAt, epoch);
+                  });
 }
 
 void Dispatcher::finishDeploy(const std::string& key,
@@ -657,6 +701,7 @@ void Dispatcher::finishDeploy(const std::string& key,
   const std::string cluster = it->second.cluster;
   const trace::RequestId deployRid = it->second.rid;
   const bool holdsToken = it->second.holdsToken;
+  unpark(it->second);
   if (trace_ != nullptr) {
     trace_->endSpan(it->second.span, sim_.now(),
                     {{"ok", result.ok() ? "true" : "false"},

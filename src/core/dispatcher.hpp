@@ -87,7 +87,7 @@ struct DispatcherOptions {
   std::string instancePolicy = "first";
 };
 
-class Dispatcher {
+class Dispatcher : private ReadinessObserver {
  public:
   using ResolveCallback = std::function<void(Result<Redirect>)>;
   using ReadyCallback = std::function<void(Result<Endpoint>)>;
@@ -109,6 +109,7 @@ class Dispatcher {
              trace::TraceRecorder* trace = nullptr,
              telemetry::MetricsRegistry* telemetry = nullptr,
              overload::OverloadGovernor* governor = nullptr);
+  ~Dispatcher() override;
 
   /// Resolve a client request to a service instance (fig. 7).  `rid` is the
   /// trace request ID allocated by the controller at packet-in (0 = not
@@ -159,6 +160,9 @@ class Dispatcher {
 
   /// Deployments currently in flight.
   std::size_t pendingDeployments() const { return pending_.size(); }
+  /// In-flight deployments whose port poll is parked: its last tick found
+  /// no ready instance and it waits for the adapter's readiness change.
+  std::size_t parkedWaiters() const { return parkedWaiters_; }
   /// Totals over every cluster's series.
   std::uint64_t deploymentsTriggered() const {
     return total(&ClusterTelemetry::deployments);
@@ -199,6 +203,14 @@ class Dispatcher {
     bool holdsToken = false;
     EventHandle timeoutHandle;  // overall hard deadline
     EventHandle phaseTimer;     // per-phase watchdog
+    /// The port poll is parked (DESIGN §16.5): its tick at lastPollAt
+    /// found no ready instance, and its next tick, on the same
+    /// portPollInterval grid, is scheduled only once the adapter reports a
+    /// readiness change.  A new attempt (retry) or the end of the
+    /// deployment drops it.
+    bool parked = false;
+    SimTime scaledUpAt;
+    SimTime lastPollAt;
   };
 
   void runPhases(const ServiceModelPtr& service, ClusterAdapter& cluster,
@@ -206,6 +218,11 @@ class Dispatcher {
   void pollUntilReady(const ServiceModelPtr& service,
                       ClusterAdapter& cluster, const std::string& key,
                       SimTime scaledUpAt, std::uint64_t epoch);
+  /// ReadinessObserver: wake the poll parked on (service, cluster), if any.
+  void onReadinessChanged(ClusterAdapter& cluster,
+                          const std::string& serviceName) override;
+  void park(PendingDeploy& deploy, SimTime scaledUpAt);
+  void unpark(PendingDeploy& deploy);
   void armPhaseTimer(const ServiceModelPtr& service, ClusterAdapter& cluster,
                      const std::string& key, std::uint64_t epoch);
   /// Retry after backoff if budget remains, else finish with `error`.
@@ -267,6 +284,8 @@ class Dispatcher {
   std::map<std::string, PendingDeploy> pending_;
   /// Source of PendingDeploy::epoch values.
   std::uint64_t nextAttempt_ = 0;
+  /// pending_ entries with `parked` set.
+  std::size_t parkedWaiters_ = 0;
   BackgroundReadyListener backgroundListener_;
 };
 

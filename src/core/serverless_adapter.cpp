@@ -9,7 +9,14 @@ ServerlessAdapter::ServerlessAdapter(Simulation& sim, std::string name,
     : ClusterAdapter(std::move(name), distanceRank),
       sim_(sim),
       runtime_(runtime),
-      mgmtRtt_(mgmtRtt) {}
+      mgmtRtt_(mgmtRtt) {
+  // Ready instances are the function's active isolate: report each time
+  // its port opens (functions are named after the service).
+  runtime_.setPortListener(
+      [this](const std::string& function) { readinessChanged(function); });
+}
+
+ServerlessAdapter::~ServerlessAdapter() { runtime_.setPortListener(nullptr); }
 
 bool ServerlessAdapter::supportsService(const ServiceModel& service) {
   if (service.containers.empty()) return false;

@@ -19,6 +19,7 @@ class ServerlessAdapter final : public ClusterAdapter {
   ServerlessAdapter(Simulation& sim, std::string name, int distanceRank,
                     serverless::FaasRuntime& runtime,
                     SimTime mgmtRtt = SimTime::millis(1));
+  ~ServerlessAdapter() override;
 
   /// Services whose request compute exceeds this do not fit in a function.
   static constexpr SimTime kMaxFunctionCompute = SimTime::millis(50);

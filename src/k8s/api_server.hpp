@@ -89,6 +89,7 @@ class Store {
       indexLabels(name, stored.meta.labels);
       indexOwner(name, ownerOf(stored));
       notify(WatchEventType::kAdded, std::move(object));
+      if (commitHook_) commitHook_(stored.meta.name);
       if (cb) cb(Status());
     });
   }
@@ -124,6 +125,7 @@ class Store {
       }
       object.meta.resourceVersion = ++resourceVersion_;
       notify(WatchEventType::kModified, object);
+      if (commitHook_) commitHook_(name);
       if (cb) cb(Status());
     });
   }
@@ -142,6 +144,7 @@ class Store {
       unindexLabels(name, object.meta.labels);
       unindexOwner(name, ownerOf(object));
       notify(WatchEventType::kDeleted, std::move(object));
+      if (commitHook_) commitHook_(name);
       if (cb) cb(Status());
     });
   }
@@ -222,6 +225,12 @@ class Store {
 
   /// Register a watcher; events arrive `watchLatency` after commit.
   void watch(Watcher watcher) { watchers_.push_back(std::move(watcher)); }
+
+  /// Called with the object's name at every committed create, update and
+  /// remove, inside the commit itself: the moment get() changes, before
+  /// any watcher hears of it.  One hook; nullptr detaches it.
+  using CommitHook = std::function<void(const std::string& name)>;
+  void setCommitHook(CommitHook hook) { commitHook_ = std::move(hook); }
 
   std::size_t size() const { return items_.size(); }
 
@@ -314,6 +323,7 @@ class Store {
   std::map<std::string, std::map<std::string, LabelEntry>> labelIndex_;
   std::map<std::string, OwnerEntry> ownerIndex_;
   std::deque<Watcher> watchers_;
+  CommitHook commitHook_;
   std::uint64_t nextUid_ = 1;
   std::uint64_t resourceVersion_ = 0;
   std::uint64_t membershipVersion_ = 0;

@@ -103,6 +103,7 @@ void FlowTable::upsert(FlowEntry entry, SimTime now) {
     if (slots_[id].entry.priority == entry.priority) {
       // Replace in place: the install sequence, hence the position, stays.
       slots_[id].entry = std::move(entry);
+      markUsed(id, now);
       return;
     }
   }
@@ -124,6 +125,7 @@ void FlowTable::upsert(FlowEntry entry, SimTime now) {
   while (*link != kNone && !before(id, *link)) link = &slots_[*link].next;
   slot.next = *link;
   *link = id;
+  markUsed(id, now);
   ++group->size;
   ++size_;
   if (slot.entry.priority > group->maxPriority) {
@@ -160,7 +162,7 @@ FlowEntry* FlowTable::lookup(const Packet& packet, PortId inPort,
   FlowEntry& entry = slots_[id].entry;
   ++entry.stats.packets;
   entry.stats.bytes += packet.wireSize().value;
-  entry.stats.lastUsed = now;
+  markUsed(id, now);
   return &entry;
 }
 
@@ -241,6 +243,7 @@ void FlowTable::eraseSlot(std::uint32_t id) {
   if (bucket->second == kNone) group->buckets.erase(bucket);
   --group->size;
   --size_;
+  unlinkRecency(id);
   slot = Slot{};
   freeSlots_.push_back(id);
 }
@@ -250,7 +253,34 @@ void FlowTable::clear() {
   freeSlots_.clear();
   groups_.clear();
   size_ = 0;
+  newest_ = kNone;
   snapshotValid_ = false;
+}
+
+void FlowTable::markUsed(std::uint32_t id, SimTime now) {
+  slots_[id].entry.stats.lastUsed = now;
+  unlinkRecency(id);
+  // Skip the entries used after `now`: none while time only moves forward.
+  std::uint32_t newer = kNone;
+  std::uint32_t older = newest_;
+  while (older != kNone && slots_[older].entry.stats.lastUsed > now) {
+    newer = older;
+    older = slots_[older].older;
+  }
+  Slot& slot = slots_[id];
+  slot.newer = newer;
+  slot.older = older;
+  (newer == kNone ? newest_ : slots_[newer].older) = id;
+  if (older != kNone) slots_[older].newer = id;
+}
+
+void FlowTable::unlinkRecency(std::uint32_t id) {
+  Slot& slot = slots_[id];
+  if (slot.newer == kNone && newest_ != id) return;  // not linked yet
+  (slot.newer == kNone ? newest_ : slots_[slot.newer].older) = slot.older;
+  if (slot.older != kNone) slots_[slot.older].newer = slot.newer;
+  slot.newer = kNone;
+  slot.older = kNone;
 }
 
 std::vector<FlowEntry> FlowTable::snapshot() const {
@@ -273,6 +303,16 @@ const std::vector<FlowEntry>& FlowTable::entries() const {
     snapshotValid_ = true;
   }
   return snapshot_;
+}
+
+std::vector<FlowActivity> FlowTable::activeSince(SimTime since) const {
+  std::vector<FlowActivity> out;
+  for (std::uint32_t id = newest_;
+       id != kNone && slots_[id].entry.stats.lastUsed >= since;
+       id = slots_[id].older) {
+    out.push_back({slots_[id].entry.match, slots_[id].entry.stats});
+  }
+  return out;
 }
 
 void FlowTable::notifyRemoval(const FlowEntry& entry, RemovalReason reason) {

@@ -13,6 +13,13 @@
 // (priority descending, first install ascending); a replace keeps the
 // original install sequence, exactly like an in-place overwrite in a sorted
 // list.
+//
+// Activity: every write of an entry's stats.lastUsed (a lookup hit, an
+// upsert) moves its slot to the front of a recency list, linked by slot
+// index so the table keeps value semantics.  The list stays ordered by
+// lastUsed, newest first, so activeSince(t) walks from the front and stops
+// at the first entry used before t: it costs the entries that moved, not
+// the table.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +49,13 @@ struct FlowEntry {
   SimTime hardTimeout = SimTime::zero();  // zero => never expires
   std::uint64_t cookie = 0;
   bool notifyOnRemoval = false;
+  FlowStats stats;
+};
+
+/// One entry's traffic report: what an activity scan needs of an entry (no
+/// actions, no timeouts).
+struct FlowActivity {
+  FlowMatch match;
   FlowStats stats;
 };
 
@@ -96,6 +110,10 @@ class FlowTable {
   /// changes.
   const std::vector<FlowEntry>& entries() const;
 
+  /// (match, stats) of every entry with stats.lastUsed >= since, most
+  /// recently used first.
+  std::vector<FlowActivity> activeSince(SimTime since) const;
+
  private:
   static constexpr std::uint32_t kNone = 0xffffffff;
 
@@ -124,6 +142,10 @@ class FlowTable {
     FlowEntry entry;
     std::uint64_t seq = 0;  // install order; kept across replaces
     std::uint32_t next = kNone;
+    // Recency list neighbours: `newer` toward the front, `older` toward
+    // the back.
+    std::uint32_t newer = kNone;
+    std::uint32_t older = kNone;
     bool used = false;
   };
 
@@ -149,6 +171,11 @@ class FlowTable {
   /// as the listener reads the entry); returns how many went.
   std::size_t removeSlots(std::vector<Removal> doomed);
   void eraseSlot(std::uint32_t id);
+  /// Set slot `id`'s stats.lastUsed to `now` and move it to its place in
+  /// the recency list: the front, unless `now` is older than the front
+  /// entry's (callers outside a simulation may pass any time).
+  void markUsed(std::uint32_t id, SimTime now);
+  void unlinkRecency(std::uint32_t id);
   void notifyRemoval(const FlowEntry& entry, RemovalReason reason);
 
   std::vector<Slot> slots_;
@@ -156,6 +183,7 @@ class FlowTable {
   std::vector<Group> groups_;  // by maxPriority descending
   std::size_t size_ = 0;
   std::uint64_t nextSeq_ = 0;
+  std::uint32_t newest_ = kNone;  // recency list front
   RemovalListener removalListener_;
   mutable std::vector<FlowEntry> snapshot_;
   mutable bool snapshotValid_ = true;

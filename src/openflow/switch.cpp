@@ -200,20 +200,39 @@ void OpenFlowSwitch::sendPacketInToController(const Packet& packet,
   });
 }
 
-void OpenFlowSwitch::requestFlowStats(StatsCallback cb) {
-  ES_ASSERT(cb != nullptr);
+template <typename Take, typename Deliver>
+void OpenFlowSwitch::roundTrip(Take take, Deliver deliver) {
   const auto request = controlDelay(Direction::kToSwitch);
-  if (!request) return;  // request lost: the callback never fires
-  network().sim().schedule(*request, [this, cb = std::move(cb)]() mutable {
+  if (!request) return;  // request lost: `deliver` never runs
+  network().sim().schedule(*request, [this, take = std::move(take),
+                                      deliver = std::move(deliver)]() mutable {
     if (rebooting_) return;  // switch down when the request lands
-    std::vector<FlowEntry> snapshot = table_.snapshot();
+    auto result = take();
     const auto reply = controlDelay(Direction::kToController);
     if (!reply) return;  // reply lost
     network().sim().schedule(
-        *reply, [cb = std::move(cb), snapshot = std::move(snapshot)] {
-          cb(snapshot);
+        *reply, [deliver = std::move(deliver), result = std::move(result)] {
+          deliver(result);
         });
   });
+}
+
+void OpenFlowSwitch::requestFlowStats(StatsCallback cb) {
+  ES_ASSERT(cb != nullptr);
+  roundTrip([this] { return table_.snapshot(); }, std::move(cb));
+}
+
+void OpenFlowSwitch::requestFlowActivity(SimTime since, ActivityCallback cb) {
+  ES_ASSERT(cb != nullptr);
+  roundTrip(
+      [this, since] {
+        return std::make_pair(network().sim().now(),
+                              table_.activeSince(since));
+      },
+      [cb = std::move(cb)](
+          const std::pair<SimTime, std::vector<FlowActivity>>& reply) {
+        cb(reply.first, reply.second);
+      });
 }
 
 void OpenFlowSwitch::sendFlowMod(FlowEntry entry, FlowModAck ack) {

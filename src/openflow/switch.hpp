@@ -115,6 +115,15 @@ class OpenFlowSwitch : public NetNode {
   /// never idle out (§V).
   using StatsCallback = std::function<void(const std::vector<FlowEntry>&)>;
   void requestFlowStats(StatsCallback cb);
+  /// Flow-activity request: the same control-channel round trip as
+  /// requestFlowStats (same delays, same fault draws), but the reply holds
+  /// only the entries used at or after `since` -- (match, stats), no
+  /// actions, newest first -- and the switch's clock when it took them.
+  /// The shape of an OpenFlow 1.4+ flow monitor's report: what moved, not
+  /// the table.
+  using ActivityCallback =
+      std::function<void(SimTime takenAt, const std::vector<FlowActivity>&)>;
+  void requestFlowActivity(SimTime since, ActivityCallback cb);
 
   // -- introspection ------------------------------------------------------
   FlowTable& table() { return table_; }
@@ -148,6 +157,12 @@ class OpenFlowSwitch : public NetNode {
   void beginRestart(SimTime restoreDelay);
   void countControlDrop(Direction direction);
   void countEviction(const Packet& packet);
+  /// One request/reply round trip on the control channel: `take` runs at
+  /// the switch when the request lands (not while it reboots), `deliver`
+  /// gets its result when the reply reaches the controller.  Either leg
+  /// may be lost, and then `deliver` never runs.
+  template <typename Take, typename Deliver>
+  void roundTrip(Take take, Deliver deliver);
 
   Options options_;
   FlowTable table_;

@@ -107,6 +107,7 @@ void FaasRuntime::bindIsolate(Function& function) {
   armEviction(name);
   ES_DEBUG("faas", "%s: isolate for %s active on port %u",
            host_.name().c_str(), name.c_str(), function.port);
+  if (portListener_) portListener_(name);
 }
 
 void FaasRuntime::armEviction(const std::string& name) {

@@ -84,6 +84,13 @@ class FaasRuntime {
   std::uint64_t evictions() const { return evictions_; }
   Bytes moduleCacheBytes() const;
 
+  /// Called with a function's name when its isolate's port opens, at that
+  /// moment.  One listener; nullptr detaches it.
+  using PortListener = std::function<void(const std::string& name)>;
+  void setPortListener(PortListener listener) {
+    portListener_ = std::move(listener);
+  }
+
  private:
   struct Function {
     FunctionSpec spec;
@@ -105,6 +112,7 @@ class FaasRuntime {
   std::map<std::string, Function> functions_;
   std::uint64_t coldStarts_ = 0;
   std::uint64_t evictions_ = 0;
+  PortListener portListener_;
 };
 
 }  // namespace edgesim::serverless

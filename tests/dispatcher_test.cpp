@@ -1,14 +1,18 @@
 // Unit tests for the Dispatcher (fig. 7) against a scripted mock cluster
 // adapter: phase ordering (Pull -> Create -> Scale-Up -> wait), request
 // coalescing, FlowMemory fast path, BEST background deployments, cloud
-// fallback, and deployment timeout.
+// fallback, and deployment timeout; then the readiness wait on the port-poll
+// grid, against the mock and against the testbed's real adapters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/dispatcher.hpp"
 #include "core/service_catalog.hpp"
+#include "core/testbed.hpp"
 
 namespace edgesim::core {
 namespace {
@@ -78,11 +82,11 @@ class MockAdapter final : public ClusterAdapter {
     });
   }
 
-  void scaleUp(const ServiceModel&, Callback cb) override {
+  void scaleUp(const ServiceModel& service, Callback cb) override {
     log.push_back("scaleup");
-    sim_.schedule(scaleUpDelay, [this, cb] {
+    sim_.schedule(scaleUpDelay, [this, cb, name = service.uniqueName] {
       if (!neverReady) {
-        sim_.schedule(readyDelay, [this] { running = true; });
+        sim_.schedule(readyDelay, [this, name] { setRunning(true, name); });
       }
       cb(Status());
     });
@@ -111,6 +115,13 @@ class MockAdapter final : public ClusterAdapter {
     sim_.schedule(1_ms, [this, probed, cb] {
       cb(running && probed == instance);
     });
+  }
+
+  /// Flip the port state and tell the Dispatcher, as a real adapter does
+  /// at the commit that changes readyInstances().
+  void setRunning(bool value, const std::string& service) {
+    running = value;
+    readinessChanged(service);
   }
 
  private:
@@ -406,6 +417,212 @@ TEST_F(DispatcherFixture, EnsureReadyReturnsExistingInstanceImmediately) {
   EXPECT_EQ(got->value(), near_.instance);
   EXPECT_TRUE(near_.log.empty());
   EXPECT_EQ(dispatcher_->deploymentsTriggered(), 0u);
+}
+
+// ------------------------------------------------- readiness wait ----
+
+// The wait polls on a 50 ms grid from the scale-up (§VI "continuously
+// tests if the respective port is open").  Readiness that comes and goes
+// between two grid ticks is not seen; the wait ends on the first tick that
+// finds a ready instance, plus the 1 ms probe.
+TEST_F(DispatcherFixture, ReadinessFlipBackWaitsForTheNextGridTick) {
+  makeDispatcher(makeProximityScheduler());
+  near_.imageCached = true;
+  near_.created = true;
+  near_.neverReady = true;  // the test scripts the port state below
+  const std::string name = model_->uniqueName;
+  sim_.scheduleAt(320_ms, [&] { near_.setRunning(true, name); });
+  sim_.scheduleAt(340_ms, [&] { near_.setRunning(false, name); });
+  sim_.scheduleAt(410_ms, [&] { near_.setRunning(true, name); });
+
+  std::optional<Result<Endpoint>> got;
+  SimTime answeredAt;
+  dispatcher_->ensureReady(model_, near_, [&](Result<Endpoint> r) {
+    got = std::move(r);
+    answeredAt = sim_.now();
+  });
+  sim_.runUntil(345_ms);
+  EXPECT_EQ(dispatcher_->parkedWaiters(), 0u);  // woken for the 350 ms tick
+  sim_.runUntil(360_ms);
+  EXPECT_EQ(dispatcher_->parkedWaiters(), 1u);  // 350 ms found none: parked
+  sim_.runUntil(5_s);
+
+  ASSERT_TRUE(got.has_value());
+  ASSERT_TRUE(got->ok());
+  // Scale-up done at 300 ms; ticks at 350 and 400 ms find no instance, the
+  // 450 ms tick does.
+  EXPECT_EQ(answeredAt, 451_ms);
+  EXPECT_EQ(dispatcher_->parkedWaiters(), 0u);
+}
+
+// Readiness that lands exactly on a grid tick, from an event scheduled
+// more than one interval before it, is seen by that tick: the tick that
+// used to be queued one interval earlier ran after such an event.
+TEST_F(DispatcherFixture, ReadinessOnAGridTickIsSeenByThatTick) {
+  makeDispatcher(makeProximityScheduler());
+  near_.imageCached = true;
+  near_.created = true;
+  near_.scaleUpDelay = 300_ms;
+  near_.readyDelay = 100_ms;  // the port opens at 400 ms, a grid tick
+
+  std::optional<Result<Endpoint>> got;
+  SimTime answeredAt;
+  dispatcher_->ensureReady(model_, near_, [&](Result<Endpoint> r) {
+    got = std::move(r);
+    answeredAt = sim_.now();
+  });
+  sim_.runUntil(5_s);
+  ASSERT_TRUE(got.has_value());
+  ASSERT_TRUE(got->ok());
+  EXPECT_EQ(answeredAt, 401_ms);
+}
+
+// A retry supersedes the parked waiter of the failed attempt: readiness
+// arriving in between must not finish the deployment through it.
+TEST_F(DispatcherFixture, WaiterSupersededWhileParkedIsDropped) {
+  DispatcherOptions options;
+  options.phaseTimeout = 500_ms;
+  options.retry.maxRetries = 1;
+  options.retry.initialBackoff = 200_ms;
+  scheduler_ = makeProximityScheduler();
+  dispatcher_ = std::make_unique<Dispatcher>(
+      sim_, memory_, *scheduler_,
+      std::vector<ClusterAdapter*>{&near_, &far_, &cloud_}, &recorder_,
+      options);
+  near_.imageCached = true;
+  near_.created = true;
+  near_.neverReady = true;
+  const std::string name = model_->uniqueName;
+
+  int answers = 0;
+  SimTime answeredAt;
+  dispatcher_->ensureReady(model_, near_, [&](Result<Endpoint> r) {
+    ASSERT_TRUE(r.ok()) << r.error().toString();
+    ++answers;
+    answeredAt = sim_.now();
+  });
+  // Attempt 1 scales up at 300 ms and parks; its phase watchdog fails it
+  // at 500 ms.  The port opens at 600 ms, before attempt 2 (retry at
+  // 700 ms) finishes its scale-up at 1 s.
+  sim_.runUntil(400_ms);
+  EXPECT_EQ(dispatcher_->parkedWaiters(), 1u);
+  sim_.runUntil(550_ms);
+  EXPECT_EQ(dispatcher_->parkedWaiters(), 0u);
+  sim_.scheduleAt(600_ms, [&] { near_.setRunning(true, name); });
+  sim_.runUntil(5_s);
+
+  EXPECT_EQ(answers, 1);
+  EXPECT_EQ(answeredAt, 1001_ms);  // attempt 2's first poll, plus the probe
+  EXPECT_EQ(dispatcher_->retries(), 1u);
+  const auto* wait = recorder_.series("nginx/near/wait");
+  ASSERT_NE(wait, nullptr);
+  ASSERT_EQ(wait->count(), 1u);
+  EXPECT_NEAR(wait->median(), 0.001, 1e-9);
+}
+
+const Endpoint kAsmAddr{Ipv4(203, 0, 113, 11), 80};
+
+/// The testbed's one "scaleup" and one "wait" span, in that order.
+std::pair<trace::TraceSpan, trace::TraceSpan> scaleUpAndWait(Testbed& bed) {
+  std::vector<trace::TraceSpan> scaleUps;
+  std::vector<trace::TraceSpan> waits;
+  for (const auto& span : bed.trace().spans()) {
+    if (span.name == "scaleup") scaleUps.push_back(span);
+    if (span.name == "wait") waits.push_back(span);
+  }
+  EXPECT_EQ(scaleUps.size(), 1u);
+  EXPECT_EQ(waits.size(), 1u);
+  if (scaleUps.empty() || waits.empty()) return {};
+  return {scaleUps.front(), waits.front()};
+}
+
+/// Runs `bed` event by event to `until`; returns the most waiters that
+/// were parked at once.
+std::size_t runCountingParked(Testbed& bed, SimTime until) {
+  std::size_t most = 0;
+  while (bed.sim().now() < until && bed.sim().step()) {
+    most = std::max(most, bed.controller().dispatcher().parkedWaiters());
+  }
+  return most;
+}
+
+TEST(DispatcherReadiness, ParkedK8sWaiterWakesOnTheGridTick) {
+  TestbedOptions options;
+  options.clusterMode = ClusterMode::kK8sOnly;
+  Testbed bed(options);
+  bed.warmImageCache("nginx");
+  ASSERT_TRUE(bed.registerCatalogService("nginx", kSvc).ok());
+  const std::string name = bed.controller().serviceAt(kSvc)->uniqueName;
+  // Commits of the service's Endpoints with a ready address; a watcher sees
+  // each one watchLatency after its commit.
+  std::vector<SimTime> readyCommits;
+  bed.k8sCluster()->api().endpoints().watch(
+      [&](const k8s::WatchEvent<k8s::Endpoints>& event) {
+        if (event.object.meta.name == name &&
+            !event.object.addresses.empty()) {
+          readyCommits.push_back(bed.sim().now() -
+                                 options.k8sParams.watchLatency);
+        }
+      });
+
+  bed.requestCatalog(0, "nginx", kSvc, "t");
+  EXPECT_EQ(runCountingParked(bed, 30_s), 1u);
+  EXPECT_EQ(bed.controller().dispatcher().parkedWaiters(), 0u);
+
+  const auto [scaleUp, wait] = scaleUpAndWait(bed);
+  EXPECT_EQ(wait.start, scaleUp.end);
+  ASSERT_FALSE(readyCommits.empty());
+  const SimTime commit = readyCommits.front();
+  ASSERT_GT(commit, scaleUp.end);  // the poll had to wait for it
+  // The first 50 ms tick after the scale-up that is not before the commit,
+  // plus the 1 ms management-plane probe.
+  SimTime tick = scaleUp.end;
+  while (tick < commit) tick = tick + 50_ms;
+  EXPECT_EQ(wait.end, tick + 1_ms);
+}
+
+// Docker: the second container of nginx-py starts after the first one's
+// port is open, so the scale-up ends with a ready instance.
+TEST(DispatcherReadiness, DockerDeployReadyAtScaleUpNeverParks) {
+  TestbedOptions options;
+  options.clusterMode = ClusterMode::kDockerOnly;
+  Testbed bed(options);
+  bed.warmImageCache("nginx-py");
+  ASSERT_TRUE(bed.registerCatalogService("nginx-py", kSvc).ok());
+  bed.requestCatalog(0, "nginx-py", kSvc, "t");
+  EXPECT_EQ(runCountingParked(bed, 30_s), 0u);
+  const auto [scaleUp, wait] = scaleUpAndWait(bed);
+  EXPECT_EQ(wait.start, scaleUp.end);
+  EXPECT_EQ(wait.end, scaleUp.end + 1_ms);
+}
+
+TEST(DispatcherReadiness, ServerlessDeployReadyAtScaleUpNeverParks) {
+  TestbedOptions options;
+  options.clusterMode = ClusterMode::kServerlessOnly;
+  Testbed bed(options);
+  ASSERT_TRUE(bed.registerCatalogService("asm", kAsmAddr).ok());
+  bed.requestCatalog(0, "asm", kAsmAddr, "t");
+  EXPECT_EQ(runCountingParked(bed, 30_s), 0u);
+  const auto [scaleUp, wait] = scaleUpAndWait(bed);
+  EXPECT_EQ(wait.start, scaleUp.end);
+  EXPECT_EQ(wait.end, scaleUp.end + 1_ms);
+}
+
+// The cloud instance is up from registration: nothing to deploy or wait for.
+TEST(DispatcherReadiness, CloudIsReadyWithoutADeployment) {
+  TestbedOptions options;
+  options.clusterMode = ClusterMode::kDockerOnly;
+  Testbed bed(options);
+  ASSERT_TRUE(bed.registerCatalogService("nginx", kSvc).ok());
+  Dispatcher& dispatcher = bed.controller().dispatcher();
+  std::optional<Result<Endpoint>> got;
+  dispatcher.ensureReady(bed.controller().serviceAt(kSvc),
+                         *bed.cloudAdapter(),
+                         [&](Result<Endpoint> r) { got = std::move(r); });
+  EXPECT_EQ(runCountingParked(bed, 1_s), 0u);
+  ASSERT_TRUE(got.has_value());
+  ASSERT_TRUE(got->ok());
+  EXPECT_EQ(dispatcher.deploymentsTriggered(), 0u);
 }
 
 }  // namespace

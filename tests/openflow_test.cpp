@@ -4,7 +4,9 @@
 // flow-removed) -- the §II "transparent access" mechanics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -454,6 +456,107 @@ TEST_P(FlowTableOracleProperty, IndexedTableMatchesLinearReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowTableOracleProperty,
+                         ::testing::Range(1, 21));
+
+// Property: activeSince(t) -- the recency-list walk behind the controller's
+// flow-activity scan -- returns exactly the entries a full scan finds with
+// stats.lastUsed >= t, newest first, under random lookups, upserts (also at
+// times older than the last write), removes, expiries, clears and copies.
+class FlowActivityOracleProperty : public ::testing::TestWithParam<int> {};
+
+/// One entry's report as comparable text.
+std::string activityKey(const FlowMatch& match, const FlowStats& stats) {
+  return match.toString() + " packets=" + std::to_string(stats.packets) +
+         " bytes=" + std::to_string(stats.bytes) +
+         " created=" + std::to_string(stats.created.toNanos()) +
+         " used=" + std::to_string(stats.lastUsed.toNanos());
+}
+
+TEST_P(FlowActivityOracleProperty, RecencyWalkMatchesFullScan) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()));
+  const auto pick = [&rng](const auto& pool) {
+    return pool[rng.uniformInt(0, pool.size() - 1)];
+  };
+  const std::vector<Ipv4> ips{Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2),
+                              Ipv4(203, 0, 113, 10)};
+  const std::vector<std::uint16_t> ports{80, 30080, 40000};
+  const auto randomMatch = [&] {
+    FlowMatch m;
+    m.ipSrc = pick(ips);
+    m.ipDst = pick(ips);
+    if (rng.chance(0.5)) m.tcpDst = pick(ports);
+    return m;
+  };
+
+  FlowTable table;
+  std::vector<FlowMatch> installed;
+  SimTime now = SimTime::zero();
+  std::size_t nonEmpty = 0;
+  for (int step = 0; step < 800; ++step) {
+    now = now + SimTime::millis(
+                    static_cast<std::int64_t>(rng.uniformInt(0, 300)));
+    const auto op = rng.uniformInt(0, 99);
+    if (op < 35) {
+      FlowEntry e;
+      e.priority = pick(std::vector<std::uint16_t>{10, 100});
+      e.match = !installed.empty() && rng.chance(0.3) ? pick(installed)
+                                                      : randomMatch();
+      e.idleTimeout = SimTime::millis(static_cast<std::int64_t>(
+          pick(std::vector<int>{0, 2000, 6000})));
+      installed.push_back(e.match);
+      // Now and then at an older time, as a table rebuilt from a snapshot
+      // is (each entry re-inserted at its own lastUsed).
+      const SimTime at =
+          rng.chance(0.1)
+              ? SimTime::millis(static_cast<std::int64_t>(
+                    rng.uniformInt(0, static_cast<std::uint64_t>(
+                                          now.toMillis()))))
+              : now;
+      table.upsert(e, at);
+    } else if (op < 75) {
+      const Packet p = makeSyn(Mac(0x01), Endpoint(pick(ips), pick(ports)),
+                               Endpoint(pick(ips), pick(ports)));
+      table.lookup(p, 0, now);
+    } else if (op < 85 && !installed.empty()) {
+      table.remove(pick(installed));
+    } else if (op < 95) {
+      table.expire(now);
+    } else if (op < 98) {
+      const FlowTable copy = table;
+      table = copy;
+    } else {
+      table.clear();
+    }
+
+    for (int probe = 0; probe < 3; ++probe) {
+      const SimTime since = SimTime::millis(static_cast<std::int64_t>(
+          rng.uniformInt(0, static_cast<std::uint64_t>(now.toMillis()))));
+      std::vector<std::string> want;
+      for (const FlowEntry& e : table.entries()) {
+        if (e.stats.lastUsed >= since) {
+          want.push_back(activityKey(e.match, e.stats));
+        }
+      }
+      const std::vector<FlowActivity> active = table.activeSince(since);
+      std::vector<std::string> got;
+      for (std::size_t i = 0; i < active.size(); ++i) {
+        got.push_back(activityKey(active[i].match, active[i].stats));
+        if (i > 0) {
+          EXPECT_GE(active[i - 1].stats.lastUsed, active[i].stats.lastUsed)
+              << "not newest first at step " << step;
+        }
+      }
+      std::sort(want.begin(), want.end());
+      std::sort(got.begin(), got.end());
+      ASSERT_EQ(got, want) << "step " << step << " since "
+                           << since.toSeconds();
+      if (!got.empty()) ++nonEmpty;
+    }
+  }
+  EXPECT_GT(nonEmpty, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlowActivityOracleProperty,
                          ::testing::Range(1, 21));
 
 TEST(FlowTableTest, CopyIsIndependent) {

@@ -15,8 +15,10 @@
 // parity test pins that.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -31,7 +33,6 @@ namespace {
 
 using namespace timeliterals;
 using core::ClusterMode;
-using core::Redirect;
 using core::Testbed;
 using core::TestbedOptions;
 using overload::BreakerOptions;
@@ -41,9 +42,14 @@ using overload::OverloadGovernor;
 using overload::OverloadOptions;
 using overload::ShedReason;
 
-Ipv4 clientIp(int i) {
-  return Ipv4(10, 0, static_cast<std::uint8_t>(2 + i / 200),
-              static_cast<std::uint8_t>(1 + i % 200));
+/// Text of `span`'s argument `key`, "" when it has none.
+std::string arg(const trace::TraceSpan& span, const char* key) {
+  for (const trace::TraceArg& a : span.args) {
+    if (std::string_view(a.key.c_str()) == key) {
+      return trace::formatTraceValue(a.value);
+    }
+  }
+  return "";
 }
 
 // ----------------------------------------------- circuit breaker ----
@@ -311,6 +317,34 @@ TEST(OverloadEndToEnd, GovernorDisabledByDefaultAndNothingSheds) {
                 bed.controller().requestsShed());
 }
 
+/// The "resolve" spans of the requests for `address`, in start order: one
+/// per request that reached the controller as a packet-in.
+std::vector<trace::TraceSpan> resolveSpans(Testbed& bed, Endpoint address) {
+  const std::string& service = bed.controller().serviceAt(address)->uniqueName;
+  std::vector<trace::TraceSpan> spans;
+  for (trace::TraceSpan& span : bed.trace().spans()) {
+    if (span.name == "resolve" && arg(span, "service") == service) {
+      spans.push_back(std::move(span));
+    }
+  }
+  std::sort(spans.begin(), spans.end(),
+            [](const trace::TraceSpan& a, const trace::TraceSpan& b) {
+              return a.start < b.start;
+            });
+  return spans;
+}
+
+/// Issue `clientIndex`'s request for catalogue entry `key` at `at`; the
+/// HTTP outcome lands in `got`.
+void requestAt(Testbed& bed, SimTime at, std::size_t clientIndex,
+               const std::string& key, Endpoint address,
+               std::optional<Result<HttpExchange>>& got) {
+  bed.sim().scheduleAt(at, [&bed, clientIndex, key, address, &got] {
+    bed.requestCatalog(clientIndex, key, address, "t",
+                       [&got](Result<HttpExchange> r) { got = std::move(r); });
+  });
+}
+
 TEST(OverloadEndToEnd, ExpiredBudgetFailsFastToCloudWhileDeployContinues) {
   TestbedOptions options;
   options.clusterMode = ClusterMode::kDockerOnly;
@@ -324,23 +358,18 @@ TEST(OverloadEndToEnd, ExpiredBudgetFailsFastToCloudWhileDeployContinues) {
   ASSERT_TRUE(bed.registerCatalogService("nginx", kNginxAddr).ok());
 
   core::EdgeController& controller = bed.controller();
-  std::optional<Result<Redirect>> got;
-  SimTime answeredAt;
-  bed.sim().scheduleAt(1_s, [&] {
-    controller.submitRequest(clientIp(0), kNginxAddr, [&](Result<Redirect> r) {
-      got = std::move(r);
-      answeredAt = bed.sim().now();
-    });
-  });
+  std::optional<Result<HttpExchange>> got;
+  requestAt(bed, 1_s, 0, "nginx", kNginxAddr, got);
   bed.sim().runUntil(120_s);
 
   ASSERT_TRUE(got.has_value());
-  ASSERT_TRUE(got->ok());
-  EXPECT_TRUE(got->value().shed);
-  EXPECT_TRUE(got->value().degraded);
-  EXPECT_EQ(got->value().cluster, "cloud");
+  EXPECT_TRUE(got->ok());  // served by the cloud instance
+  const auto spans = resolveSpans(bed, kNginxAddr);
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(arg(spans[0], "degraded"), "true");
+  EXPECT_EQ(arg(spans[0], "cluster"), "cloud");
   // Answered AT the budget, not after the deployment.
-  EXPECT_EQ(answeredAt, SimTime::seconds(1.0) + 100_ms);
+  EXPECT_EQ(spans[0].duration(), 100_ms);
   EXPECT_EQ(bed.governor()->shedCount(ShedReason::kBudgetExpired), 1u);
   EXPECT_EQ(controller.requestsShed(), 1u);
   EXPECT_EQ(controller.requestsResolved(), 0u);
@@ -365,27 +394,26 @@ TEST(OverloadEndToEnd, DeployCapRefusalDegradesToCloudWithoutBreakerBlame) {
   ASSERT_TRUE(bed.registerCatalogService("asm", addr2).ok());
 
   core::EdgeController& controller = bed.controller();
-  std::optional<Result<Redirect>> first;
-  std::optional<Result<Redirect>> second;
-  bed.sim().scheduleAt(1_s, [&] {
-    controller.submitRequest(clientIp(0), kNginxAddr,
-                             [&](Result<Redirect> r) { first = std::move(r); });
-    controller.submitRequest(clientIp(1), addr2,
-                             [&](Result<Redirect> r) { second = std::move(r); });
-  });
+  std::optional<Result<HttpExchange>> first;
+  std::optional<Result<HttpExchange>> second;
+  requestAt(bed, 1_s, 0, "nginx", kNginxAddr, first);
+  requestAt(bed, 1_s, 1, "asm", addr2, second);
   bed.sim().runUntil(120_s);
 
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(second.has_value());
-  ASSERT_TRUE(first->ok());
-  ASSERT_TRUE(second->ok());
+  EXPECT_TRUE(first->ok());
+  EXPECT_TRUE(second->ok());
+  const auto firstSpans = resolveSpans(bed, kNginxAddr);
+  const auto secondSpans = resolveSpans(bed, addr2);
+  ASSERT_EQ(firstSpans.size(), 1u);
+  ASSERT_EQ(secondSpans.size(), 1u);
   // The first deployment holds the single token; the second service's
   // deployment is refused and the request degrades to the cloud -- but it
   // is RESOLVED (degraded), not shed, and the breaker holds no grudge.
-  EXPECT_FALSE(first->value().degraded);
-  EXPECT_TRUE(second->value().degraded);
-  EXPECT_FALSE(second->value().shed);
-  EXPECT_EQ(second->value().cluster, "cloud");
+  EXPECT_EQ(arg(firstSpans[0], "degraded"), "false");
+  EXPECT_EQ(arg(secondSpans[0], "degraded"), "true");
+  EXPECT_EQ(arg(secondSpans[0], "cluster"), "cloud");
   EXPECT_EQ(bed.governor()->shedCount(ShedReason::kDeployCap), 1u);
   EXPECT_EQ(controller.requestsResolved(), 2u);
   EXPECT_EQ(controller.requestsShed(), 0u);
@@ -422,30 +450,28 @@ TEST(OverloadEndToEnd, BreakerOpensUnderInjectedFaultsAndRoutesAround) {
   core::EdgeController& controller = bed.controller();
 
   constexpr int kRequests = 4;
-  std::vector<std::optional<Result<Redirect>>> got(kRequests);
+  std::vector<std::optional<Result<HttpExchange>>> got(kRequests);
   for (int i = 0; i < kRequests; ++i) {
-    bed.sim().scheduleAt(SimTime::seconds(1.0 + i * 10.0), [&, i] {
-      controller.submitRequest(clientIp(i), kNginxAddr, [&, i](
-                                                            Result<Redirect> r) {
-        got[i] = std::move(r);
-      });
-    });
+    requestAt(bed, SimTime::seconds(1.0 + i * 10.0),
+              static_cast<std::size_t>(i), "nginx", kNginxAddr, got[i]);
   }
   bed.sim().runUntil(120_s);
 
+  const auto spans = resolveSpans(bed, kNginxAddr);
+  ASSERT_EQ(spans.size(), static_cast<std::size_t>(kRequests));
   for (int i = 0; i < kRequests; ++i) {
     ASSERT_TRUE(got[i].has_value()) << "request " << i;
-    ASSERT_TRUE(got[i]->ok()) << "request " << i;
-    EXPECT_EQ(got[i]->value().cluster, "cloud") << "request " << i;
+    EXPECT_TRUE(got[i]->ok()) << "request " << i;
+    EXPECT_EQ(arg(spans[i], "cluster"), "cloud") << "request " << i;
   }
   // The first two failed deployments feed the breaker (minSamples 2,
   // ratio 1.0) and trip it; requests 3 and 4 are then routed straight to
   // the cloud at SCHEDULING time -- the cloud is simply the best allowed
   // cluster (not a degraded fallback) and no further deployment happens.
-  EXPECT_TRUE(got[0]->value().degraded);
-  EXPECT_TRUE(got[1]->value().degraded);
-  EXPECT_FALSE(got[2]->value().degraded);
-  EXPECT_FALSE(got[3]->value().degraded);
+  EXPECT_EQ(arg(spans[0], "degraded"), "true");
+  EXPECT_EQ(arg(spans[1], "degraded"), "true");
+  EXPECT_EQ(arg(spans[2], "degraded"), "false");
+  EXPECT_EQ(arg(spans[3], "degraded"), "false");
   CircuitBreaker& breaker = bed.governor()->breaker("docker-egs");
   EXPECT_EQ(breaker.state(bed.sim().now()), BreakerState::kOpen);
   EXPECT_GE(breaker.timesOpened(), 1u);
@@ -469,33 +495,32 @@ TEST(OverloadEndToEnd, BrownoutForcesImmediateRedirectsAfterShedBurst) {
   core::EdgeController& controller = bed.controller();
 
   // Three distinct budget-expiry sheds within the window arm brownout...
-  int answered = 0;
+  std::vector<std::optional<Result<HttpExchange>>> shed(3);
   for (int i = 0; i < 3; ++i) {
-    bed.sim().scheduleAt(SimTime::seconds(1.0 + i * 0.5), [&, i] {
-      controller.submitRequest(clientIp(i), kNginxAddr,
-                               [&](Result<Redirect>) { ++answered; });
-    });
+    requestAt(bed, SimTime::seconds(1.0 + i * 0.5),
+              static_cast<std::size_t>(i), "nginx", kNginxAddr, shed[i]);
   }
   // ... so this cold request is answered from the cloud IMMEDIATELY (the
   // paper's "without waiting" redirect) instead of waiting out its budget.
-  std::optional<Result<Redirect>> fourth;
-  SimTime fourthAt;
-  bed.sim().scheduleAt(SimTime::seconds(4.0), [&] {
-    controller.submitRequest(clientIp(40), kNginxAddr, [&](Result<Redirect> r) {
-      fourth = std::move(r);
-      fourthAt = bed.sim().now();
-    });
-  });
+  std::optional<Result<HttpExchange>> fourth;
+  requestAt(bed, 4_s, 3, "nginx", kNginxAddr, fourth);
   bed.sim().runUntil(120_s);
 
-  EXPECT_EQ(answered, 3);
+  for (const auto& got : shed) {
+    ASSERT_TRUE(got.has_value());
+    EXPECT_TRUE(got->ok());
+  }
+  EXPECT_EQ(controller.requestsShed(), 3u);
   EXPECT_EQ(bed.governor()->brownoutEntries(), 1u);
   ASSERT_TRUE(fourth.has_value());
-  ASSERT_TRUE(fourth->ok());
-  EXPECT_TRUE(fourth->value().degraded);
-  EXPECT_FALSE(fourth->value().shed);  // resolved, just degraded
-  EXPECT_EQ(fourth->value().cluster, "cloud");
-  EXPECT_EQ(fourthAt, SimTime::seconds(4.0));  // zero sim-time wait
+  EXPECT_TRUE(fourth->ok());
+  const auto spans = resolveSpans(bed, kNginxAddr);
+  ASSERT_EQ(spans.size(), 4u);
+  EXPECT_EQ(arg(spans[3], "degraded"), "true");
+  EXPECT_EQ(arg(spans[3], "cluster"), "cloud");
+  EXPECT_EQ(spans[3].duration(), SimTime::zero());  // zero sim-time wait
+  // Resolved, just degraded: the three sheds are the only ones.
+  EXPECT_EQ(controller.requestsResolved(), 1u);
 }
 
 }  // namespace

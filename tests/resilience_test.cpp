@@ -79,9 +79,12 @@ class FlakyAdapter final : public ClusterAdapter {
     });
   }
 
-  void scaleUp(const ServiceModel&, Callback cb) override {
-    sim_.schedule(scaleUpDelay, [this, cb] {
-      sim_.schedule(readyDelay, [this] { running = true; });
+  void scaleUp(const ServiceModel& service, Callback cb) override {
+    sim_.schedule(scaleUpDelay, [this, cb, name = service.uniqueName] {
+      sim_.schedule(readyDelay, [this, name] {
+        running = true;
+        readinessChanged(name);  // as a real adapter does
+      });
       cb(Status());
     });
   }

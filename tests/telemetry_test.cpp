@@ -503,7 +503,6 @@ Counts accessorCounts(core::EdgeController& controller) {
       {"requestsFailed", controller.requestsFailed()},
       {"requestsShed", controller.requestsShed()},
       {"requestsDegraded", controller.requestsDegraded()},
-      {"warmHits", controller.warmHits()},
       {"scaleDowns", controller.scaleDowns()},
       {"removals", controller.removals()},
       {"migrations", controller.migrations()},
@@ -551,7 +550,6 @@ Counts seriesCounts(const TelemetrySnapshot& snap) {
       {"requestsFailed", outcome("failed")},
       {"requestsShed", outcome("shed")},
       {"requestsDegraded", outcome("degraded")},
-      {"warmHits", snap.counterTotal("edgesim_warm_hits_total")},
       {"scaleDowns", snap.counterTotal("edgesim_scale_downs_total")},
       {"removals", snap.counterTotal("edgesim_removals_total")},
       {"migrations", snap.counterTotal("edgesim_migrations_total")},
@@ -582,10 +580,10 @@ Counts seriesCounts(const TelemetrySnapshot& snap) {
 }
 
 /// Packet-in requests through a lossy controller->switch channel (ack
-/// timeouts, resends, one failover to the cloud), then submitRequests:
-/// warm hits on the memorized flows, and one cold request for a service
-/// whose image pull outlasts the request budget (shed to the cloud).
-/// Returns at quiescence.
+/// timeouts, resends, one failover to the cloud), then more requests past
+/// the switch idle timeout: FlowMemory hits on the memorized flows, and one
+/// cold request for a service whose image pull outlasts the request budget
+/// (shed to the cloud).  Returns at quiescence.
 std::unique_ptr<core::Testbed> runLedgerScenario(bool telemetry) {
   core::TestbedOptions options;
   options.clusterMode = core::ClusterMode::kDockerOnly;
@@ -614,18 +612,15 @@ std::unique_ptr<core::Testbed> runLedgerScenario(bool telemetry) {
   });
   sim.runUntil(40_s);
 
-  core::EdgeController& controller = bed->controller();
-  constexpr int kSubmits = 4;
+  constexpr std::size_t kWarm = 3;
   int answered = 0;
-  for (int i = 0; i < kSubmits; ++i) {
-    controller.submitRequest(
-        bed->client(static_cast<std::size_t>(i % 3)).ip(), kLedgerNginx,
-        [&answered](Result<core::Redirect>) { ++answered; });
+  const auto count = [&answered](Result<HttpExchange>) { ++answered; };
+  for (std::size_t i = 0; i < kWarm; ++i) {
+    bed->requestCatalog(i, "nginx", kLedgerNginx, "ledger", count);
   }
-  controller.submitRequest(bed->client(0).ip(), kLedgerResnet,
-                           [&answered](Result<core::Redirect>) { ++answered; });
+  bed->requestCatalog(0, "resnet", kLedgerResnet, "ledger", count);
   sim.runUntil(60_s);
-  EXPECT_EQ(answered, kSubmits + 1);
+  EXPECT_EQ(answered, static_cast<int>(kWarm) + 1);
   return bed;
 }
 
@@ -639,7 +634,9 @@ TEST(OneLedgerTest, AccessorsReadTheirSeriesAndTheSnapshotReconciles) {
   // The scenario exercised every ledger path it claims to.
   EXPECT_GE(counts.at("requestsShed"), 1u);
   EXPECT_GE(counts.at("shedCount(budget_expired)"), 1u);
-  EXPECT_GE(counts.at("warmHits"), 1u);
+  EXPECT_GE(snap.counterValue("edgesim_flow_memory_lookups_total",
+                              {{"shard", "0"}, {"result", "hit"}}),
+            1u);
   EXPECT_GE(counts.at("flowModsTimedOut"), 1u);
   EXPECT_GE(counts.at("flowModResends"), 1u);
   EXPECT_EQ(counts.at("flowModFailovers"), 1u);
