@@ -120,7 +120,7 @@ overload::CircuitBreaker* Dispatcher::breakerFor(
 
 bool Dispatcher::answerFromCloud(const ServiceModel& service, Ipv4 client,
                                  const ResolveCallback& cb, bool shed,
-                                 trace::RequestId rid, const char* why) {
+                                 trace::RequestId rid, trace::TraceKey why) {
   ClusterAdapter* cloud = cloudAdapter();
   if (cloud == nullptr) return false;
   const auto ready = cloud->readyInstances(service);
@@ -150,7 +150,7 @@ void Dispatcher::recordPhase(const ServiceModel& service,
       duration.toSeconds());
 }
 
-void Dispatcher::tracePhase(const std::string& key, const char* phase,
+void Dispatcher::tracePhase(const std::string& key, trace::TraceKey phase,
                             SimTime start, bool ok) {
   if (trace_ == nullptr) return;
   const auto it = pending_.find(key);

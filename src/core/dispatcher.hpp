@@ -233,8 +233,8 @@ class Dispatcher : private ReadinessObserver {
   void recordPhase(const ServiceModel& service, ClusterAdapter& cluster,
                    const char* phase, SimTime duration);
   /// Emit a completed phase span nested under `key`'s deploy span.
-  void tracePhase(const std::string& key, const char* phase, SimTime start,
-                  bool ok);
+  void tracePhase(const std::string& key, trace::TraceKey phase,
+                  SimTime start, bool ok);
   /// The governor's breaker for `cluster`, or nullptr when breakers are off
   /// or the cluster is the cloud (never broken -- it is the fallback
   /// target, like quarantine).
@@ -243,7 +243,7 @@ class Dispatcher : private ReadinessObserver {
   /// Returns false (and leaves `cb` uncalled) when no such instance exists.
   bool answerFromCloud(const ServiceModel& service, Ipv4 client,
                        const ResolveCallback& cb, bool shed,
-                       trace::RequestId rid, const char* why);
+                       trace::RequestId rid, trace::TraceKey why);
 
   /// Per-cluster instruments, registered at construction for every
   /// adapter (on first use for any other cluster).  Counters live in

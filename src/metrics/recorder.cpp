@@ -5,7 +5,7 @@
 namespace edgesim::metrics {
 
 void Recorder::add(RequestRecord record) {
-  std::lock_guard lock(mutex_);
+  owner_.check("Recorder");
   bool droppedStorage = false;
   if (record.success) {
     Samples& samples = samples_[record.series];
@@ -16,21 +16,21 @@ void Recorder::add(RequestRecord record) {
       samples.add(record.total.toSeconds());
     }
   } else {
-    failures_.fetch_add(1, std::memory_order_relaxed);
+    ++failures_;
   }
   if (maxRecords_ != 0 && records_.size() >= maxRecords_) {
     droppedStorage = true;
   } else {
     records_.push_back(std::move(record));
   }
-  if (droppedStorage) dropped_.fetch_add(1, std::memory_order_relaxed);
+  if (droppedStorage) ++dropped_;
 }
 
 void Recorder::addSample(const std::string& series, double value) {
-  std::lock_guard lock(mutex_);
+  owner_.check("Recorder");
   Samples& samples = samples_[series];
   if (maxSamplesPerSeries_ != 0 && samples.count() >= maxSamplesPerSeries_) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    ++dropped_;
     return;
   }
   samples.add(value);
@@ -38,24 +38,16 @@ void Recorder::addSample(const std::string& series, double value) {
 
 void Recorder::setCapacity(std::size_t maxRecords,
                            std::size_t maxSamplesPerSeries) {
-  std::lock_guard lock(mutex_);
   maxRecords_ = maxRecords;
   maxSamplesPerSeries_ = maxSamplesPerSeries;
 }
 
 const Samples* Recorder::series(const std::string& name) const {
-  std::lock_guard lock(mutex_);
   const auto it = samples_.find(name);
   return it == samples_.end() ? nullptr : &it->second;
 }
 
-Samples& Recorder::mutableSeries(const std::string& name) {
-  std::lock_guard lock(mutex_);
-  return samples_[name];
-}
-
 std::vector<std::string> Recorder::seriesNames() const {
-  std::lock_guard lock(mutex_);
   std::vector<std::string> names;
   names.reserve(samples_.size());
   for (const auto& [name, s] : samples_) names.push_back(name);
@@ -63,12 +55,10 @@ std::vector<std::string> Recorder::seriesNames() const {
 }
 
 std::size_t Recorder::totalRecords() const {
-  std::lock_guard lock(mutex_);
   return records_.size();
 }
 
 Table Recorder::summaryTable(const std::string& valueHeader) const {
-  std::lock_guard lock(mutex_);
   Table table({"series", "n", "median " + valueHeader, "mean", "p95", "min",
                "max"});
   for (const auto& [name, s] : samples_) {

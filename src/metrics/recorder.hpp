@@ -7,22 +7,19 @@
 // exactly that; this module aggregates those samples per experiment series
 // and renders medians (the statistic used in Figs. 11-16).
 //
-// Thread model: add() / addSample() are safe to call from any thread --
-// they serialize on one internal mutex, which is uncontended in
-// single-threaded runs and cheap next to the modeled RTTs in threaded
-// ones.  Accessors that hand out references into the recorder
-// (records(), series(), mutableSeries()) are for QUIESCENT use: call them
-// only after the recording threads have been joined, as every test and
-// bench driver does.
+// Thread model: ONE writer.  add() / addSample() run on the thread that
+// constructed the recorder (the simulation thread) and check it with an
+// always-on assertion that names the owner thread; there is no lock.
+// Reads are legal from any thread once recording has stopped, which is
+// when every test and bench reads them.
 #pragma once
 
-#include <atomic>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "sim/time.hpp"
+#include "util/owner_thread.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -44,20 +41,14 @@ class Recorder {
 
   /// All samples of a series as doubles (seconds for durations).
   /// The pointer stays valid for the recorder's lifetime (map nodes are
-  /// stable); read it only while no thread is recording to that series.
+  /// stable).
   const Samples* series(const std::string& name) const;
-  /// Quiescent use only: the returned reference is mutated outside the
-  /// recorder's lock (bench drivers merging trace-derived samples).
-  Samples& mutableSeries(const std::string& name);
 
   std::vector<std::string> seriesNames() const;
   std::size_t totalRecords() const;
-  /// Quiescent use only (see header comment).
   const std::vector<RequestRecord>& records() const { return records_; }
 
-  std::size_t failureCount() const {
-    return failures_.load(std::memory_order_relaxed);
-  }
+  std::size_t failureCount() const { return failures_; }
 
   /// Bound storage: at most `maxRecords` stored request records and
   /// `maxSamplesPerSeries` samples per series (0 = unbounded, the
@@ -65,22 +56,20 @@ class Recorder {
   /// their storage is dropped and tallied in droppedEvents() -- surfaced
   /// through the telemetry registry as `edgesim_recorder_dropped_events`.
   void setCapacity(std::size_t maxRecords, std::size_t maxSamplesPerSeries);
-  std::size_t droppedEvents() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  std::size_t droppedEvents() const { return dropped_; }
 
   /// Render one row per series: count, median, mean, p95, min, max
   /// (durations in seconds).
   Table summaryTable(const std::string& valueHeader = "seconds") const;
 
  private:
-  mutable std::mutex mutex_;
+  OwnerThread owner_;
   std::vector<RequestRecord> records_;
   std::map<std::string, Samples> samples_;  // ordered for stable output
-  std::atomic<std::size_t> failures_{0};
-  std::size_t maxRecords_ = 0;             // guarded by mutex_
-  std::size_t maxSamplesPerSeries_ = 0;    // guarded by mutex_
-  std::atomic<std::size_t> dropped_{0};
+  std::size_t failures_ = 0;
+  std::size_t maxRecords_ = 0;
+  std::size_t maxSamplesPerSeries_ = 0;
+  std::size_t dropped_ = 0;
 };
 
 }  // namespace edgesim::metrics

@@ -5,46 +5,19 @@
 
 namespace edgesim::telemetry {
 
-namespace detail {
-
-std::size_t allocateStripe() {
-  static std::atomic<std::size_t> next{0};
-  return next.fetch_add(1, std::memory_order_relaxed) % kStripes;
-}
-
-}  // namespace detail
-
 // ---- Histogram --------------------------------------------------------------
 
 std::vector<std::uint64_t> Histogram::bucketCounts() const {
-  std::vector<std::uint64_t> merged(kBuckets, 0);
-  for (std::size_t s = 0; s < detail::kStripes; ++s) {
-    const Stripe& stripe = stripes_[s];
-    for (int b = 0; b < kBuckets; ++b) {
-      merged[b] += stripe.buckets[b].load(std::memory_order_relaxed);
-    }
-  }
-  return merged;
+  return {buckets_.begin(), buckets_.end()};
 }
 
 std::uint64_t Histogram::count() const {
   std::uint64_t total = 0;
-  for (std::size_t s = 0; s < detail::kStripes; ++s) {
-    const Stripe& stripe = stripes_[s];
-    for (int b = 0; b < kBuckets; ++b) {
-      total += stripe.buckets[b].load(std::memory_order_relaxed);
-    }
-  }
+  for (const std::uint64_t c : buckets_) total += c;
   return total;
 }
 
-double Histogram::sum() const {
-  std::int64_t nanos = 0;
-  for (std::size_t s = 0; s < detail::kStripes; ++s) {
-    nanos += stripes_[s].sumNanos.load(std::memory_order_relaxed);
-  }
-  return static_cast<double>(nanos) / 1e9;
-}
+double Histogram::sum() const { return static_cast<double>(sumNanos_) / 1e9; }
 
 double Histogram::quantile(double q) const {
   return quantileFromCounts(bucketCounts(), q);
@@ -118,7 +91,6 @@ std::string MetricsRegistry::seriesKey(const std::string& name,
 
 Counter& MetricsRegistry::counter(const std::string& name,
                                   const Labels& labels) {
-  std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = counters_.try_emplace(seriesKey(name, labels));
   if (inserted) {
     it->second = {name, labels, std::make_unique<Counter>()};
@@ -127,7 +99,6 @@ Counter& MetricsRegistry::counter(const std::string& name,
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name, const Labels& labels) {
-  std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = gauges_.try_emplace(seriesKey(name, labels));
   if (inserted) {
     it->second = {name, labels, std::make_unique<Gauge>()};
@@ -137,7 +108,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name, const Labels& labels) {
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       const Labels& labels) {
-  std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = histograms_.try_emplace(seriesKey(name, labels));
   if (inserted) {
     it->second = {name, labels, std::make_unique<Histogram>()};
@@ -147,14 +117,12 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
 
 void MetricsRegistry::gaugeFn(const std::string& name, const Labels& labels,
                               std::function<double()> fn) {
-  std::lock_guard<std::mutex> lock(mutex_);
   gaugeFns_[seriesKey(name, labels)] = {name, labels, std::move(fn)};
 }
 
 TelemetrySnapshot MetricsRegistry::snapshot(double simTimeSeconds) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   TelemetrySnapshot snap;
-  snap.sequence = nextSequence_.fetch_add(1, std::memory_order_relaxed);
+  snap.sequence = nextSequence_++;
   snap.simTimeSeconds = simTimeSeconds;
 
   snap.counters.reserve(counters_.size());

@@ -1,21 +1,17 @@
-// Lock-light metrics registry for live introspection of the running system.
+// Metrics registry for live introspection of the running system.
 //
-// Any thread may update it; the existing Recorder/TraceRecorder buffer
-// *events* and export at end of run, which is both post-hoc and (for
-// million-request runs) unbounded.
+// The existing Recorder/TraceRecorder buffer *events* and export at end of
+// run, which is both post-hoc and (for million-request runs) unbounded.
 // This registry holds *state* -- named counters, gauges and log-linear
 // histograms -- cheap enough to update from the warm path and readable at
-// any time:
+// any time.
 //
-//   * writes go to per-thread STRIPES: each thread hashes to one of
-//     kStripes cache-line-padded atomic cells and does a relaxed
-//     fetch_add.  No locks, no CAS loops; two threads only share a cell
-//     (and a cache line) if they collide mod kStripes.
-//   * reads MERGE the stripes: value() sums the cells with relaxed loads.
-//     Concurrent with writers the result is a moment-in-time approximation
-//     (each cell is exact, the sum may straddle updates); once writers are
-//     quiescent (drain()ed pool, stopped sim) it is exact -- which is when
-//     the reconciliation checks in bench_telemetry_fig16 run.
+// One writer, one cell: the simulation runs one event queue on one thread,
+// which is the only thread that updates a testbed's registry.  A counter is
+// one integer, a gauge one integer, a histogram one bucket array and one
+// sum; an update is a plain add, and a read is exact.  Snapshots run on the
+// same thread (SnapshotWriter is a simulation event), or on any thread once
+// the simulation has stopped.
 //
 // Histograms are log-linear over seconds: base-2 octaves split into 4
 // linear sub-buckets (top 2 mantissa bits), covering [2^-31, 2^12) s --
@@ -26,18 +22,15 @@
 //
 // Handles returned by counter()/gauge()/histogram() are stable for the
 // registry's lifetime: instrumentation sites resolve them ONCE at
-// construction and the hot path never touches the registry map or its
-// mutex.  Registration itself (and snapshot()) is mutex-guarded and cheap
-// but not hot-path safe by design.
+// construction and the hot path never touches the registry map.
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -45,55 +38,22 @@
 
 namespace edgesim::telemetry {
 
-namespace detail {
-
-/// Number of write stripes per metric.  Enough that a sim thread plus a
-/// typical worker pool (<= 8) rarely collide; small enough that merging
-/// stays trivial.
-inline constexpr std::size_t kStripes = 16;
-
-std::size_t allocateStripe();
-
-/// This thread's stripe index, assigned round-robin on first use.
-inline std::size_t threadStripe() {
-  thread_local const std::size_t stripe = allocateStripe();
-  return stripe;
-}
-
-}  // namespace detail
-
-/// Monotonically increasing event count.  add() is wait-free (one relaxed
-/// fetch_add on a thread-striped cell); value() merges the stripes.
+/// Monotonically increasing event count: one integer.
 class Counter {
  public:
-  Counter() : cells_(new Cell[detail::kStripes]) {}
+  Counter() = default;
 
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
-  void add(std::uint64_t n = 1) {
-    cells_[detail::threadStripe()].value.fetch_add(n,
-                                                   std::memory_order_relaxed);
-  }
-
-  std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < detail::kStripes; ++i) {
-      total += cells_[i].value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
+  void add(std::uint64_t n = 1) { value_ += n; }
+  std::uint64_t value() const { return value_; }
 
  private:
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> value{0};
-  };
-  std::unique_ptr<Cell[]> cells_;
+  std::uint64_t value_ = 0;
 };
 
-/// Last-write-wins instantaneous value (queue depth, occupancy).  A single
-/// atomic: gauges are set, not accumulated, so striping would have no
-/// meaningful merge.
+/// Last-write-wins instantaneous value (queue depth, occupancy).
 class Gauge {
  public:
   Gauge() = default;
@@ -101,19 +61,16 @@ class Gauge {
   Gauge(const Gauge&) = delete;
   Gauge& operator=(const Gauge&) = delete;
 
-  void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d) { value_.fetch_add(d, std::memory_order_relaxed); }
-  std::int64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  void set(std::int64_t v) { value_ = v; }
+  void add(std::int64_t d) { value_ += d; }
+  std::int64_t value() const { return value_; }
 
  private:
-  std::atomic<std::int64_t> value_{0};
+  std::int64_t value_ = 0;
 };
 
 /// Log-linear latency histogram over seconds (see header comment).
-/// observe() is wait-free: one bucket index computation plus two relaxed
-/// fetch_adds on this thread's stripe.
+/// observe() is one bucket index computation and two adds.
 class Histogram {
  public:
   static constexpr int kSubBuckets = 4;   // 2 mantissa bits per octave
@@ -122,20 +79,17 @@ class Histogram {
   static constexpr int kOctaves = kMaxExp - kMinExp + 1;
   static constexpr int kBuckets = kOctaves * kSubBuckets;
 
-  Histogram() : stripes_(new Stripe[detail::kStripes]) {}
+  Histogram() = default;
 
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
   void observe(double seconds) {
-    Stripe& stripe = stripes_[detail::threadStripe()];
-    stripe.buckets[bucketIndex(seconds)].fetch_add(1,
-                                                   std::memory_order_relaxed);
-    stripe.sumNanos.fetch_add(static_cast<std::int64_t>(seconds * 1e9),
-                              std::memory_order_relaxed);
+    ++buckets_[bucketIndex(seconds)];
+    sumNanos_ += static_cast<std::int64_t>(seconds * 1e9);
   }
 
-  /// Merged bucket counts (size kBuckets, non-cumulative).
+  /// Bucket counts (size kBuckets, non-cumulative).
   std::vector<std::uint64_t> bucketCounts() const;
   std::uint64_t count() const;
   double sum() const;  // seconds (nanosecond resolution)
@@ -171,11 +125,8 @@ class Histogram {
                                    std::vector<std::uint64_t>& window);
 
  private:
-  struct Stripe {
-    std::atomic<std::uint64_t> buckets[kBuckets];
-    alignas(64) std::atomic<std::int64_t> sumNanos{0};
-  };
-  std::unique_ptr<Stripe[]> stripes_;
+  std::array<std::uint64_t, kBuckets> buckets_{};
+  std::int64_t sumNanos_ = 0;
 };
 
 /// Named, labelled instrument registry (see header comment for the write /
@@ -198,9 +149,8 @@ class MetricsRegistry {
   void gaugeFn(const std::string& name, const Labels& labels,
                std::function<double()> fn);
 
-  /// Merged point-in-time view, series sorted by (name, labels).  Bumps
-  /// the snapshot sequence number.  Safe to call while writers run (values
-  /// are then approximations; exact at quiescence).
+  /// Point-in-time view, series sorted by (name, labels).  Bumps the
+  /// snapshot sequence number.
   TelemetrySnapshot snapshot(double simTimeSeconds) const;
 
  private:
@@ -218,8 +168,7 @@ class MetricsRegistry {
 
   static std::string seriesKey(const std::string& name, const Labels& labels);
 
-  mutable std::mutex mutex_;
-  mutable std::atomic<std::uint64_t> nextSequence_{0};
+  mutable std::uint64_t nextSequence_ = 0;
   std::map<std::string, Series<Counter>> counters_;
   std::map<std::string, Series<Gauge>> gauges_;
   std::map<std::string, FnSeries> gaugeFns_;

@@ -2,36 +2,28 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdint>
+#include <cstring>
 #include <unordered_map>
 
+#include "util/assert.hpp"
 #include "util/strings.hpp"
 
 namespace edgesim::trace {
 
 namespace {
 
-// SpanId layout: high bits select the per-thread buffer, low 40 bits hold
-// the 1-based local index.  Buffer 0 therefore produces the dense 1-based
-// IDs of the pre-threading recorder.
-constexpr std::uint64_t kLocalBits = 40;
-constexpr std::uint64_t kLocalMask = (std::uint64_t{1} << kLocalBits) - 1;
+constexpr std::size_t kTextChunkBytes = 64 * 1024;
 
-constexpr SpanId encodeSpanId(std::size_t buffer, std::size_t localIndex) {
-  return (static_cast<SpanId>(buffer) << kLocalBits) |
-         (static_cast<SpanId>(localIndex) + 1);
+static_assert(sizeof(TraceArgRef) == 24);
+
+std::uint64_t addressWord(const void* address) {
+  return reinterpret_cast<std::uintptr_t>(address);
 }
 
-/// Each thread remembers which buffer it owns in each live recorder:
-/// (buffer index, buffer pointer).  Keyed by a globally unique recorder ID
-/// (never reused), so a recorder dying and another being allocated at the
-/// same address cannot alias.  The pointer is type-erased because Buffer
-/// is a private nested type.
-thread_local std::unordered_map<std::uint64_t, std::pair<std::size_t, void*>>
-    tlsBuffers;
-
-std::uint64_t nextRecorderId() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed);
+template <typename T>
+const T* wordAddress(std::uint64_t word) {
+  return reinterpret_cast<const T*>(static_cast<std::uintptr_t>(word));
 }
 
 }  // namespace
@@ -63,135 +55,207 @@ double RequestBreakdown::segmentSum() const {
   return sum;
 }
 
-TraceRecorder::TraceRecorder() : id_(nextRecorderId()) {
-  // The constructing thread (the simulation thread in every testbed) owns
-  // buffer 0: its spans keep the seed's dense IDs and recording order.
-  buffers_.push_back(std::make_unique<Buffer>());
-  tlsBuffers[id_] = {0, buffers_.back().get()};
-}
+// ---- TraceArgRef ------------------------------------------------------------
 
-std::pair<std::size_t, TraceRecorder::Buffer*> TraceRecorder::myBuffer() {
-  auto it = tlsBuffers.find(id_);
-  if (it == tlsBuffers.end()) {
-    std::lock_guard lock(buffersMutex_);
-    const std::size_t index = buffers_.size();
-    buffers_.push_back(std::make_unique<Buffer>());
-    it = tlsBuffers
-             .emplace(id_, std::make_pair(
-                               index, static_cast<void*>(buffers_.back().get())))
-             .first;
-  }
-  return {it->second.first, static_cast<Buffer*>(it->second.second)};
-}
+TraceArgRef::TraceArgRef(TraceKey key, const char* text)
+    : packed_{key.c_str(), addressWord(text),
+              static_cast<std::uint32_t>(std::strlen(text)), Kind::kText} {}
 
-std::vector<TraceRecorder::Buffer*> TraceRecorder::bufferList() const {
-  std::lock_guard lock(buffersMutex_);
-  std::vector<Buffer*> list;
-  list.reserve(buffers_.size());
-  for (const auto& buffer : buffers_) list.push_back(buffer.get());
-  return list;
-}
+TraceArgRef::TraceArgRef(TraceKey key, const std::string& text)
+    : packed_{key.c_str(), addressWord(text.data()),
+              static_cast<std::uint32_t>(text.size()), Kind::kText} {}
+
+TraceArgRef::TraceArgRef(TraceKey key, Ipv4 ip)
+    : packed_{key.c_str(), ip.value, 0, Kind::kIpv4} {}
+
+TraceArgRef::TraceArgRef(TraceKey key, Endpoint endpoint)
+    : packed_{key.c_str(),
+              (std::uint64_t{endpoint.ip.value} << 16) | endpoint.port, 0,
+              Kind::kEndpoint} {}
+
+TraceArgRef::TraceArgRef(TraceKey key, std::uint64_t number)
+    : packed_{key.c_str(), number, 0, Kind::kNumber} {}
+
+TraceArgRef::TraceArgRef(TraceKey key, const PacketHeader& header)
+    : packed_{key.c_str(), addressWord(&header), 0, Kind::kPacket} {}
+
+TraceArgRef::TraceArgRef(TraceKey key, const Error& error)
+    : packed_{key.c_str(), addressWord(&error), 0, Kind::kError} {}
+
+TraceArgRef::TraceArgRef(TraceKey key, const TraceValue& value)
+    : packed_(std::visit(
+          [key](const auto& alternative) {
+            return TraceArgRef(key, alternative).packed_;
+          },
+          value)) {}
+
+// ---- recording --------------------------------------------------------------
 
 RequestId TraceRecorder::newRequest() {
-  if (!enabled()) return 0;
-  return nextRequest_.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (!enabled_) return 0;
+  owner_.check("TraceRecorder");
+  return ++nextRequest_;
 }
 
 bool TraceRecorder::admitEvent() {
-  const std::size_t cap = maxEvents_.load(std::memory_order_relaxed);
-  if (cap != 0 && eventCount_.load(std::memory_order_relaxed) >= cap) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+  if (maxEvents_ != 0 && spans_.size() + instants_.size() >= maxEvents_) {
+    ++dropped_;
     return false;
   }
-  eventCount_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
-SpanId TraceRecorder::beginSpan(RequestId request, const std::string& name,
-                                const std::string& category, SimTime now,
-                                TraceArgs args, SpanId parent) {
-  if (!enabled()) return 0;
-  if (!admitEvent()) return 0;
-  const auto [bufferIndex, bufferPtr] = myBuffer();
-  Buffer& buffer = *bufferPtr;
-  std::lock_guard lock(buffer.mutex);
-  TraceSpan span;
-  span.id = encodeSpanId(bufferIndex, buffer.spans.size());
-  span.parent = parent;
-  span.request = request;
-  span.name = name;
-  span.category = category;
-  span.start = now;
-  span.end = now;
-  span.args = std::move(args);
-  buffer.spans.push_back(std::move(span));
-  spanCount_.fetch_add(1, std::memory_order_relaxed);
-  return buffer.spans.back().id;
-}
-
-void TraceRecorder::endSpan(SpanId span, SimTime now, TraceArgs extraArgs) {
-  if (!enabled() || span == 0) return;
-  const std::size_t bufferIndex = span >> kLocalBits;
-  const std::uint64_t local = span & kLocalMask;
-  if (local == 0) return;
-  Buffer* buffer = nullptr;
-  {
-    std::lock_guard lock(buffersMutex_);
-    if (bufferIndex >= buffers_.size()) return;
-    buffer = buffers_[bufferIndex].get();
+const char* TraceRecorder::storeText(const char* text, std::size_t length) {
+  if (length > textFree_) {
+    // A new chunk; the old one's tail stays unused.  Text longer than a
+    // chunk gets a chunk of its own size.
+    const std::size_t size = std::max(kTextChunkBytes, length);
+    textChunks_.push_back(std::make_unique_for_overwrite<char[]>(size));
+    textBytes_ += size;
+    textCursor_ = textChunks_.back().get();
+    textFree_ = size;
   }
-  std::lock_guard lock(buffer->mutex);
-  if (local > buffer->spans.size()) return;
-  TraceSpan& s = buffer->spans[local - 1];
-  s.end = now;
-  s.open = false;
-  s.args.reserve(s.args.size() + extraArgs.size());
-  for (auto& arg : extraArgs) s.args.push_back(std::move(arg));
+  char* out = textCursor_;
+  if (length != 0) std::memcpy(out, text, length);
+  textCursor_ += length;
+  textFree_ -= length;
+  return out;
 }
 
-SpanId TraceRecorder::completeSpan(RequestId request, const std::string& name,
-                                   const std::string& category, SimTime start,
-                                   SimTime end, TraceArgs args, SpanId parent) {
-  if (!enabled()) return 0;
-  const SpanId id = beginSpan(request, name, category, start, std::move(args),
-                              parent);
+TraceRecorder::Packed TraceRecorder::store(const Packed& arg) {
+  using Kind = TraceArgRef::Kind;
+  Packed stored = arg;
+  switch (arg.kind) {
+    case Kind::kText:
+      stored.word =
+          addressWord(storeText(wordAddress<char>(arg.word), arg.length));
+      break;
+    case Kind::kPacket:
+      stored.word = addressWord(
+          &packets_.push_back(*wordAddress<PacketHeader>(arg.word)));
+      break;
+    case Kind::kError:
+      stored.word =
+          addressWord(&errors_.push_back(*wordAddress<Error>(arg.word)));
+      break;
+    case Kind::kIpv4:
+    case Kind::kEndpoint:
+    case Kind::kNumber:
+      break;
+  }
+  return stored;
+}
+
+std::uint32_t TraceRecorder::appendArgs(TraceArgList args) {
+  ES_ASSERT(args.size() <= UINT16_MAX &&
+            args_.size() + args.size() <= UINT32_MAX);
+  const auto first = static_cast<std::uint32_t>(args_.size());
+  for (const TraceArgRef& arg : args) args_.push_back(store(arg.packed_));
+  return first;
+}
+
+SpanId TraceRecorder::beginSpan(RequestId request, TraceKey name,
+                                TraceKey category, SimTime now,
+                                TraceArgList args, SpanId parent) {
+  if (!enabled_) return 0;
+  owner_.check("TraceRecorder");
+  if (!admitEvent()) return 0;
+  SpanRecord record;
+  record.request = request;
+  record.parent = parent;
+  record.name = name.c_str();
+  record.category = category.c_str();
+  record.start = now;
+  record.end = now;
+  record.beginFirst = appendArgs(args);
+  record.beginCount = static_cast<std::uint16_t>(args.size());
+  record.extraFirst = 0;
+  record.extraCount = 0;
+  record.open = true;
+  spans_.push_back(record);
+  return spans_.size();
+}
+
+void TraceRecorder::endSpan(SpanId span, SimTime now, TraceArgList extraArgs) {
+  if (!enabled_ || span == 0) return;
+  owner_.check("TraceRecorder");
+  if (span > spans_.size()) return;
+  SpanRecord& record = spans_[span - 1];
+  record.end = now;
+  record.open = false;
+  if (extraArgs.size() == 0) return;
+  ES_ASSERT(record.extraCount + extraArgs.size() <= UINT16_MAX);
+  if (record.extraCount == 0) {
+    record.extraFirst = appendArgs(extraArgs);
+  } else {
+    // A second endSpan with extras: keep all extras one range, copying the
+    // earlier ones to the end unless nothing was recorded since.
+    if (record.extraFirst + record.extraCount != args_.size()) {
+      const auto first = static_cast<std::uint32_t>(args_.size());
+      for (std::uint32_t i = 0; i < record.extraCount; ++i) {
+        args_.push_back(args_[record.extraFirst + i]);
+      }
+      record.extraFirst = first;
+    }
+    appendArgs(extraArgs);
+  }
+  record.extraCount =
+      static_cast<std::uint16_t>(record.extraCount + extraArgs.size());
+}
+
+SpanId TraceRecorder::completeSpan(RequestId request, TraceKey name,
+                                   TraceKey category, SimTime start,
+                                   SimTime end, TraceArgList args,
+                                   SpanId parent) {
+  if (!enabled_) return 0;
+  const SpanId id = beginSpan(request, name, category, start, args, parent);
   endSpan(id, end);
   return id;
 }
 
-void TraceRecorder::instant(RequestId request, const std::string& name,
-                            const std::string& category, SimTime at,
-                            TraceArgs args) {
-  if (!enabled()) return;
+void TraceRecorder::instant(RequestId request, TraceKey name,
+                            TraceKey category, SimTime at, TraceArgList args) {
+  if (!enabled_) return;
+  owner_.check("TraceRecorder");
   if (!admitEvent()) return;
-  Buffer& buffer = *myBuffer().second;
-  std::lock_guard lock(buffer.mutex);
-  buffer.instants.push_back({request, name, category, at, std::move(args)});
+  instants_.push_back({request, name.c_str(), category.c_str(), at,
+                       appendArgs(args),
+                       static_cast<std::uint32_t>(args.size())});
 }
 
 void TraceRecorder::bindFlow(Ipv4 client, Endpoint service, RequestId request) {
-  if (!enabled()) return;
-  std::lock_guard lock(bindingsMutex_);
-  flowBindings_[{client, service}] = request;
+  if (!enabled_) return;
+  owner_.check("TraceRecorder");
+  const std::pair key(client, service);
+  const auto it = flowBindings_.lower_bound(key);
+  if (it != flowBindings_.end() && it->first == key) {
+    it->second = request;
+    return;
+  }
+  if (spareBindings_.empty()) {
+    flowBindings_.emplace_hint(it, key, request);
+    return;
+  }
+  Bindings::node_type node = std::move(spareBindings_.back());
+  spareBindings_.pop_back();
+  node.key() = key;
+  node.mapped() = request;
+  flowBindings_.insert(it, std::move(node));
 }
 
 RequestId TraceRecorder::clientRequestDone(Ipv4 client, Endpoint service,
                                            SimTime start, SimTime end,
                                            bool success,
                                            const std::string& series) {
-  if (!enabled()) return 0;
+  if (!enabled_) return 0;
+  owner_.check("TraceRecorder");
   RequestId request = 0;
-  bool bound = false;
-  {
-    std::lock_guard lock(bindingsMutex_);
-    const auto it = flowBindings_.find({client, service});
-    if (it != flowBindings_.end()) {
-      request = it->second;
-      bound = true;
-      flowBindings_.erase(it);  // one client exchange per packet-in binding
-    }
-  }
-  if (!bound) {
+  if (const auto it = flowBindings_.find({client, service});
+      it != flowBindings_.end()) {
+    request = it->second;
+    // One client exchange per packet-in binding; the node is reused.
+    spareBindings_.push_back(flowBindings_.extract(it));
+  } else {
     // No controller interaction: the request rode already-installed switch
     // flows (warm path) -- it still gets its own timeline row.
     request = newRequest();
@@ -206,62 +270,89 @@ RequestId TraceRecorder::clientRequestDone(Ipv4 client, Endpoint service,
   return request;
 }
 
-const TraceSpan* TraceRecorder::spanById(SpanId id) const {
-  if (id == 0) return nullptr;
-  const std::size_t bufferIndex = id >> kLocalBits;
-  const std::uint64_t local = id & kLocalMask;
-  if (local == 0) return nullptr;
-  Buffer* buffer = nullptr;
-  {
-    std::lock_guard lock(buffersMutex_);
-    if (bufferIndex >= buffers_.size()) return nullptr;
-    buffer = buffers_[bufferIndex].get();
+// ---- access -----------------------------------------------------------------
+
+TraceValue TraceRecorder::valueOf(const Packed& arg) {
+  using Kind = TraceArgRef::Kind;
+  switch (arg.kind) {
+    case Kind::kText:
+      return arg.length == 0
+                 ? std::string()
+                 : std::string(wordAddress<char>(arg.word), arg.length);
+    case Kind::kIpv4:
+      return Ipv4(static_cast<std::uint32_t>(arg.word));
+    case Kind::kEndpoint:
+      return Endpoint(Ipv4(static_cast<std::uint32_t>(arg.word >> 16)),
+                      static_cast<std::uint16_t>(arg.word & 0xFFFF));
+    case Kind::kNumber:
+      return arg.word;
+    case Kind::kPacket:
+      return *wordAddress<PacketHeader>(arg.word);
+    case Kind::kError:
+      return *wordAddress<Error>(arg.word);
   }
-  std::lock_guard lock(buffer->mutex);
-  if (local > buffer->spans.size()) return nullptr;
-  return &buffer->spans[local - 1];  // deque storage: pointer stays valid
+  return std::string();
+}
+
+void TraceRecorder::appendView(TraceArgs& out, std::uint32_t first,
+                               std::uint32_t count) const {
+  for (std::uint32_t i = first; i < first + count; ++i) {
+    const Packed& arg = args_[i];
+    out.push_back({TraceKey(TraceKey::Stored{}, arg.key), valueOf(arg)});
+  }
+}
+
+TraceSpan TraceRecorder::spanView(std::size_t index) const {
+  const SpanRecord& record = spans_[index];
+  TraceSpan span;
+  span.id = index + 1;
+  span.parent = record.parent;
+  span.request = record.request;
+  span.name = record.name;
+  span.category = record.category;
+  span.start = record.start;
+  span.end = record.end;
+  span.open = record.open;
+  span.args.reserve(record.beginCount + record.extraCount);
+  appendView(span.args, record.beginFirst, record.beginCount);
+  appendView(span.args, record.extraFirst, record.extraCount);
+  return span;
+}
+
+std::optional<TraceSpan> TraceRecorder::spanById(SpanId id) const {
+  if (id == 0 || id > spans_.size()) return std::nullopt;
+  return spanView(id - 1);
 }
 
 std::vector<TraceSpan> TraceRecorder::spans() const {
-  std::vector<TraceSpan> merged;
-  std::size_t populated = 0;
-  for (Buffer* buffer : bufferList()) {
-    std::lock_guard lock(buffer->mutex);
-    if (!buffer->spans.empty()) ++populated;
-    merged.insert(merged.end(), buffer->spans.begin(), buffer->spans.end());
-  }
-  if (populated <= 1) return merged;  // recording order == seed order
-  // Multi-threaded recording: canonical content sort so the export does
-  // not depend on thread interleaving.
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const TraceSpan& a, const TraceSpan& b) {
-                     if (a.start != b.start) return a.start < b.start;
-                     if (a.request != b.request) return a.request < b.request;
-                     if (a.category != b.category) return a.category < b.category;
-                     if (a.name != b.name) return a.name < b.name;
-                     return a.id < b.id;
-                   });
-  return merged;
+  std::vector<TraceSpan> all;
+  all.reserve(spans_.size());
+  for (std::size_t i = 0; i < spans_.size(); ++i) all.push_back(spanView(i));
+  return all;
 }
 
 std::vector<TraceInstant> TraceRecorder::instants() const {
-  std::vector<TraceInstant> merged;
-  std::size_t populated = 0;
-  for (Buffer* buffer : bufferList()) {
-    std::lock_guard lock(buffer->mutex);
-    if (!buffer->instants.empty()) ++populated;
-    merged.insert(merged.end(), buffer->instants.begin(),
-                  buffer->instants.end());
+  std::vector<TraceInstant> all;
+  all.reserve(instants_.size());
+  for (std::size_t i = 0; i < instants_.size(); ++i) {
+    const InstantRecord& record = instants_[i];
+    TraceInstant instant;
+    instant.request = record.request;
+    instant.name = record.name;
+    instant.category = record.category;
+    instant.at = record.at;
+    instant.args.reserve(record.count);
+    appendView(instant.args, record.first, record.count);
+    all.push_back(std::move(instant));
   }
-  if (populated <= 1) return merged;
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const TraceInstant& a, const TraceInstant& b) {
-                     if (a.at != b.at) return a.at < b.at;
-                     if (a.request != b.request) return a.request < b.request;
-                     if (a.category != b.category) return a.category < b.category;
-                     return a.name < b.name;
-                   });
-  return merged;
+  return all;
+}
+
+std::size_t TraceRecorder::storageBytes() const {
+  static_assert(sizeof(SpanRecord) == 64 && sizeof(InstantRecord) == 40);
+  return spans_.capacityBytes() + instants_.capacityBytes() +
+         args_.capacityBytes() + packets_.capacityBytes() +
+         errors_.capacityBytes() + textBytes_;
 }
 
 // ---- export -----------------------------------------------------------------
@@ -368,16 +459,17 @@ std::vector<RequestBreakdown> TraceRecorder::breakdowns() const {
   const std::vector<TraceSpan> allSpans = spans();
 
   // Leaf spans (no children) are the phases; container spans ("deploy")
-  // would double-count their nested Pull/Create/Scale-Up children.
-  // Span IDs are sparse (buffer-encoded), so track parents in a set.
-  std::vector<SpanId> parents;
+  // would double-count their nested Pull/Create/Scale-Up children.  Span
+  // IDs are dense, so a flag per ID marks the parents.
+  std::vector<bool> isParent(allSpans.size() + 1, false);
   for (const auto& span : allSpans) {
-    if (span.parent != 0) parents.push_back(span.parent);
+    if (span.parent <= allSpans.size()) isParent[span.parent] = true;
   }
-  std::sort(parents.begin(), parents.end());
-  const auto hasChild = [&parents](SpanId id) {
-    return std::binary_search(parents.begin(), parents.end(), id);
-  };
+  const auto hasChild = [&isParent](SpanId id) { return isParent[id]; };
+  // Each request's spans in recording order, so a root visits only its own
+  // request's spans instead of every span.
+  std::unordered_map<RequestId, std::vector<const TraceSpan*>> byRequest;
+  for (const auto& span : allSpans) byRequest[span.request].push_back(&span);
 
   std::vector<RequestBreakdown> result;
   for (const auto& root : allSpans) {
@@ -387,12 +479,12 @@ std::vector<RequestBreakdown> TraceRecorder::breakdowns() const {
     RequestBreakdown breakdown;
     breakdown.request = root.request;
     breakdown.totalSeconds = root.duration().toSeconds();
+    const std::vector<const TraceSpan*>& mine = byRequest.at(root.request);
 
     const TraceSpan* resolve = nullptr;
-    for (const auto& span : allSpans) {
-      if (span.request == root.request && span.name == "resolve" &&
-          !span.open) {
-        resolve = &span;
+    for (const TraceSpan* span : mine) {
+      if (span->name == "resolve" && !span->open) {
+        resolve = span;
         break;
       }
     }
@@ -409,13 +501,11 @@ std::vector<RequestBreakdown> TraceRecorder::breakdowns() const {
       breakdown.segments.emplace_back("warm", breakdown.totalSeconds);
     }
 
-    for (const auto& span : allSpans) {
-      if (span.request != root.request || span.id == root.id || span.open) {
-        continue;
-      }
-      if (resolve != nullptr && span.id == resolve->id) continue;
-      if (hasChild(span.id)) continue;
-      breakdown.phases.emplace_back(span.name, span.duration().toSeconds());
+    for (const TraceSpan* span : mine) {
+      if (span->id == root.id || span->open) continue;
+      if (resolve != nullptr && span->id == resolve->id) continue;
+      if (hasChild(span->id)) continue;
+      breakdown.phases.emplace_back(span->name, span->duration().toSeconds());
     }
     result.push_back(std::move(breakdown));
   }

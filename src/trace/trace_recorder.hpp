@@ -10,19 +10,25 @@
 // flow installation, and joined with the client-side timecurl measurement
 // when the response lands.
 //
-// Thread model: recording goes to PER-THREAD buffers.  The first thread to
-// record (the recorder's creator, i.e. the simulation thread) owns buffer
-// 0; other threads lazily acquire their own buffer on first use.  Request
-// IDs come from one atomic counter, so IDs allocated on different threads
-// never collide.  Buffers are merged only at export:
-//   * one populated buffer (every single-threaded run) -> events export in
-//     recording order with the same span IDs as the pre-threading layout,
-//     so deterministic runs stay BIT-IDENTICAL to the seed;
-//   * several populated buffers -> a canonical content sort (start time,
-//     request, category, name, id) makes the export independent of thread
-//     interleaving, though not of the run's thread/buffer assignment.
-// Span IDs encode (buffer, local index) so endSpan() finds its span without
-// any global table; buffer 0 reproduces the seed's 1-based dense IDs.
+// Thread model: ONE writer.  The thread that constructs the recorder (the
+// simulation thread in every testbed) is the only one that records; every
+// recording call checks this with an always-on assertion that names the
+// owner thread.  Reads and exports are legal from any thread once
+// recording has stopped.  Span IDs are dense and 1-based in recording
+// order, so identical call sequences yield identical IDs and exports.
+//
+// Storage: one compact store, cheap enough to leave on.  Each span and
+// instant is a fixed-size record in chunked blocks (util/chunked_store.hpp:
+// nothing moves, growth never copies); names, categories and argument keys
+// are TraceKeys, i.e. pointers to string literals; arguments live in one
+// chunked argument store and each event points into it by (first, count).
+// A stored argument is its key pointer plus a packed 16-byte value:
+// integers and addresses inline, text in an append-only character arena,
+// packet headers and errors in side stores.  Recording calls take their
+// arguments as an initializer list of TraceArgRef, which borrows text for
+// the duration of the call, so recording allocates nothing per event.
+// spans() / instants() build TraceSpan / TraceInstant values on demand, and
+// every value is formatted only at export.
 //
 // Exports:
 //   * Chrome trace_event JSON ("X"/"i"/"M" events, chrome://tracing and
@@ -33,12 +39,11 @@
 //   * per-phase Samples maps feeding the BENCH_<name>.json reports.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
+#include <initializer_list>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <variant>
@@ -47,7 +52,9 @@
 #include "net/addr.hpp"
 #include "net/packet.hpp"
 #include "sim/time.hpp"
+#include "util/chunked_store.hpp"
 #include "util/json.hpp"
+#include "util/owner_thread.hpp"
 #include "util/result.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -56,13 +63,12 @@ namespace edgesim::trace {
 
 /// Monotonic per-recorder request identifier; 0 = unattributed.
 using RequestId = std::uint64_t;
-/// Span identifier; 0 = none.  Encodes (buffer << 40) | (local index + 1);
-/// buffer 0 (single-threaded recording) yields dense 1-based IDs.
+/// Span identifier; 0 = none.  Dense and 1-based in recording order.
 using SpanId = std::uint64_t;
 
-/// A trace argument's key.  Only a string literal binds (a consteval
-/// constructor over `const char (&)[N]`), so the recorder keeps the bare
-/// pointer: the text outlives every trace and costs no allocation.
+/// A trace name, category or argument key.  Only a string literal binds (a
+/// consteval constructor over `const char (&)[N]`), so the recorder keeps
+/// the bare pointer: the text outlives every trace and costs no allocation.
 class TraceKey {
  public:
   template <std::size_t N>
@@ -71,6 +77,11 @@ class TraceKey {
   constexpr const char* c_str() const { return text_; }
 
  private:
+  friend class TraceRecorder;
+  struct Stored {};
+  /// A key read back from the store (it was a literal when recorded).
+  constexpr TraceKey(Stored, const char* text) : text_(text) {}
+
   const char* text_;
 };
 
@@ -83,12 +94,48 @@ using TraceValue = std::variant<std::string, Ipv4, Endpoint, std::uint64_t,
 /// address, packet header or error, or the decimal digits of an integer.
 std::string formatTraceValue(const TraceValue& value);
 
+/// One argument of an exported span or instant.
 struct TraceArg {
   TraceKey key;
   TraceValue value;
 };
 
 using TraceArgs = std::vector<TraceArg>;
+
+/// One argument of a recording call: a literal key and a value of any
+/// TraceValue alternative.  Text (and a packet header or error) is borrowed
+/// until the call returns -- the recorder copies what it keeps -- so
+/// building the argument list never allocates.
+class TraceArgRef {
+ public:
+  TraceArgRef(TraceKey key, const char* text);
+  TraceArgRef(TraceKey key, const std::string& text);
+  TraceArgRef(TraceKey key, Ipv4 ip);
+  TraceArgRef(TraceKey key, Endpoint endpoint);
+  TraceArgRef(TraceKey key, std::uint64_t number);
+  TraceArgRef(TraceKey key, const PacketHeader& header);
+  TraceArgRef(TraceKey key, const Error& error);
+  TraceArgRef(TraceKey key, const TraceValue& value);
+
+ private:
+  friend class TraceRecorder;
+  enum class Kind : std::uint8_t {
+    kText, kIpv4, kEndpoint, kNumber, kPacket, kError
+  };
+  /// 24 bytes, the layout of a stored argument too.  `word` holds the
+  /// integer, the packed address, or the address of the text / header /
+  /// error (the caller's while recording, the recorder's once stored).
+  struct Packed {
+    const char* key;
+    std::uint64_t word;
+    std::uint32_t length;  // text length
+    Kind kind;
+  };
+
+  Packed packed_;
+};
+
+using TraceArgList = std::initializer_list<TraceArgRef>;
 
 struct TraceSpan {
   SpanId id = 0;
@@ -99,7 +146,7 @@ struct TraceSpan {
   SimTime start;
   SimTime end;
   bool open = true;         // endSpan not yet seen
-  TraceArgs args;
+  TraceArgs args;           // beginSpan's, then endSpan's extras
 
   SimTime duration() const { return end - start; }
 };
@@ -127,44 +174,37 @@ struct RequestBreakdown {
 
 class TraceRecorder {
  public:
-  TraceRecorder();
+  TraceRecorder() = default;
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
   /// Disabled recorders turn every call into a no-op (and allocate nothing).
-  void setEnabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  void setEnabled(bool enabled) { enabled_ = enabled; }
+  bool enabled() const { return enabled_; }
 
-  /// Bound total stored events (spans + instants across all buffers); 0 =
-  /// unbounded, the historical default.  Over the cap, beginSpan returns 0
-  /// (endSpan(0) is already a no-op) and instants are discarded; drops are
-  /// tallied in droppedEvents() and surfaced through the telemetry registry
-  /// as `edgesim_trace_dropped_events`.  The count uses relaxed atomics, so
-  /// the cap is approximate under concurrency (off by at most the number of
-  /// recording threads).
-  void setCapacity(std::size_t maxEvents) {
-    maxEvents_.store(maxEvents, std::memory_order_relaxed);
-  }
-  std::size_t droppedEvents() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  /// Bound the stored events (spans + instants); 0 = unbounded, the
+  /// historical default.  Over the cap, beginSpan returns 0 (endSpan(0) is
+  /// already a no-op) and instants are discarded; drops are tallied in
+  /// droppedEvents() and surfaced through the telemetry registry as
+  /// `edgesim_trace_dropped_events`.
+  void setCapacity(std::size_t maxEvents) { maxEvents_ = maxEvents; }
+  std::size_t droppedEvents() const { return dropped_; }
 
-  // ---- recording (all thread-safe) ----------------------------------------
+  // ---- recording (owner thread only) --------------------------------------
   RequestId newRequest();
 
-  SpanId beginSpan(RequestId request, const std::string& name,
-                   const std::string& category, SimTime now,
-                   TraceArgs args = {}, SpanId parent = 0);
-  void endSpan(SpanId span, SimTime now, TraceArgs extraArgs = {});
+  SpanId beginSpan(RequestId request, TraceKey name, TraceKey category,
+                   SimTime now, TraceArgList args = {}, SpanId parent = 0);
+  /// Close `span` at `now`; `extraArgs` export after beginSpan's.  0 and
+  /// unknown IDs are ignored.
+  void endSpan(SpanId span, SimTime now, TraceArgList extraArgs = {});
   /// Record a span whose start/end are both known (async completions).
-  SpanId completeSpan(RequestId request, const std::string& name,
-                      const std::string& category, SimTime start, SimTime end,
-                      TraceArgs args = {}, SpanId parent = 0);
-  void instant(RequestId request, const std::string& name,
-               const std::string& category, SimTime at, TraceArgs args = {});
+  SpanId completeSpan(RequestId request, TraceKey name, TraceKey category,
+                      SimTime start, SimTime end, TraceArgList args = {},
+                      SpanId parent = 0);
+  void instant(RequestId request, TraceKey name, TraceKey category,
+               SimTime at, TraceArgList args = {});
 
   // ---- request-ID propagation to the client side --------------------------
   /// The controller binds the (client, service) flow key to the request ID
@@ -180,16 +220,14 @@ class TraceRecorder {
                               const std::string& series);
 
   // ---- access --------------------------------------------------------------
-  /// Merged snapshot of all buffers (see header comment for ordering).
+  /// Every span / instant in recording order, built from the store.
   std::vector<TraceSpan> spans() const;
   std::vector<TraceInstant> instants() const;
-  std::size_t spanCount() const {
-    return spanCount_.load(std::memory_order_relaxed);
-  }
-  /// Decode `id` into its per-thread buffer; pointer stays valid for the
-  /// recorder's lifetime (deque storage), but don't hold it across a
-  /// concurrent endSpan() of the same span.
-  const TraceSpan* spanById(SpanId id) const;
+  std::size_t spanCount() const { return spans_.size(); }
+  /// The span `id` names, or nullopt for 0 and unknown IDs.
+  std::optional<TraceSpan> spanById(SpanId id) const;
+  /// Bytes the store has allocated: records, arguments, text, side stores.
+  std::size_t storageBytes() const;
 
   // ---- export -------------------------------------------------------------
   /// Chrome trace_event document: {"traceEvents": [...], ...}.  `pid` is
@@ -209,37 +247,68 @@ class TraceRecorder {
   std::map<std::string, Samples> phaseSamples() const;
 
  private:
-  /// One thread's recording area.  Only the owning thread appends;
-  /// endSpan() and export may come from other threads, so every access
-  /// goes through the buffer mutex (uncontended in the common case).
-  struct Buffer {
-    mutable std::mutex mutex;
-    std::deque<TraceSpan> spans;      // deque: spanById pointers stay stable
-    std::deque<TraceInstant> instants;
+  using Packed = TraceArgRef::Packed;
+
+  /// A span: 64 bytes.  Its arguments are two ranges of args_: beginSpan's
+  /// and endSpan's extras, so closing a span never moves an argument.
+  struct SpanRecord {
+    RequestId request;
+    SpanId parent;
+    const char* name;
+    const char* category;
+    SimTime start;
+    SimTime end;
+    std::uint32_t beginFirst;
+    std::uint32_t extraFirst;
+    std::uint16_t beginCount;
+    std::uint16_t extraCount;
+    bool open;
+  };
+  /// An instant: 40 bytes.
+  struct InstantRecord {
+    RequestId request;
+    const char* name;
+    const char* category;
+    SimTime at;
+    std::uint32_t first;
+    std::uint32_t count;
   };
 
-  /// This thread's (buffer index, buffer) in this recorder, creating the
-  /// buffer on first use.  The pointer is cached thread-locally so the hot
-  /// path never reads the (mutable) registry vector.
-  std::pair<std::size_t, Buffer*> myBuffer();
-  /// Stable snapshot of the buffer registry (buffers are never removed).
-  std::vector<Buffer*> bufferList() const;
-  /// Reserve storage for one more event; false = cap reached, drop it.
+  /// Whether one more event fits under the cap; counts a drop when not.
   bool admitEvent();
+  /// Copy `args` to the end of args_; returns the index of the first.
+  std::uint32_t appendArgs(TraceArgList args);
+  /// Stored copy of one argument: text, header and error move into the
+  /// recorder's own storage.
+  Packed store(const Packed& arg);
+  /// Text of `length` chars at a stable address in the arena.
+  const char* storeText(const char* text, std::size_t length);
+  static TraceValue valueOf(const Packed& arg);
+  void appendView(TraceArgs& out, std::uint32_t first,
+                  std::uint32_t count) const;
+  TraceSpan spanView(std::size_t index) const;
 
-  const std::uint64_t id_;  // globally unique; keys the thread-local lookup
-  std::atomic<bool> enabled_{true};
-  std::atomic<RequestId> nextRequest_{0};
-  std::atomic<std::size_t> spanCount_{0};
-  std::atomic<std::size_t> maxEvents_{0};
-  std::atomic<std::size_t> eventCount_{0};
-  std::atomic<std::size_t> dropped_{0};
+  OwnerThread owner_;
+  bool enabled_ = true;
+  RequestId nextRequest_ = 0;
+  std::size_t maxEvents_ = 0;
+  std::size_t dropped_ = 0;
 
-  mutable std::mutex buffersMutex_;
-  std::vector<std::unique_ptr<Buffer>> buffers_;
+  ChunkedStore<SpanRecord> spans_;
+  ChunkedStore<InstantRecord> instants_;
+  ChunkedStore<Packed> args_;
+  ChunkedStore<PacketHeader> packets_;
+  ChunkedStore<Error> errors_;
+  std::vector<std::unique_ptr<char[]>> textChunks_;
+  std::size_t textBytes_ = 0;
+  char* textCursor_ = nullptr;
+  std::size_t textFree_ = 0;
 
-  std::mutex bindingsMutex_;
-  std::map<std::pair<Ipv4, Endpoint>, RequestId> flowBindings_;
+  /// Consumed bindings' nodes are kept and reused, so binding a flow
+  /// allocates only while the number of unconsumed bindings grows.
+  using Bindings = std::map<std::pair<Ipv4, Endpoint>, RequestId>;
+  Bindings flowBindings_;
+  std::vector<Bindings::node_type> spareBindings_;
 };
 
 }  // namespace edgesim::trace

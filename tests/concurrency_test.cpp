@@ -1,15 +1,17 @@
 // Concurrency suite for the threaded substrate that remains: parallelFor
-// behind the bench sweeps, and the thread-safe Recorder / TraceRecorder.
+// behind the bench sweeps, and the one-writer rule of the recorders.
 //
 // Run under ThreadSanitizer (cmake -DEDGESIM_SANITIZE=tsan, ctest
-// -L concurrency) -- several tests here are primarily data-race probes:
-// they hammer the shared structures from many threads and rely on TSan to
-// flag any unsynchronized access, while their functional assertions pin
-// the invariants callers depend on:
+// -L concurrency).  The simulation runs one event queue on one thread, so
+// the recorders have one writer and no locks:
 //
-//   * parallelFor: every index runs exactly once, across threads.
+//   * parallelFor: every index runs exactly once, across threads (a
+//     data-race probe as well: TSan flags unsynchronized access).
 //   * TraceRecorder / metrics::Recorder: request-ID allocation, span
-//     recording and sample counters stay exact under contention.
+//     recording and sample counters stay exact over many interleaved
+//     requests from the owner thread; a recording read back on another
+//     thread after recording stopped sees every event; and a write from a
+//     second thread aborts with a message naming the owner thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -39,105 +41,125 @@ TEST(ParallelFor, WithNoTasksReturns) {
   EXPECT_EQ(calls.load(), 0);
 }
 
-// ------------------------------------ recorder thread-safety probes ----
+// ------------------------------------------ one-writer recorders ----
 
 TEST(RecorderConcurrency, TraceRequestIdsAreUniqueUnderContention) {
-  // Regression probe for the unguarded `++nextRequest_`: racing allocators
-  // used to be able to hand out duplicate request IDs (and trip TSan).
+  // Many logical requesters interleaved on the owner thread: every ID is
+  // unique and the sequence is dense (no lost increments).
   trace::TraceRecorder trace;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 2000;
-  std::vector<std::vector<trace::RequestId>> ids(kThreads);
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&trace, &ids, t] {
-      ids[t].reserve(kPerThread);
-      for (int i = 0; i < kPerThread; ++i) ids[t].push_back(trace.newRequest());
-    });
+  constexpr int kRequesters = 8;
+  constexpr int kPerRequester = 2000;
+  std::vector<std::vector<trace::RequestId>> ids(kRequesters);
+  for (int i = 0; i < kPerRequester; ++i) {
+    for (int r = 0; r < kRequesters; ++r) ids[r].push_back(trace.newRequest());
   }
-  for (auto& thread : threads) thread.join();
 
   std::set<trace::RequestId> unique;
-  for (const auto& perThread : ids) {
-    unique.insert(perThread.begin(), perThread.end());
+  for (const auto& perRequester : ids) {
+    unique.insert(perRequester.begin(), perRequester.end());
   }
-  EXPECT_EQ(unique.size(), static_cast<std::size_t>(kThreads) * kPerThread);
-  EXPECT_EQ(*unique.rbegin(), static_cast<trace::RequestId>(kThreads) *
-                                  kPerThread);  // dense: no lost increments
+  EXPECT_EQ(unique.size(),
+            static_cast<std::size_t>(kRequesters) * kPerRequester);
+  EXPECT_EQ(*unique.rbegin(), static_cast<trace::RequestId>(kRequesters) *
+                                  kPerRequester);
 }
 
 TEST(RecorderConcurrency, TraceSpansFromManyThreadsAllSurviveToExport) {
+  // Interleaved open spans from many logical requesters, recorded on the
+  // owner thread and read back on another one once recording stopped.
   trace::TraceRecorder trace;
-  constexpr int kThreads = 6;
-  constexpr int kPerThread = 500;
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&trace, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        const auto rid = trace.newRequest();
-        const auto span = trace.beginSpan(rid, "work", "test",
-                                          SimTime::millis(i));
-        trace.instant(rid, "tick", "test", SimTime::millis(i),
-                      {{"thread", std::to_string(t)}});
-        trace.endSpan(span, SimTime::millis(i + 1));
-      }
-    });
+  constexpr int kRequesters = 6;
+  constexpr int kPerRequester = 500;
+  for (int i = 0; i < kPerRequester; ++i) {
+    std::vector<trace::SpanId> open;
+    for (int r = 0; r < kRequesters; ++r) {
+      const auto rid = trace.newRequest();
+      open.push_back(trace.beginSpan(rid, "work", "test", SimTime::millis(i)));
+      trace.instant(rid, "tick", "test", SimTime::millis(i),
+                    {{"requester", std::to_string(r)}});
+    }
+    for (const trace::SpanId span : open) {
+      trace.endSpan(span, SimTime::millis(i + 1));
+    }
   }
-  for (auto& thread : threads) thread.join();
 
-  const auto spans = trace.spans();
-  ASSERT_EQ(spans.size(), static_cast<std::size_t>(kThreads) * kPerThread);
+  std::vector<trace::TraceSpan> spans;
+  std::size_t instants = 0;
+  std::thread reader([&trace, &spans, &instants] {
+    spans = trace.spans();
+    instants = trace.instants().size();
+  });
+  reader.join();
+
+  ASSERT_EQ(spans.size(),
+            static_cast<std::size_t>(kRequesters) * kPerRequester);
   EXPECT_EQ(trace.spanCount(), spans.size());
   std::set<trace::SpanId> spanIds;
   for (const auto& span : spans) {
     EXPECT_FALSE(span.open);
     spanIds.insert(span.id);
-    const auto* byId = trace.spanById(span.id);
-    ASSERT_NE(byId, nullptr);
+    const auto byId = trace.spanById(span.id);
+    ASSERT_TRUE(byId.has_value());
     EXPECT_EQ(byId->id, span.id);
   }
-  EXPECT_EQ(spanIds.size(), spans.size());  // encoded IDs never collide
-  EXPECT_EQ(trace.instants().size(),
-            static_cast<std::size_t>(kThreads) * kPerThread);
+  EXPECT_EQ(spanIds.size(), spans.size());  // IDs never collide
+  EXPECT_EQ(instants, static_cast<std::size_t>(kRequesters) * kPerRequester);
 }
 
 TEST(RecorderConcurrency, MetricsSamplesAndFailuresAreNotLost) {
-  // Regression probe for the unguarded samples map / failure counter.
   metrics::Recorder recorder;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 1000;
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&recorder, t] {
-      const std::string series = "series/" + std::to_string(t % 4);
-      for (int i = 0; i < kPerThread; ++i) {
-        recorder.addSample(series, static_cast<double>(i));
-        if (i % 10 == 0) {
-          metrics::RequestRecord record;
-          record.series = series;
-          record.total = SimTime::millis(i);
-          record.success = (t % 2 == 0);
-          recorder.add(std::move(record));
-        }
+  constexpr int kWriters = 8;
+  constexpr int kPerWriter = 1000;
+  for (int i = 0; i < kPerWriter; ++i) {
+    for (int w = 0; w < kWriters; ++w) {
+      const std::string series = "series/" + std::to_string(w % 4);
+      recorder.addSample(series, static_cast<double>(i));
+      if (i % 10 == 0) {
+        metrics::RequestRecord record;
+        record.series = series;
+        record.total = SimTime::millis(i);
+        record.success = (w % 2 == 0);
+        recorder.add(std::move(record));
       }
-    });
+    }
   }
-  for (auto& thread : threads) thread.join();
 
   std::size_t samples = 0;
   for (const auto& name : recorder.seriesNames()) {
     samples += recorder.series(name)->count();
   }
   // addSample contributions plus the successful add() records.
-  EXPECT_EQ(samples, static_cast<std::size_t>(kThreads) * kPerThread +
-                         (kThreads / 2) * (kPerThread / 10));
+  EXPECT_EQ(samples, static_cast<std::size_t>(kWriters) * kPerWriter +
+                         (kWriters / 2) * (kPerWriter / 10));
   EXPECT_EQ(recorder.totalRecords(),
-            static_cast<std::size_t>(kThreads) * (kPerThread / 10));
+            static_cast<std::size_t>(kWriters) * (kPerWriter / 10));
   EXPECT_EQ(recorder.failureCount(),
-            static_cast<std::size_t>(kThreads / 2) * (kPerThread / 10));
+            static_cast<std::size_t>(kWriters / 2) * (kPerWriter / 10));
+}
+
+// A write from any thread but the constructing one is a programming error:
+// it aborts, naming the owner thread, instead of racing.
+TEST(OneWriterDeathTest, TraceRecorderAbortsOnASecondWriterThread) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        trace::TraceRecorder trace;
+        std::thread([&trace] {
+          trace.instant(0, "tick", "test", SimTime::zero());
+        }).join();
+      },
+      "TraceRecorder is written only by its owner thread [0-9]+");
+}
+
+TEST(OneWriterDeathTest, MetricsRecorderAbortsOnASecondWriterThread) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        metrics::Recorder recorder;
+        std::thread([&recorder] { recorder.addSample("series", 1.0); })
+            .join();
+      },
+      "Recorder is written only by its owner thread [0-9]+");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Telemetry subsystem tests: striped-registry merge correctness under
-// concurrent writers (run under `ctest -L concurrency`, which the CI TSan
-// job builds with -fsanitize=thread), histogram bucket boundaries,
+// Telemetry subsystem tests: one-cell counters, histograms and registry
+// snapshots that stay exact over interleaved writes (run under `ctest -L
+// concurrency`, which the CI TSan job builds with -fsanitize=thread),
+// histogram bucket boundaries,
 // Prometheus / JSON golden serialization, lintPrometheus accept/reject
 // cases, the SLO watchdog trigger/no-trigger paths, the bounded
 // Recorder / TraceRecorder buffers, and the one-ledger contract: every
@@ -11,7 +12,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,79 +30,68 @@ namespace {
 
 using edgesim::trace::TraceRecorder;
 
-// ---- striped writes ---------------------------------------------------------
+// ---- one cell per metric ----------------------------------------------------
 
-TEST(CounterTest, MergesConcurrentStripedWriters) {
-  constexpr int kThreads = 8;
-  constexpr std::uint64_t kPerThread = 20000;
+TEST(CounterTest, CountsEveryAddOfInterleavedWriters) {
+  constexpr int kWriters = 8;
+  constexpr std::uint64_t kPerWriter = 20000;
   Counter counter;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&counter] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) counter.add();
-    });
+  for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+    for (int w = 0; w < kWriters; ++w) counter.add();
   }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(counter.value(), kThreads * kPerThread);
+  EXPECT_EQ(counter.value(), kWriters * kPerWriter);
 }
 
-TEST(HistogramTest, MergesConcurrentStripedWriters) {
-  constexpr int kThreads = 8;
-  constexpr std::uint64_t kPerThread = 10000;
+TEST(HistogramTest, CountsAndSumsEveryObservationOfInterleavedWriters) {
+  constexpr int kWriters = 8;
+  constexpr std::uint64_t kPerWriter = 10000;
   Histogram hist;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    // Distinct per-thread values so the merge also has to sum distinct
+  for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+    // Distinct per-writer values, so the observations land in distinct
     // buckets, not just one hot cell.
-    const double value = 0.001 * (t + 1);
-    threads.emplace_back([&hist, value] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) hist.observe(value);
-    });
+    for (int w = 0; w < kWriters; ++w) hist.observe(0.001 * (w + 1));
   }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(hist.count(), kThreads * kPerThread);
+  EXPECT_EQ(hist.count(), kWriters * kPerWriter);
   // Sum of 10000 * (1+2+...+8) ms = 360 s, at nanosecond resolution.
   EXPECT_NEAR(hist.sum(), 360.0, 1e-3);
 }
 
-TEST(MetricsRegistryTest, ConcurrentWritersAndSnapshotsMergeExactly) {
-  constexpr int kThreads = 6;
-  constexpr std::uint64_t kPerThread = 5000;
+TEST(MetricsRegistryTest, InterleavedWritesAndSnapshotsAgreeExactly) {
+  constexpr int kWriters = 6;
+  constexpr std::uint64_t kPerWriter = 5000;
   MetricsRegistry registry;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry, t] {
-      // Handles resolve once; the loop is pure striped writes.
-      Counter& mine =
-          registry.counter("worker_ops_total", {{"worker", std::to_string(t)}});
-      Counter& shared = registry.counter("ops_total");
-      Histogram& hist = registry.histogram("op_seconds");
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        mine.add();
-        shared.add();
-        hist.observe(1e-6);
-      }
-    });
+  // Handles resolve once; the loop is pure cell writes.
+  std::vector<Counter*> mine;
+  for (int w = 0; w < kWriters; ++w) {
+    mine.push_back(&registry.counter("worker_ops_total",
+                                     {{"worker", std::to_string(w)}}));
   }
-  // Snapshots while writers run must be safe (values are approximations).
-  for (int i = 0; i < 50; ++i) {
-    const TelemetrySnapshot mid = registry.snapshot(0.0);
-    EXPECT_LE(mid.counterTotal("ops_total"), kThreads * kPerThread);
+  Counter& shared = registry.counter("ops_total");
+  Histogram& seconds = registry.histogram("op_seconds");
+  for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+    for (int w = 0; w < kWriters; ++w) {
+      mine[w]->add();
+      shared.add();
+      seconds.observe(1e-6);
+    }
+    // Snapshots between writes see every write so far.
+    if (i % 100 == 0) {
+      const TelemetrySnapshot mid = registry.snapshot(0.0);
+      EXPECT_EQ(mid.counterTotal("ops_total"), (i + 1) * kWriters);
+    }
   }
-  for (std::thread& thread : threads) thread.join();
 
-  // Quiescent: the merge is exact.
   const TelemetrySnapshot snap = registry.snapshot(1.0);
-  EXPECT_EQ(snap.counterValue("ops_total"), kThreads * kPerThread);
-  EXPECT_EQ(snap.counterTotal("worker_ops_total"), kThreads * kPerThread);
-  for (int t = 0; t < kThreads; ++t) {
+  EXPECT_EQ(snap.counterValue("ops_total"), kWriters * kPerWriter);
+  EXPECT_EQ(snap.counterTotal("worker_ops_total"), kWriters * kPerWriter);
+  for (int w = 0; w < kWriters; ++w) {
     EXPECT_EQ(snap.counterValue("worker_ops_total",
-                                {{"worker", std::to_string(t)}}),
-              kPerThread);
+                                {{"worker", std::to_string(w)}}),
+              kPerWriter);
   }
   const SnapshotHistogram* hist = snap.findHistogram("op_seconds");
   ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->count, kThreads * kPerThread);
+  EXPECT_EQ(hist->count, kWriters * kPerWriter);
 }
 
 TEST(MetricsRegistryTest, HandlesAreStableAcrossLookups) {

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <type_traits>
@@ -45,8 +46,8 @@ TEST(TraceRecorder, SpanIdsAreStableAndNested) {
   recorder.endSpan(root, 400_ms);
 
   ASSERT_EQ(recorder.spanCount(), 3u);
-  const trace::TraceSpan* deploySpan = recorder.spanById(deploy);
-  ASSERT_NE(deploySpan, nullptr);
+  const std::optional<trace::TraceSpan> deploySpan = recorder.spanById(deploy);
+  ASSERT_TRUE(deploySpan.has_value());
   EXPECT_EQ(deploySpan->parent, resolve);
   EXPECT_EQ(recorder.spanById(resolve)->parent, root);
   EXPECT_EQ(recorder.spanById(root)->parent, 0u);
