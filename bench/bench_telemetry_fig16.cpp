@@ -10,6 +10,7 @@
 // the Recorder / controller end-of-run numbers:
 //   * warm/cold resolve histogram counts == recorder series counts,
 //   * request-outcome counters == controller accessors,
+//   * client-request counters == recorder client samples / failures,
 //   * per-phase deploy histogram counts == recorder phase sample counts,
 //   * the on-disk JSON snapshot round-trips, and the .prom file lints.
 #include <cstdio>
@@ -139,11 +140,16 @@ int main() {
           controller.scaleDowns(),
           "scale_downs_total == controller.scaleDowns");
 
-  // Client-side series vs. the Recorder.
+  // Client-side series vs. the Recorder: one sample per answered request.
+  const auto* warmup = bed.recorder().series("warmup");
   checkEq(snap.counterValue("edgesim_client_requests_total",
                             {{"outcome", "ok"}}),
-          bed.recorder().totalRecords() - bed.recorder().failureCount(),
-          "client ok counter == recorder successful records");
+          (warmup != nullptr ? warmup->count() : 0) + warm->count(),
+          "client ok counter == recorder client samples");
+  checkEq(snap.counterValue("edgesim_client_requests_total",
+                            {{"outcome", "error"}}),
+          bed.recorder().failureCount(),
+          "client error counter == recorder failures");
   const auto* clientHist =
       snap.findHistogram("edgesim_client_request_seconds");
   check(clientHist != nullptr, "client request histogram present");

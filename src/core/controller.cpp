@@ -102,7 +102,6 @@ EdgeController::EdgeController(Simulation& sim, ControllerOptions options,
     : sim_(sim),
       options_(options),
       profiles_(profiles),
-      recorder_(recorder),
       trace_(trace),
       telemetry_(telemetry),
       ledger_(telemetry != nullptr ? *telemetry : ownRegistry_),
@@ -143,7 +142,7 @@ EdgeController::EdgeController(Simulation& sim, ControllerOptions options,
   dispatcherOptions.cloudFallback = options_.cloudFallback;
   dispatcherOptions.quarantineCooldown = options_.quarantineCooldown;
   dispatcher_ = std::make_unique<Dispatcher>(
-      sim_, memory_, *scheduler_, adapters_, recorder_, dispatcherOptions,
+      sim_, memory_, *scheduler_, adapters_, recorder, dispatcherOptions,
       trace_, telemetry_, governor_.get());
 
   // §IV-A2: once a BEST (background) deployment is running, future

@@ -171,6 +171,7 @@ class EdgeController : public openflow::ControllerApp {
   /// latency histograms, handover histograms, FlowMemory series, and
   /// per-cluster dispatcher phase histograms.  Without it the counters go
   /// to a private registry.  Handles are resolved once up front.
+  /// `recorder` (optional) goes to the dispatcher for its phase samples.
   EdgeController(Simulation& sim, ControllerOptions options,
                  std::vector<ClusterAdapter*> adapters,
                  const AppProfileRegistry& profiles,
@@ -496,7 +497,6 @@ class EdgeController : public openflow::ControllerApp {
   Simulation& sim_;
   ControllerOptions options_;
   const AppProfileRegistry& profiles_;
-  metrics::Recorder* recorder_;
   trace::TraceRecorder* trace_;
   telemetry::MetricsRegistry* telemetry_;
   /// Counter store when the caller passed no registry.

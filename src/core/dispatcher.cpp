@@ -393,13 +393,6 @@ void Dispatcher::resolve(ServiceModelPtr model, Ipv4 client,
                             {{"failed_cluster", clusterName},
                              {"error", result.error()}});
                       }
-                      if (recorder_ != nullptr) {
-                        recorder_->addSample("fallback", 1.0);
-                        recorder_->addSample(
-                            strprintf("%s/%s/fallback", model->tag.c_str(),
-                                      clusterName.c_str()),
-                            1.0);
-                      }
                       ES_WARN("dispatcher",
                               "degrading %s to cloud after failure on %s: %s",
                               model->uniqueName.c_str(), clusterName.c_str(),
@@ -540,12 +533,6 @@ void Dispatcher::onPhaseFailure(const ServiceModelPtr& service,
                      {"cluster", cluster.name()},
                      {"backoff_ms", strprintf("%.1f", delay.toMillis())},
                      {"error", error}});
-  }
-  if (recorder_ != nullptr) {
-    recorder_->addSample("retry", 1.0);
-    recorder_->addSample(strprintf("%s/%s/retry", service->tag.c_str(),
-                                   cluster.name().c_str()),
-                         delay.toSeconds());
   }
   ES_INFO("dispatcher", "retry %d/%d of %s on %s in %.3fs after: %s",
           deploy.retriesUsed, options_.retry.maxRetries,
@@ -730,7 +717,6 @@ void Dispatcher::finishDeploy(const std::string& key,
                                     options_.quarantineCooldown.toSeconds())},
                          {"error", result.error()}});
       }
-      if (recorder_ != nullptr) recorder_->addSample("quarantine", 1.0);
       ES_WARN("dispatcher", "quarantining %s for %.1fs after: %s",
               cluster.c_str(), options_.quarantineCooldown.toSeconds(),
               result.error().toString().c_str());

@@ -98,6 +98,8 @@ class Dispatcher : private ReadinessObserver {
   /// without it the counters go to a private registry.  Handles are
   /// resolved once here (deployment work is sim-thread only, but the
   /// striped instruments stay safe to read at any time).
+  /// `recorder` (optional) gets one `<tag>/<cluster>/<phase>` sample per
+  /// completed deployment phase, in seconds; it holds no counts.
   /// `governor` (optional) adds overload protection: deadline budgets fail
   /// fast to the cloud, per-cluster deploy tokens cap concurrent
   /// deployments, circuit-breaker outcomes are fed from deployment results,

@@ -7,23 +7,12 @@ namespace edgesim::core {
 Testbed::Testbed(TestbedOptions options)
     : options_(options), sim_(options.seed) {
   trace_.setEnabled(options_.tracing);
-  recorder_.setCapacity(options_.recorderMaxRecords,
-                        options_.recorderMaxSamplesPerSeries);
-  trace_.setCapacity(options_.traceMaxEvents);
   if (options_.telemetry) {
     clientHist_ = &telemetry_.histogram("edgesim_client_request_seconds");
     clientOk_ = &telemetry_.counter("edgesim_client_requests_total",
                                     {{"outcome", "ok"}});
     clientError_ = &telemetry_.counter("edgesim_client_requests_total",
                                        {{"outcome", "error"}});
-    // Buffer-cap drops are polled at snapshot time rather than pushed on
-    // the recording paths.
-    telemetry_.gaugeFn("edgesim_recorder_dropped_events", {}, [this] {
-      return static_cast<double>(recorder_.droppedEvents());
-    });
-    telemetry_.gaugeFn("edgesim_trace_dropped_events", {}, [this] {
-      return static_cast<double>(trace_.droppedEvents());
-    });
   }
   net_ = std::make_unique<Network>(sim_);
 
@@ -198,21 +187,14 @@ void Testbed::request(std::size_t clientIndex, Endpoint address,
   client.httpRequest(address, req,
                      [this, series, clientIp, address,
                       cb = std::move(cb)](Result<HttpExchange> r) {
-                       metrics::RequestRecord record;
-                       record.series = series;
-                       record.success = r.ok();
-                       if (clientHist_ != nullptr) {
-                         (r.ok() ? clientOk_ : clientError_)->add();
-                         if (r.ok()) {
-                           clientHist_->observe(
-                               r.value().timings.timeTotal().toSeconds());
-                         }
-                       }
                        if (r.ok()) {
-                         record.start = r.value().timings.start;
-                         record.total = r.value().timings.timeTotal();
-                         record.synRetransmits =
-                             r.value().timings.synRetransmits;
+                         const double total =
+                             r.value().timings.timeTotal().toSeconds();
+                         if (clientHist_ != nullptr) {
+                           clientOk_->add();
+                           clientHist_->observe(total);
+                         }
+                         recorder_.addSample(series, total);
                          // Join the client-side measurement with the
                          // controller-side trace: the root "request" span
                          // covers exactly timecurl's time_total.
@@ -221,13 +203,14 @@ void Testbed::request(std::size_t clientIndex, Endpoint address,
                              r.value().timings.responseDone, /*success=*/true,
                              series);
                        } else {
+                         if (clientError_ != nullptr) clientError_->add();
+                         recorder_.addFailure();
                          trace_.instant(0, "request-failed", "client",
                                         sim_.now(),
                                         {{"series", series},
                                          {"client", clientIp},
                                          {"error", r.error()}});
                        }
-                       recorder_.add(record);
                        if (cb) cb(std::move(r));
                      });
 }

@@ -51,12 +51,6 @@ struct TestbedOptions {
   /// tick dumps `snapshot_NNNNNN.json` + `.prom` under `snapshotDir`.
   SimTime snapshotPeriod = SimTime::zero();
   std::string snapshotDir = "telemetry-out";
-  /// Storage caps (0 = unbounded, the historical default): Recorder record
-  /// / per-series sample count, and total trace events (spans + instants).
-  /// Drops are counted and exported as edgesim_{recorder,trace}_dropped_events.
-  std::size_t recorderMaxRecords = 0;
-  std::size_t recorderMaxSamplesPerSeries = 0;
-  std::size_t traceMaxEvents = 0;
   /// Client <-> switch link (RPi, 1 Gbps).
   SimTime clientLatency = SimTime::micros(300);
   BitRate clientBandwidth = BitRate{1000u * 1000 * 1000};
@@ -130,8 +124,8 @@ class Testbed {
   void injectFaults(fault::FaultPlan& plan);
 
   /// Issue a measured HTTP request from client `clientIndex` to `address`;
-  /// the result lands in the recorder under `series` and is forwarded to
-  /// `cb` if provided.
+  /// its time_total lands in the recorder as a sample of `series` (a
+  /// failure only counts), and the result is forwarded to `cb` if provided.
   void request(std::size_t clientIndex, Endpoint address,
                const std::string& series, HttpMethod method = HttpMethod::kGet,
                Bytes payload = Bytes{0}, Host::HttpCallback cb = nullptr);

@@ -42,16 +42,6 @@ void BenchReport::addSeriesMap(const std::map<std::string, Samples>& map,
   }
 }
 
-void BenchReport::addRecorder(const Recorder& recorder,
-                              const std::string& prefix, bool includeSamples) {
-  for (const auto& name : recorder.seriesNames()) {
-    const Samples* samples = recorder.series(name);
-    if (samples == nullptr || samples->empty()) continue;
-    addSeries(prefix.empty() ? name : prefix + "/" + name, *samples,
-              includeSamples);
-  }
-}
-
 void BenchReport::addScalar(const std::string& name, double value) {
   Samples samples;
   samples.add(value);

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "metrics/recorder.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 
@@ -60,9 +59,6 @@ class BenchReport {
   void addSeriesMap(const std::map<std::string, Samples>& map,
                     const std::string& prefix = "",
                     bool includeSamples = true);
-  /// Every series of `recorder`, optionally under `prefix + "/"`.
-  void addRecorder(const Recorder& recorder, const std::string& prefix = "",
-                   bool includeSamples = true);
   /// Single-value series (counters: failures, retries, ...).
   void addScalar(const std::string& name, double value);
 

@@ -4,42 +4,14 @@
 
 namespace edgesim::metrics {
 
-void Recorder::add(RequestRecord record) {
-  owner_.check("Recorder");
-  bool droppedStorage = false;
-  if (record.success) {
-    Samples& samples = samples_[record.series];
-    if (maxSamplesPerSeries_ != 0 &&
-        samples.count() >= maxSamplesPerSeries_) {
-      droppedStorage = true;
-    } else {
-      samples.add(record.total.toSeconds());
-    }
-  } else {
-    ++failures_;
-  }
-  if (maxRecords_ != 0 && records_.size() >= maxRecords_) {
-    droppedStorage = true;
-  } else {
-    records_.push_back(std::move(record));
-  }
-  if (droppedStorage) ++dropped_;
-}
-
 void Recorder::addSample(const std::string& series, double value) {
   owner_.check("Recorder");
-  Samples& samples = samples_[series];
-  if (maxSamplesPerSeries_ != 0 && samples.count() >= maxSamplesPerSeries_) {
-    ++dropped_;
-    return;
-  }
-  samples.add(value);
+  samples_[series].add(value);
 }
 
-void Recorder::setCapacity(std::size_t maxRecords,
-                           std::size_t maxSamplesPerSeries) {
-  maxRecords_ = maxRecords;
-  maxSamplesPerSeries_ = maxSamplesPerSeries;
+void Recorder::addFailure() {
+  owner_.check("Recorder");
+  ++failures_;
 }
 
 const Samples* Recorder::series(const std::string& name) const {
@@ -52,10 +24,6 @@ std::vector<std::string> Recorder::seriesNames() const {
   names.reserve(samples_.size());
   for (const auto& [name, s] : samples_) names.push_back(name);
   return names;
-}
-
-std::size_t Recorder::totalRecords() const {
-  return records_.size();
 }
 
 Table Recorder::summaryTable(const std::string& valueHeader) const {

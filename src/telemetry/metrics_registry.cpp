@@ -115,11 +115,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return *it->second.metric;
 }
 
-void MetricsRegistry::gaugeFn(const std::string& name, const Labels& labels,
-                              std::function<double()> fn) {
-  gaugeFns_[seriesKey(name, labels)] = {name, labels, std::move(fn)};
-}
-
 TelemetrySnapshot MetricsRegistry::snapshot(double simTimeSeconds) const {
   TelemetrySnapshot snap;
   snap.sequence = nextSequence_++;
@@ -131,17 +126,11 @@ TelemetrySnapshot MetricsRegistry::snapshot(double simTimeSeconds) const {
                              series.metric->value()});
   }
 
-  // Stored and polled gauges share the namespace; merge them in key order.
-  std::map<std::string, SnapshotGauge> gauges;
+  snap.gauges.reserve(gauges_.size());
   for (const auto& [key, series] : gauges_) {
-    gauges[key] = {series.name, series.labels,
-                   static_cast<double>(series.metric->value())};
+    snap.gauges.push_back({series.name, series.labels,
+                           static_cast<double>(series.metric->value())});
   }
-  for (const auto& [key, series] : gaugeFns_) {
-    gauges[key] = {series.name, series.labels, series.fn()};
-  }
-  snap.gauges.reserve(gauges.size());
-  for (auto& [key, gauge] : gauges) snap.gauges.push_back(std::move(gauge));
 
   snap.histograms.reserve(histograms_.size());
   for (const auto& [key, series] : histograms_) {

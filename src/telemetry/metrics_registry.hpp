@@ -1,7 +1,7 @@
 // Metrics registry for live introspection of the running system.
 //
-// The existing Recorder/TraceRecorder buffer *events* and export at end of
-// run, which is both post-hoc and (for million-request runs) unbounded.
+// The Recorder keeps samples and the TraceRecorder events, both exported
+// at end of run: post-hoc, and growing with the number of requests.
 // This registry holds *state* -- named counters, gauges and log-linear
 // histograms -- cheap enough to update from the warm path and readable at
 // any time.
@@ -28,7 +28,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -142,12 +141,6 @@ class MetricsRegistry {
   Counter& counter(const std::string& name, const Labels& labels = {});
   Gauge& gauge(const std::string& name, const Labels& labels = {});
   Histogram& histogram(const std::string& name, const Labels& labels = {});
-  /// Polled gauge: `fn` is evaluated at snapshot time on the snapshotting
-  /// thread.  Lets other modules (Recorder / TraceRecorder drop counts)
-  /// surface values without depending on telemetry.  Re-registering the
-  /// same series replaces the callback.
-  void gaugeFn(const std::string& name, const Labels& labels,
-               std::function<double()> fn);
 
   /// Point-in-time view, series sorted by (name, labels).  Bumps the
   /// snapshot sequence number.
@@ -160,18 +153,12 @@ class MetricsRegistry {
     Labels labels;
     std::unique_ptr<Metric> metric;
   };
-  struct FnSeries {
-    std::string name;
-    Labels labels;
-    std::function<double()> fn;
-  };
 
   static std::string seriesKey(const std::string& name, const Labels& labels);
 
   mutable std::uint64_t nextSequence_ = 0;
   std::map<std::string, Series<Counter>> counters_;
   std::map<std::string, Series<Gauge>> gauges_;
-  std::map<std::string, FnSeries> gaugeFns_;
   std::map<std::string, Series<Histogram>> histograms_;
 };
 

@@ -53,7 +53,7 @@ void SloWatchdog::stop() { timer_.cancel(); }
 
 void SloWatchdog::observeRequest(const std::string& service, double seconds,
                                  trace::RequestId request) {
-  std::lock_guard<std::mutex> lock(worstMutex_);
+  owner_.check("SloWatchdog");
   WorstRequest& worst = worstByService_[service];
   if (request != 0 && seconds >= worst.seconds) {
     worst = {seconds, request};
@@ -61,6 +61,7 @@ void SloWatchdog::observeRequest(const std::string& service, double seconds,
 }
 
 std::size_t SloWatchdog::evaluate() {
+  owner_.check("SloWatchdog");
   std::size_t fired = 0;
   for (BudgetState& state : budgets_) {
     const SloBudget& budget = state.budget;
@@ -103,11 +104,8 @@ std::size_t SloWatchdog::evaluate() {
       }
     }
   }
-  {
-    // New window: worst-request attribution starts over.
-    std::lock_guard<std::mutex> lock(worstMutex_);
-    worstByService_.clear();
-  }
+  // New window: worst-request attribution starts over.
+  worstByService_.clear();
   return fired;
 }
 
@@ -124,7 +122,6 @@ void SloWatchdog::recordBreach(BudgetState& state, const std::string& kind,
   breach.windowSamples = windowSamples;
 
   if (!budget.service.empty()) {
-    std::lock_guard<std::mutex> lock(worstMutex_);
     const auto it = worstByService_.find(budget.service);
     if (it != worstByService_.end()) {
       breach.worstRequest = it->second.request;

@@ -13,18 +13,20 @@
 //   * emits a trace instant ("slo-breach", category "telemetry") bound to
 //     the worst request observed in the window;
 //   * copies that request's trace spans into the breach record, so the
-//     phase-by-phase story of the offending request survives even after
-//     the trace buffers hit their cap.
+//     phase-by-phase story of the offending request travels with the
+//     breach (breachesJson() exports it without the trace).
 // It also bumps `edgesim_slo_breaches_total{budget=...}` in the registry,
 // making breaches visible in snapshots and `telemetry_top`.
 //
 // The worst-request table is fed by observeRequest() from the controller's
-// cold-resolve completion (sim thread); evaluate() runs on the sim thread.
+// cold-resolve completion.  Thread model: ONE writer.  observeRequest() and
+// evaluate() run on the thread that constructed the watchdog (the
+// simulation thread) and check it with an always-on assertion, as the
+// recorders do; there is no lock.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,7 @@
 #include "telemetry/metrics_registry.hpp"
 #include "trace/trace_recorder.hpp"
 #include "util/json.hpp"
+#include "util/owner_thread.hpp"
 
 namespace edgesim::telemetry {
 
@@ -92,13 +95,13 @@ class SloWatchdog {
   void stop();
 
   /// Report a completed request so a breach can name its worst offender.
-  /// Thread-safe (the controller calls this on the sim thread; tests may
-  /// not).
+  /// Owner thread only (the controller calls it on the sim thread).
   void observeRequest(const std::string& service, double seconds,
                       trace::RequestId request);
 
   /// One evaluation pass; returns the number of breaches recorded.  Public
   /// so tests (and end-of-run hooks) can evaluate without the timer.
+  /// Owner thread only.
   std::size_t evaluate();
 
   const std::vector<SloBreach>& breaches() const { return breaches_; }
@@ -129,7 +132,7 @@ class SloWatchdog {
   std::vector<BudgetState> budgets_;
   std::vector<SloBreach> breaches_;
 
-  std::mutex worstMutex_;
+  OwnerThread owner_;
   std::map<std::string, WorstRequest> worstByService_;
 };
 

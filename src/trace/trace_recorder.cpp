@@ -97,14 +97,6 @@ RequestId TraceRecorder::newRequest() {
   return ++nextRequest_;
 }
 
-bool TraceRecorder::admitEvent() {
-  if (maxEvents_ != 0 && spans_.size() + instants_.size() >= maxEvents_) {
-    ++dropped_;
-    return false;
-  }
-  return true;
-}
-
 const char* TraceRecorder::storeText(const char* text, std::size_t length) {
   if (length > textFree_) {
     // A new chunk; the old one's tail stays unused.  Text longer than a
@@ -159,7 +151,6 @@ SpanId TraceRecorder::beginSpan(RequestId request, TraceKey name,
                                 TraceArgList args, SpanId parent) {
   if (!enabled_) return 0;
   owner_.check("TraceRecorder");
-  if (!admitEvent()) return 0;
   SpanRecord record;
   record.request = request;
   record.parent = parent;
@@ -217,7 +208,6 @@ void TraceRecorder::instant(RequestId request, TraceKey name,
                             TraceKey category, SimTime at, TraceArgList args) {
   if (!enabled_) return;
   owner_.check("TraceRecorder");
-  if (!admitEvent()) return;
   instants_.push_back({request, name.c_str(), category.c_str(), at,
                        appendArgs(args),
                        static_cast<std::uint32_t>(args.size())});

@@ -183,14 +183,6 @@ class TraceRecorder {
   void setEnabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
-  /// Bound the stored events (spans + instants); 0 = unbounded, the
-  /// historical default.  Over the cap, beginSpan returns 0 (endSpan(0) is
-  /// already a no-op) and instants are discarded; drops are tallied in
-  /// droppedEvents() and surfaced through the telemetry registry as
-  /// `edgesim_trace_dropped_events`.
-  void setCapacity(std::size_t maxEvents) { maxEvents_ = maxEvents; }
-  std::size_t droppedEvents() const { return dropped_; }
-
   // ---- recording (owner thread only) --------------------------------------
   RequestId newRequest();
 
@@ -274,8 +266,6 @@ class TraceRecorder {
     std::uint32_t count;
   };
 
-  /// Whether one more event fits under the cap; counts a drop when not.
-  bool admitEvent();
   /// Copy `args` to the end of args_; returns the index of the first.
   std::uint32_t appendArgs(TraceArgList args);
   /// Stored copy of one argument: text, header and error move into the
@@ -291,8 +281,6 @@ class TraceRecorder {
   OwnerThread owner_;
   bool enabled_ = true;
   RequestId nextRequest_ = 0;
-  std::size_t maxEvents_ = 0;
-  std::size_t dropped_ = 0;
 
   ChunkedStore<SpanRecord> spans_;
   ChunkedStore<InstantRecord> instants_;

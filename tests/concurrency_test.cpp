@@ -11,7 +11,8 @@
 //     recording and sample counters stay exact over many interleaved
 //     requests from the owner thread; a recording read back on another
 //     thread after recording stopped sees every event; and a write from a
-//     second thread aborts with a message naming the owner thread.
+//     second thread aborts with a message naming the owner thread (the
+//     SloWatchdog's worst-request table too).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +22,8 @@
 #include <vector>
 
 #include "metrics/recorder.hpp"
+#include "sim/simulation.hpp"
+#include "telemetry/slo_watchdog.hpp"
 #include "trace/trace_recorder.hpp"
 #include "util/parallel_for.hpp"
 
@@ -115,11 +118,12 @@ TEST(RecorderConcurrency, MetricsSamplesAndFailuresAreNotLost) {
       const std::string series = "series/" + std::to_string(w % 4);
       recorder.addSample(series, static_cast<double>(i));
       if (i % 10 == 0) {
-        metrics::RequestRecord record;
-        record.series = series;
-        record.total = SimTime::millis(i);
-        record.success = (w % 2 == 0);
-        recorder.add(std::move(record));
+        // A measured request: its time_total, or a failure.
+        if (w % 2 == 0) {
+          recorder.addSample(series, SimTime::millis(i).toSeconds());
+        } else {
+          recorder.addFailure();
+        }
       }
     }
   }
@@ -128,11 +132,9 @@ TEST(RecorderConcurrency, MetricsSamplesAndFailuresAreNotLost) {
   for (const auto& name : recorder.seriesNames()) {
     samples += recorder.series(name)->count();
   }
-  // addSample contributions plus the successful add() records.
+  // addSample contributions plus the successful requests.
   EXPECT_EQ(samples, static_cast<std::size_t>(kWriters) * kPerWriter +
                          (kWriters / 2) * (kPerWriter / 10));
-  EXPECT_EQ(recorder.totalRecords(),
-            static_cast<std::size_t>(kWriters) * (kPerWriter / 10));
   EXPECT_EQ(recorder.failureCount(),
             static_cast<std::size_t>(kWriters / 2) * (kPerWriter / 10));
 }
@@ -160,6 +162,20 @@ TEST(OneWriterDeathTest, MetricsRecorderAbortsOnASecondWriterThread) {
             .join();
       },
       "Recorder is written only by its owner thread [0-9]+");
+}
+
+TEST(OneWriterDeathTest, SloWatchdogAbortsOnASecondWriterThread) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        Simulation sim(1);
+        telemetry::MetricsRegistry registry;
+        telemetry::SloWatchdog watchdog(sim, registry);
+        std::thread([&watchdog] {
+          watchdog.observeRequest("nginx", 0.5, 1);
+        }).join();
+      },
+      "SloWatchdog is written only by its owner thread [0-9]+");
 }
 
 }  // namespace

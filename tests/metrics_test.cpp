@@ -4,10 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
 
 #include "metrics/bench_report.hpp"
-#include "metrics/recorder.hpp"
 #include "util/json.hpp"
 
 namespace edgesim::metrics {
@@ -91,19 +91,21 @@ TEST(BenchReport, FromJsonRejectsWrongSchema) {
   EXPECT_FALSE(BenchReport::fromJson(json).ok());
 }
 
-TEST(BenchReport, AddRecorderExportsAllSeries) {
-  Recorder recorder;
-  RequestRecord record;
-  record.series = "warm";
-  record.success = true;
-  record.total = SimTime::millis(2);
-  recorder.add(record);
+TEST(BenchReport, AddSeriesMapExportsAllSeries) {
+  std::map<std::string, Samples> map;
+  map["warm"].add(0.002);
+  map["cold"].add(0.5);
+  map["cold"].add(0.7);
   BenchReport report("x");
-  report.addRecorder(recorder);
-  const SeriesStats* warm = report.findSeries("warm");
+  report.addSeriesMap(map, "trace");
+  const SeriesStats* warm = report.findSeries("trace/warm");
   ASSERT_NE(warm, nullptr);
   EXPECT_EQ(warm->count, 1u);
   EXPECT_EQ(warm->median, 0.002);
+  const SeriesStats* cold = report.findSeries("trace/cold");
+  ASSERT_NE(cold, nullptr);
+  EXPECT_EQ(cold->count, 2u);
+  EXPECT_EQ(report.findSeries("warm"), nullptr);  // only under the prefix
 }
 
 // ------------------------------------------------------- compareReports ----

@@ -4,13 +4,16 @@
 // Global Scheduler quarantine with cooldown expiry.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/dispatcher.hpp"
 #include "core/service_catalog.hpp"
 #include "core/testbed.hpp"
 #include "fault/fault_plan.hpp"
+#include "telemetry/metrics_registry.hpp"
 
 namespace edgesim::core {
 namespace {
@@ -140,7 +143,14 @@ class ResilienceFixture : public ::testing::Test {
     scheduler_ = makeProximityScheduler();
     dispatcher_ = std::make_unique<Dispatcher>(
         sim_, memory_, *scheduler_,
-        std::vector<ClusterAdapter*>{&near_, &cloud_}, &recorder_, options);
+        std::vector<ClusterAdapter*>{&near_, &cloud_}, &recorder_, options,
+        /*trace=*/nullptr, &registry_);
+  }
+
+  /// The dispatcher's per-cluster count `name` in the registry.
+  std::uint64_t clusterCount(const std::string& name,
+                             const std::string& cluster) const {
+    return registry_.snapshot(0.0).counterValue(name, {{"cluster", cluster}});
   }
 
   /// resolve() wrapper that parks the result in `out`.
@@ -154,6 +164,7 @@ class ResilienceFixture : public ::testing::Test {
   FlakyAdapter near_;
   FlakyAdapter cloud_;
   metrics::Recorder recorder_;
+  telemetry::MetricsRegistry registry_;
   ServiceModelPtr model_;
   std::unique_ptr<GlobalScheduler> scheduler_;
   std::unique_ptr<Dispatcher> dispatcher_;
@@ -188,10 +199,8 @@ TEST_F(ResilienceFixture, RetriedPullEventuallySucceeds) {
   EXPECT_EQ(dispatcher_->retries(), 2u);
   EXPECT_EQ(dispatcher_->fallbacks(), 0u);
   EXPECT_EQ(near_.pullCalls, 3);
-  const auto* retrySeries = recorder_.series("retry");
-  ASSERT_NE(retrySeries, nullptr);
-  EXPECT_EQ(retrySeries->count(), 2u);
-  ASSERT_NE(recorder_.series("nginx/near/retry"), nullptr);
+  EXPECT_EQ(clusterCount("edgesim_deploy_retries_total", "near"), 2u);
+  EXPECT_EQ(clusterCount("edgesim_deploy_retries_total", "cloud"), 0u);
 }
 
 TEST_F(ResilienceFixture, ExhaustedRetriesFallBackToCloud) {
@@ -213,10 +222,8 @@ TEST_F(ResilienceFixture, ExhaustedRetriesFallBackToCloud) {
   EXPECT_TRUE(got->value().degraded);
   EXPECT_EQ(dispatcher_->retries(), 2u);
   EXPECT_EQ(dispatcher_->fallbacks(), 1u);
-  const auto* fallbackSeries = recorder_.series("fallback");
-  ASSERT_NE(fallbackSeries, nullptr);
-  EXPECT_EQ(fallbackSeries->count(), 1u);
-  ASSERT_NE(recorder_.series("nginx/near/fallback"), nullptr);
+  EXPECT_EQ(clusterCount("edgesim_deploy_fallbacks_total", "near"), 1u);
+  EXPECT_EQ(clusterCount("edgesim_deploy_retries_total", "near"), 2u);
   // Degraded redirects are not memorized: the next request re-tries the edge.
   EXPECT_FALSE(memory_.lookup(client, kSvc).has_value());
 }
@@ -281,9 +288,8 @@ TEST_F(ResilienceFixture, QuarantinedClusterSkippedUntilCooldownExpires) {
   EXPECT_TRUE(first->value().degraded);
   EXPECT_EQ(dispatcher_->quarantines(), 1u);
   EXPECT_TRUE(scheduler_->quarantined("near", sim_.now()));
-  const auto* quarantineSeries = recorder_.series("quarantine");
-  ASSERT_NE(quarantineSeries, nullptr);
-  EXPECT_EQ(quarantineSeries->count(), 1u);
+  EXPECT_EQ(clusterCount("edgesim_deploy_quarantines_total", "near"), 1u);
+  EXPECT_EQ(clusterCount("edgesim_deploy_quarantines_total", "cloud"), 0u);
 
   // 2. "near" heals, but while quarantined the scheduler must not pick it:
   // the request is answered by the cloud through the normal decision path.

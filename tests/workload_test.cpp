@@ -251,27 +251,20 @@ using namespace timeliterals;
 TEST(Recorder, RecordsAndSummarises) {
   Recorder recorder;
   for (int i = 1; i <= 5; ++i) {
-    RequestRecord record;
-    record.series = "nginx/docker";
-    record.total = SimTime::millis(i * 100);
-    recorder.add(record);
+    recorder.addSample("nginx/docker", SimTime::millis(i * 100).toSeconds());
   }
   const auto* series = recorder.series("nginx/docker");
   ASSERT_NE(series, nullptr);
   EXPECT_EQ(series->count(), 5u);
   EXPECT_DOUBLE_EQ(series->median(), 0.3);
-  EXPECT_EQ(recorder.totalRecords(), 5u);
   EXPECT_EQ(recorder.failureCount(), 0u);
 }
 
 TEST(Recorder, FailuresCountedSeparately) {
   Recorder recorder;
-  RequestRecord bad;
-  bad.series = "s";
-  bad.success = false;
-  recorder.add(bad);
+  recorder.addFailure();
   EXPECT_EQ(recorder.failureCount(), 1u);
-  EXPECT_EQ(recorder.series("s"), nullptr);  // no sample recorded
+  EXPECT_TRUE(recorder.seriesNames().empty());  // no sample recorded
 }
 
 TEST(Recorder, SummaryTableContainsSeries) {

@@ -6,7 +6,7 @@
 //
 // Top mode tails a snapshot directory (as written by telemetry::SnapshotWriter
 // or `bench_telemetry_fig16`): every refresh it picks the highest-sequence
-// snapshot_*.json, parses it and renders request / shard / drop / phase /
+// snapshot_*.json, parses it and renders request / shard / phase /
 // overload-governor / handover / control-channel / SLO health tables.
 // Sections whose series are absent are skipped, and so are the handover and
 // control-channel sections while their counters are zero.  `--once` renders
@@ -127,17 +127,6 @@ void renderShards(const TelemetrySnapshot& snap, std::string& out) {
                   fmtCount(row.misses), fmtCount(row.evictions)});
   }
   out += "flow memory shards\n" + table.render() + "\n";
-}
-
-void renderDrops(const TelemetrySnapshot& snap, std::string& out) {
-  const auto* recorderDrops = snap.findGauge("edgesim_recorder_dropped_events");
-  const auto* traceDrops = snap.findGauge("edgesim_trace_dropped_events");
-  if (recorderDrops == nullptr && traceDrops == nullptr) return;
-  const auto fmt = [](const auto* gauge) {
-    return gauge != nullptr ? strprintf("%.0f", gauge->value) : "-";
-  };
-  out += strprintf("recorder drops %s  trace drops %s\n\n",
-                   fmt(recorderDrops).c_str(), fmt(traceDrops).c_str());
 }
 
 void renderPhases(const TelemetrySnapshot& snap, std::string& out) {
@@ -355,7 +344,6 @@ std::string renderFrame(const TelemetrySnapshot& snap,
                               snap.simTimeSeconds);
   renderRequests(snap, out);
   renderShards(snap, out);
-  renderDrops(snap, out);
   renderPhases(snap, out);
   renderOverload(snap, out);
   renderHandovers(snap, out);
