@@ -33,6 +33,8 @@ struct AppProfile {
   /// Failure injection: probability that the process exits immediately
   /// after start instead of binding its port.
   double crashOnStartProbability = 0.0;
+
+  bool operator==(const AppProfile&) const = default;
 };
 
 struct ContainerSpec {
@@ -45,6 +47,8 @@ struct ContainerSpec {
   /// for Docker deployments, §V).
   std::vector<std::pair<std::string, std::string>> volumeMounts;
   AppProfile app;
+
+  bool operator==(const ContainerSpec&) const = default;
 };
 
 }  // namespace edgesim::container

@@ -7,12 +7,15 @@
 // constant.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "k8s/objects.hpp"
@@ -24,10 +27,15 @@ namespace edgesim::k8s {
 
 enum class WatchEventType { kAdded, kModified, kDeleted };
 
+/// What a watcher is handed: the version its commit made, not a copy.  The
+/// commit's delivery event holds that version, and a later commit copies
+/// the object before changing it while the event is undelivered, so
+/// `object` shows the contents of this commit for the whole call.  A
+/// watcher that needs them afterwards copies them.
 template <typename T>
 struct WatchEvent {
   WatchEventType type;
-  T object;  // snapshot at event time
+  const T& object;
 };
 
 /// The owner reference a store indexes for `listByOwner` (nullptr: the
@@ -41,13 +49,27 @@ const std::string* ownerOf(const T& /*object*/) {
   return nullptr;
 }
 
+template <typename T>
+class CachedLookup;
+
 /// One typed object store (a "resource" in K8s terms).
+///
+/// Each object is held as a shared version (DESIGN.md §16.8).  Every watch
+/// event of a commit shares the version that commit made.  A later commit
+/// changes the object in place when nothing but the store holds its
+/// version, and otherwise first copies it (copy-on-write), so an
+/// undelivered event keeps its commit's contents.  A get() / list()
+/// pointer is therefore valid until the next commit of that object, not
+/// until its removal; CachedLookup caches the store's slot instead.
 ///
 /// Like a client-go informer's indexers, the store keeps a label index
 /// ((key, value) -> names) and an owner index (owner -> names), so selector
 /// and owner lookups cost time in proportion to the candidates, not the
 /// store size.  Both indexes hold names in std::set, i.e. in name order:
-/// the order list() returns and every caller's side effects follow.
+/// the order list() returns and every caller's side effects follow.  Each
+/// slot records the index entries its object is filed under, so an update
+/// finds a relabel or re-own by comparing against them, without copying
+/// the labels or the owner first.
 ///
 /// Each label pair also carries a commit counter (labelVersion): every
 /// create, update and remove bumps the counter of every pair the object
@@ -61,8 +83,8 @@ const std::string* ownerOf(const T& /*object*/) {
 /// ownerVersion, bumped by every commit to an object owned (see ownerOf)
 /// before or after it, so while it stands still listByOwner returns the
 /// same objects in the same state; and membershipVersion, bumped only by a
-/// committed create or remove, so while it stands still every get() returns
-/// the same pointer (see CachedLookup).
+/// committed create or remove, so while it stands still every name keeps
+/// its slot (see CachedLookup).
 template <typename T>
 class Store {
  public:
@@ -76,20 +98,22 @@ class Store {
   void create(T object, std::function<void(Status)> cb = nullptr) {
     sim_.schedule(params_.apiLatency, [this, object = std::move(object),
                                        cb = std::move(cb)]() mutable {
-      const std::string& name = object.meta.name;
-      if (items_.count(name) != 0) {
+      const auto [it, created] = items_.try_emplace(object.meta.name);
+      const std::string& name = it->first;
+      if (!created) {
         if (cb) cb(makeError(Errc::kAlreadyExists, kind_ + "/" + name));
         return;
       }
       object.meta.uid = nextUid_++;
       object.meta.resourceVersion = ++resourceVersion_;
       object.meta.creationTime = sim_.now();
-      const T& stored = items_.emplace(name, object).first->second;
+      Slot& slot = it->second;
+      slot.version = std::make_shared<T>(std::move(object));
       ++membershipVersion_;
-      indexLabels(name, stored.meta.labels);
-      indexOwner(name, ownerOf(stored));
-      notify(WatchEventType::kAdded, std::move(object));
-      if (commitHook_) commitHook_(stored.meta.name);
+      fileLabels(name, slot);
+      fileOwner(name, slot);
+      notify(WatchEventType::kAdded, slot.version);
+      if (commitHook_) commitHook_(name);
       if (cb) cb(Status());
     });
   }
@@ -105,26 +129,29 @@ class Store {
         if (cb) cb(makeError(Errc::kNotFound, kind_ + "/" + name));
         return;
       }
-      T& object = it->second;
-      // `mutate` may relabel or re-own the object: re-index on a change.
-      const Labels labelsBefore = object.meta.labels;
-      const std::string* owner = ownerOf(object);
-      const std::string ownerBefore = owner != nullptr ? *owner : "";
-      mutate(object);
-      if (object.meta.labels != labelsBefore) {
-        unindexLabels(name, labelsBefore);
-        indexLabels(name, object.meta.labels);
-      } else {
-        bumpLabels(object.meta.labels);
+      Slot& slot = it->second;
+      // Copy-on-write: a version someone else still holds (an undelivered
+      // watch event) keeps its contents; the store moves on to a copy.
+      if (slot.version.use_count() > 1) {
+        slot.version = std::make_shared<T>(std::as_const(*slot.version));
       }
-      if (owner != nullptr && *owner != ownerBefore) {
-        unindexOwner(name, &ownerBefore);
-        indexOwner(name, owner);
+      T& object = *slot.version;
+      mutate(object);
+      // `mutate` may relabel or re-own the object: re-file on a change.
+      if (labelsFiledAsIs(slot)) {
+        bumpLabels(slot);
       } else {
-        bumpOwner(owner);
+        unfileLabels(name, slot);
+        fileLabels(name, slot);
+      }
+      if (ownerFiledAsIs(slot)) {
+        bumpOwner(slot);
+      } else {
+        unfileOwner(name, slot);
+        fileOwner(name, slot);
       }
       object.meta.resourceVersion = ++resourceVersion_;
-      notify(WatchEventType::kModified, object);
+      notify(WatchEventType::kModified, slot.version);
       if (commitHook_) commitHook_(name);
       if (cb) cb(Status());
     });
@@ -138,27 +165,37 @@ class Store {
         if (cb) cb(makeError(Errc::kNotFound, kind_ + "/" + name));
         return;
       }
-      T object = std::move(it->second);
+      Slot slot = std::move(it->second);
       items_.erase(it);
       ++membershipVersion_;
-      unindexLabels(name, object.meta.labels);
-      unindexOwner(name, ownerOf(object));
-      notify(WatchEventType::kDeleted, std::move(object));
+      unfileLabels(name, slot);
+      unfileOwner(name, slot);
+      notify(WatchEventType::kDeleted, std::move(slot.version));
       if (commitHook_) commitHook_(name);
       if (cb) cb(Status());
     });
   }
 
   // -- synchronous reads (informer-cache view) ----------------------------
+  // A returned pointer is valid until the object's next commit.
+
   const T* get(const std::string& name) const {
-    const auto it = items_.find(name);
-    return it == items_.end() ? nullptr : &it->second;
+    const Slot* slot = find(name);
+    return slot == nullptr ? nullptr : slot->version.get();
+  }
+
+  /// The current version of `name` (nullptr when absent), shared: it keeps
+  /// its contents for as long as the pointer lives, because the store's
+  /// next commit of the object copies it first.
+  std::shared_ptr<const T> share(const std::string& name) const {
+    const Slot* slot = find(name);
+    return slot == nullptr ? nullptr : slot->version;
   }
 
   std::vector<const T*> list() const {
     std::vector<const T*> out;
     out.reserve(items_.size());
-    for (const auto& [name, object] : items_) out.push_back(&object);
+    for (const auto& [name, slot] : items_) out.push_back(slot.version.get());
     return out;
   }
 
@@ -166,7 +203,7 @@ class Store {
   /// list()'s vector.
   template <typename Fn>
   void forEach(Fn&& fn) const {
-    for (const auto& [name, object] : items_) fn(object);
+    for (const auto& [name, slot] : items_) fn(std::as_const(*slot.version));
   }
 
   /// Objects whose labels match every selector pair, in name order; an
@@ -182,8 +219,8 @@ class Store {
     }
     std::vector<const T*> out;
     for (const auto& name : *candidates) {
-      const T& object = items_.find(name)->second;
-      if (selectorMatches(selector, object.meta.labels)) out.push_back(&object);
+      const T* object = get(name);
+      if (selectorMatches(selector, object->meta.labels)) out.push_back(object);
     }
     return out;
   }
@@ -194,9 +231,7 @@ class Store {
     const auto it = ownerIndex_.find(owner);
     if (it == ownerIndex_.end()) return out;
     out.reserve(it->second.names.size());
-    for (const auto& name : it->second.names) {
-      out.push_back(&items_.find(name)->second);
-    }
+    for (const auto& name : it->second.names) out.push_back(get(name));
     return out;
   }
 
@@ -220,7 +255,7 @@ class Store {
 
   /// Committed creates plus committed removes.  Updates and failed calls
   /// leave it alone: while it stands still, no name gained or lost its
-  /// object, and every object stayed at its address.
+  /// object, and every name kept its slot.
   std::uint64_t membershipVersion() const { return membershipVersion_; }
 
   /// Register a watcher; events arrive `watchLatency` after commit.
@@ -235,17 +270,7 @@ class Store {
   std::size_t size() const { return items_.size(); }
 
  private:
-  /// One shared snapshot per commit; each watcher's delivery event holds a
-  /// reference to it and to the watcher (deque: stable across watch()).
-  void notify(WatchEventType type, T object) {
-    if (watchers_.empty()) return;
-    const auto event = std::make_shared<const WatchEvent<T>>(
-        WatchEvent<T>{type, std::move(object)});
-    for (const Watcher& watcher : watchers_) {
-      sim_.schedule(params_.watchLatency,
-                    [&watcher, event] { watcher(*event); });
-    }
-  }
+  friend class CachedLookup<T>;
 
   /// One label pair: the names carrying it and its commit counter.  An
   /// entry outlives its last name so that the counter is never reset.
@@ -253,6 +278,51 @@ class Store {
     NameSet names;
     std::uint64_t version = 0;
   };
+
+  /// One owner: the names it owns and their commit counter.  Like a
+  /// LabelEntry, an entry outlives its last name.
+  struct OwnerEntry {
+    NameSet names;
+    std::uint64_t version = 0;
+  };
+
+  /// One label pair an object is filed under: its key, value and entry in
+  /// labelIndex_.  Index nodes are never erased, so the pointers stay valid.
+  struct FiledLabel {
+    const std::string* key = nullptr;
+    const std::string* value = nullptr;
+    LabelEntry* entry = nullptr;
+  };
+
+  /// One name's object: its current version and the index entries it is
+  /// filed under (labels in key order; owner nullptr when unowned).  A
+  /// std::map node, so the slot stays put until the name is removed.
+  struct Slot {
+    std::shared_ptr<T> version;
+    std::vector<FiledLabel> labels;
+    std::pair<const std::string, OwnerEntry>* owner = nullptr;
+  };
+
+  const Slot* find(const std::string& name) const {
+    const auto it = items_.find(name);
+    return it == items_.end() ? nullptr : &it->second;
+  }
+
+  /// One delivery event per commit, holding the committed version: it
+  /// calls the watchers registered at commit time, in registration order
+  /// (DESIGN.md §16.8).  Watchers live in a std::deque, so indexes and
+  /// references stay valid when watch() adds another.
+  void notify(WatchEventType type, std::shared_ptr<const T> version) {
+    if (watchers_.empty()) return;
+    sim_.schedule(params_.watchLatency,
+                  [this, type, version = std::move(version),
+                   watchers = watchers_.size()] {
+                    const WatchEvent<T> event{type, *version};
+                    for (std::size_t i = 0; i < watchers; ++i) {
+                      watchers_[i](event);
+                    }
+                  });
+  }
 
   /// Names of the objects labelled key=value (empty when there are none).
   const NameSet& labelled(const std::string& key,
@@ -264,60 +334,76 @@ class Store {
     return byValue == byKey->second.end() ? kNone : byValue->second.names;
   }
 
-  void indexLabels(const std::string& name, const Labels& labels) {
+  void fileLabels(const std::string& name, Slot& slot) {
+    const Labels& labels = slot.version->meta.labels;
+    slot.labels.clear();
+    slot.labels.reserve(labels.size());
     for (const auto& [key, value] : labels) {
-      LabelEntry& entry = labelIndex_[key][value];
+      auto& [keyFiled, values] = *labelIndex_.try_emplace(key).first;
+      auto& [valueFiled, entry] = *values.try_emplace(value).first;
       entry.names.insert(name);
       ++entry.version;
+      slot.labels.push_back({&keyFiled, &valueFiled, &entry});
     }
   }
 
-  void unindexLabels(const std::string& name, const Labels& labels) {
-    for (const auto& [key, value] : labels) {
-      LabelEntry& entry = labelIndex_.find(key)->second.find(value)->second;
-      entry.names.erase(name);
-      ++entry.version;
+  void unfileLabels(const std::string& name, const Slot& slot) {
+    for (const FiledLabel& filed : slot.labels) {
+      filed.entry->names.erase(name);
+      ++filed.entry->version;
     }
+  }
+
+  /// True when the object still carries exactly the pairs it is filed
+  /// under.
+  bool labelsFiledAsIs(const Slot& slot) const {
+    const Labels& labels = slot.version->meta.labels;
+    return std::equal(labels.begin(), labels.end(), slot.labels.begin(),
+                      slot.labels.end(),
+                      [](const auto& label, const FiledLabel& filed) {
+                        return label.first == *filed.key &&
+                               label.second == *filed.value;
+                      });
   }
 
   /// A commit that keeps the object's labels still changes the object.
-  void bumpLabels(const Labels& labels) {
-    for (const auto& [key, value] : labels) {
-      ++labelIndex_.find(key)->second.find(value)->second.version;
-    }
+  void bumpLabels(const Slot& slot) {
+    for (const FiledLabel& filed : slot.labels) ++filed.entry->version;
   }
 
-  /// One owner: the names it owns and their commit counter.  Like a
-  /// LabelEntry, an entry outlives its last name.
-  struct OwnerEntry {
-    NameSet names;
-    std::uint64_t version = 0;
-  };
-
-  void indexOwner(const std::string& name, const std::string* owner) {
+  void fileOwner(const std::string& name, Slot& slot) {
+    const std::string* owner = ownerOf(std::as_const(*slot.version));
+    slot.owner = nullptr;
     if (owner == nullptr || owner->empty()) return;
-    OwnerEntry& entry = ownerIndex_[*owner];
-    entry.names.insert(name);
-    ++entry.version;
+    auto& filed = *ownerIndex_.try_emplace(*owner).first;
+    filed.second.names.insert(name);
+    ++filed.second.version;
+    slot.owner = &filed;
   }
 
-  void unindexOwner(const std::string& name, const std::string* owner) {
-    if (owner == nullptr || owner->empty()) return;
-    OwnerEntry& entry = ownerIndex_.find(*owner)->second;
-    entry.names.erase(name);
-    ++entry.version;
+  void unfileOwner(const std::string& name, const Slot& slot) {
+    if (slot.owner == nullptr) return;
+    slot.owner->second.names.erase(name);
+    ++slot.owner->second.version;
+  }
+
+  /// True when the object's owner (see ownerOf) is the one it is filed
+  /// under, "none" included.
+  bool ownerFiledAsIs(const Slot& slot) const {
+    const std::string* owner = ownerOf(std::as_const(*slot.version));
+    if (owner == nullptr || owner->empty()) return slot.owner == nullptr;
+    return slot.owner != nullptr && *owner == slot.owner->first;
   }
 
   /// A commit that keeps the object's owner still changes an owned object.
-  void bumpOwner(const std::string* owner) {
-    if (owner == nullptr || owner->empty()) return;
-    ++ownerIndex_.find(*owner)->second.version;
+  void bumpOwner(const Slot& slot) {
+    if (slot.owner != nullptr) ++slot.owner->second.version;
   }
 
   Simulation& sim_;
   const ControlPlaneParams& params_;
   std::string kind_;
-  std::map<std::string, T> items_;
+  std::map<std::string, Slot> items_;
   /// label key -> label value -> names carrying that label, and its
   /// commit counter.
   std::map<std::string, std::map<std::string, LabelEntry>> labelIndex_;
@@ -333,22 +419,24 @@ class Store {
 inline constexpr std::uint64_t kNeverLooked = ~std::uint64_t{0};
 
 /// One name's get() result, looked up again only when the store's
-/// membershipVersion moved since the last lookup.  Between two moves the
-/// store neither created nor removed an object, so the pointer it holds
-/// (nullptr included) is still what get() would return.
+/// membershipVersion moved since the last lookup.  It caches the name's
+/// slot, not the object's address: between two moves the store neither
+/// created nor removed an object, so the slot it holds (nullptr included)
+/// is still the name's, while a copy-on-write commit may have moved the
+/// object to a new version.
 template <typename T>
 class CachedLookup {
  public:
   const T* get(const Store<T>& store, const std::string& name) {
     if (seen_ != store.membershipVersion()) {
-      object_ = store.get(name);
+      slot_ = store.find(name);
       seen_ = store.membershipVersion();
     }
-    return object_;
+    return slot_ == nullptr ? nullptr : slot_->version.get();
   }
 
  private:
-  const T* object_ = nullptr;
+  const typename Store<T>::Slot* slot_ = nullptr;
   std::uint64_t seen_ = kNeverLooked;
 };
 

@@ -9,17 +9,6 @@ namespace edgesim::k8s {
 
 namespace {
 
-bool templatesEqual(const PodTemplate& a, const PodTemplate& b) {
-  if (a.labels != b.labels) return false;
-  if (a.spec.schedulerName != b.spec.schedulerName) return false;
-  if (a.spec.containers.size() != b.spec.containers.size()) return false;
-  for (std::size_t i = 0; i < a.spec.containers.size(); ++i) {
-    if (a.spec.containers[i].image != b.spec.containers[i].image) return false;
-    if (a.spec.containers[i].name != b.spec.containers[i].name) return false;
-  }
-  return true;
-}
-
 bool podAlive(const Pod& pod) {
   return pod.status.phase == PodPhase::kPending ||
          pod.status.phase == PodPhase::kRunning;
@@ -88,13 +77,18 @@ void DeploymentController::reconcile(const std::string& name,
 
   bool wrote = false;
   if (rs->spec.replicas != deployment->spec.replicas ||
-      !templatesEqual(rs->spec.podTemplate, deployment->spec.podTemplate)) {
-    const int replicas = deployment->spec.replicas;
-    const PodTemplate podTemplate = deployment->spec.podTemplate;
-    api_.replicaSets().update(rsName, [replicas, podTemplate](ReplicaSet& r) {
-      r.spec.replicas = replicas;
-      r.spec.podTemplate = podTemplate;
-    });
+      rs->spec.podTemplate != deployment->spec.podTemplate) {
+    // The Deployment as reconciled, shared instead of copied (the store
+    // copies it before its next commit while this write holds it).  A
+    // template equal at commit is left alone, exactly as assigning it
+    // would leave it; a scale changes only the replicas.
+    api_.replicaSets().update(
+        rsName, [source = api_.deployments().share(name)](ReplicaSet& r) {
+          r.spec.replicas = source->spec.replicas;
+          if (r.spec.podTemplate != source->spec.podTemplate) {
+            r.spec.podTemplate = source->spec.podTemplate;
+          }
+        });
     wrote = true;
   }
 

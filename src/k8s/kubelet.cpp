@@ -85,15 +85,17 @@ void Kubelet::startPod(const Pod& pod) {
   worker.creating = true;
 
   // Pull every container image first (already-cached pulls are instant).
-  const auto images = pod.spec.containers;
-  auto remaining = std::make_shared<std::size_t>(images.size());
+  // `pod` is the store's version: no commit runs inside this call, and
+  // the callbacks look the pod up again.
+  const auto& containers = pod.spec.containers;
+  auto remaining = std::make_shared<std::size_t>(containers.size());
   auto failed = std::make_shared<bool>(false);
   const std::string podName = pod.meta.name;
 
   ES_DEBUG("kubelet", "%s: starting pod %s (%zu containers)",
-           node_.name.c_str(), podName.c_str(), images.size());
+           node_.name.c_str(), podName.c_str(), containers.size());
 
-  for (const auto& spec : images) {
+  for (const auto& spec : containers) {
     auto onPulled = [this, podName, remaining, failed](Status status) {
       if (!status.ok()) {
         *failed = true;
@@ -106,28 +108,28 @@ void Kubelet::startPod(const Pod& pod) {
         markFailed(podName);
         return;
       }
-      const Pod* current = api_.pods().get(podName);
+      auto current = api_.pods().share(podName);
       if (current == nullptr) return;  // deleted while pulling
-      launchContainers(*current);
+      launchContainers(std::move(current));
     };
     if (node_.registry != nullptr) {
       node_.puller->pull(*node_.registry, spec.image, onPulled);
     } else if (node_.runtime->store().hasImage(spec.image)) {
       sim_.schedule(SimTime::zero(), [onPulled] { onPulled(Status()); });
     } else {
-      sim_.schedule(SimTime::zero(), [onPulled, spec] {
+      sim_.schedule(SimTime::zero(), [onPulled, image = spec.image] {
         onPulled(makeError(Errc::kUnavailable,
                            "no registry and image absent: " +
-                               spec.image.toString()));
+                               image.toString()));
       });
     }
   }
 }
 
-void Kubelet::launchContainers(const Pod& pod) {
-  auto it = workers_.find(pod.meta.name);
+void Kubelet::launchContainers(std::shared_ptr<const Pod> pod) {
+  auto it = workers_.find(pod->meta.name);
   if (it == workers_.end()) return;
-  const std::string podName = pod.meta.name;
+  const std::string podName = pod->meta.name;
 
   // Scripted crash-on-start: the kubelet's pod worker dies before the
   // containers come up, the pod goes Failed, and the ReplicaSet controller
@@ -146,37 +148,42 @@ void Kubelet::launchContainers(const Pod& pod) {
     }
   }
 
-  auto remaining = std::make_shared<std::size_t>(pod.spec.containers.size());
-  for (const auto& spec : pod.spec.containers) {
+  // Each create holds the pod's shared version instead of a copy of its
+  // container spec.
+  const std::size_t containers = pod->spec.containers.size();
+  auto remaining = std::make_shared<std::size_t>(containers);
+  for (std::size_t i = 0; i < containers; ++i) {
     // containerd create latency, then start.
-    sim_.schedule(node_.runtime->params().createLatency, [this, podName, spec,
+    sim_.schedule(node_.runtime->params().createLatency, [this, pod, i,
                                                           remaining] {
-      auto wit = workers_.find(podName);
+      const std::string& name = pod->meta.name;
+      const container::ContainerSpec& spec = pod->spec.containers[i];
+      auto wit = workers_.find(name);
       if (wit == workers_.end()) return;
       const auto created = node_.runtime->create(spec);
       if (!created.ok()) {
         ES_WARN("kubelet", "%s: create failed for %s: %s", node_.name.c_str(),
-                podName.c_str(), created.error().toString().c_str());
-        markFailed(podName);
+                name.c_str(), created.error().toString().c_str());
+        markFailed(name);
         return;
       }
       const ContainerId id = created.value();
       wit->second.containers.push_back(id);
       const Status startStatus =
-          node_.runtime->start(id, [this, podName, remaining](Status status) {
+          node_.runtime->start(id, [this, name, remaining](Status status) {
             if (!status.ok()) {
-              markFailed(podName);
+              markFailed(name);
               return;
             }
             if (--*remaining > 0) return;
             // All containers started: pod is Running; begin readiness checks.
-            api_.pods().update(podName, [](Pod& p) {
+            api_.pods().update(name, [](Pod& p) {
               p.status.phase = PodPhase::kRunning;
             });
             ++startedPods_;
-            beginProbing(podName);
+            beginProbing(name);
           });
-      if (!startStatus.ok()) markFailed(podName);
+      if (!startStatus.ok()) markFailed(name);
     });
   }
 }

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,7 +60,8 @@ class Kubelet {
   /// `worker` is the pod's worker (nullptr: none).
   void syncPod(const Pod& pod, const PodWorker* worker);
   void startPod(const Pod& pod);
-  void launchContainers(const Pod& pod);
+  /// Holds the pod's version (Store::share) until each container is created.
+  void launchContainers(std::shared_ptr<const Pod> pod);
   void beginProbing(std::string podName);
   void probePod(const std::string& podName);
   void teardown(const std::string& podName);

@@ -42,6 +42,8 @@ struct PodSpec {
   std::vector<container::ContainerSpec> containers;
   std::string nodeName;       // empty until scheduled
   std::string schedulerName;  // empty => default scheduler
+
+  bool operator==(const PodSpec&) const = default;
 };
 
 struct PodStatus {
@@ -67,6 +69,8 @@ struct Pod {
 struct PodTemplate {
   Labels labels;
   PodSpec spec;
+
+  bool operator==(const PodTemplate&) const = default;
 };
 
 struct ReplicaSetSpec {

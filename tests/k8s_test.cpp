@@ -120,7 +120,9 @@ TEST_F(K8sFixture, StoreCreateGetUpdateDelete) {
   cluster_->api().deployments().update(
       "web", [](Deployment& d) { d.spec.replicas = 3; });
   sim_.runUntil(3_s);
-  EXPECT_EQ(cluster_->api().deployments().get("web")->spec.replicas, 3);
+  const Deployment* updated = cluster_->api().deployments().get("web");
+  ASSERT_NE(updated, nullptr);
+  EXPECT_EQ(updated->spec.replicas, 3);
 
   std::optional<Status> removed;
   cluster_->api().deployments().remove("web", [&](Status s) { removed = s; });
@@ -427,6 +429,220 @@ TEST(StoreMembership, CachedLookupFollowsCreatesAndRemoves) {
   EXPECT_EQ(second, store.get("p"));
   EXPECT_NE(second->meta.uid, firstUid);
   EXPECT_FALSE(second->status.ready);
+}
+
+// ------------------------------------------------ shared watch versions ----
+
+// What a watcher saw of one event, copied out during the call.
+struct SeenEvent {
+  WatchEventType type;
+  std::uint64_t resourceVersion;
+  bool ready;
+  std::uint16_t port;
+  Labels labels;
+
+  bool operator==(const SeenEvent&) const = default;
+};
+
+SeenEvent seen(const WatchEvent<Pod>& event) {
+  return {event.type, event.object.meta.resourceVersion,
+          event.object.status.ready, event.object.status.endpoint.port,
+          event.object.meta.labels};
+}
+
+// Two updates and a remove commit before the first of their watch events
+// is delivered: every watcher still sees each commit's own contents, and
+// the live store has moved on by then.
+TEST(StoreSnapshots, EachEventShowsItsCommitsContents) {
+  Simulation sim(1);
+  const ControlPlaneParams params;
+  Store<Pod> store(sim, params, "Pod");
+  std::vector<std::vector<SeenEvent>> watched(2);
+  std::size_t liveAtDelivery = 0;
+  for (auto& events : watched) {
+    store.watch([&events, &store, &liveAtDelivery](const WatchEvent<Pod>& e) {
+      events.push_back(seen(e));
+      if (store.get("p") != nullptr) ++liveAtDelivery;
+    });
+  }
+
+  Pod pod;
+  pod.meta.name = "p";
+  pod.meta.labels = {{"app", "a"}};
+  store.create(pod);
+  sim.run();
+  const Pod* stored = store.get("p");
+  ASSERT_NE(stored, nullptr);
+  const std::uint64_t created = stored->meta.resourceVersion;
+
+  // All three commit one apiLatency from now, a watchLatency before the
+  // first of their deliveries.
+  store.update("p", [](Pod& p) { p.status.ready = true; });
+  store.update("p", [](Pod& p) {
+    p.status.endpoint = Endpoint(Ipv4(10, 0, 0, 1), 8080);
+    p.meta.labels["app"] = "b";
+  });
+  store.remove("p");
+  sim.run();
+
+  const std::vector<SeenEvent> expected{
+      {WatchEventType::kAdded, created, false, 0, {{"app", "a"}}},
+      {WatchEventType::kModified, created + 1, true, 0, {{"app", "a"}}},
+      {WatchEventType::kModified, created + 2, true, 8080, {{"app", "b"}}},
+      {WatchEventType::kDeleted, created + 2, true, 8080, {{"app", "b"}}},
+  };
+  EXPECT_EQ(watched[0], expected);
+  EXPECT_EQ(watched[1], expected);
+  // Only the create's delivery found the pod still in the store.
+  EXPECT_EQ(liveAtDelivery, 2u);
+}
+
+// A commit while an earlier event still holds the version moves the
+// object to a copy: get() and a CachedLookup return the new version, and
+// the undelivered event keeps the old contents.
+TEST(StoreSnapshots, CopyOnWriteMovesGetAndCachedLookup) {
+  Simulation sim(1);
+  const ControlPlaneParams params;
+  Store<Pod> store(sim, params, "Pod");
+  std::vector<SeenEvent> events;
+  store.watch(
+      [&events](const WatchEvent<Pod>& e) { events.push_back(seen(e)); });
+  CachedLookup<Pod> lookup;
+
+  Pod pod;
+  pod.meta.name = "p";
+  store.create(pod);
+  sim.run();
+  const Pod* before = lookup.get(store, "p");
+  ASSERT_EQ(before, store.get("p"));
+
+  // The first update's commit finds nothing else holding the version and
+  // changes it in place; the second commits while the first's event still
+  // holds it, so the store copies.
+  store.update("p", [](Pod& p) { p.status.ready = true; });
+  sim.runUntil(sim.now() + params.apiLatency);
+  EXPECT_EQ(store.get("p"), before);
+  store.update("p", [](Pod& p) { p.status.ready = false; });
+  sim.runUntil(sim.now() + params.apiLatency);
+  ASSERT_EQ(events.size(), 1u);  // only the create's so far
+
+  const Pod* after = store.get("p");
+  ASSERT_NE(after, nullptr);
+  EXPECT_NE(after, before);
+  EXPECT_FALSE(after->status.ready);
+  EXPECT_EQ(lookup.get(store, "p"), after);
+  EXPECT_EQ(store.list(), std::vector<const Pod*>{after});
+
+  sim.run();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_TRUE(events[1].ready);
+  EXPECT_FALSE(events[2].ready);
+  EXPECT_EQ(lookup.get(store, "p"), store.get("p"));
+}
+
+// With every event delivered, an update changes the object in place: the
+// address get() returned stays valid and current.
+TEST(StoreSnapshots, UpdateWithNothingUndeliveredKeepsTheAddress) {
+  Simulation sim(1);
+  const ControlPlaneParams params;
+  Store<Pod> store(sim, params, "Pod");
+  std::size_t delivered = 0;
+  store.watch([&delivered](const WatchEvent<Pod>&) { ++delivered; });
+
+  Pod pod;
+  pod.meta.name = "p";
+  store.create(pod);
+  sim.run();
+  const Pod* stored = store.get("p");
+  ASSERT_NE(stored, nullptr);
+  for (int i = 0; i < 3; ++i) {
+    store.update("p", [](Pod& p) { p.status.ready = !p.status.ready; });
+    sim.run();
+    EXPECT_EQ(store.get("p"), stored);
+  }
+  EXPECT_TRUE(stored->status.ready);
+  EXPECT_EQ(delivered, 4u);
+}
+
+// A shared version keeps its contents past later commits.
+TEST(StoreSnapshots, SharedVersionKeepsItsContents) {
+  Simulation sim(1);
+  const ControlPlaneParams params;
+  Store<Pod> store(sim, params, "Pod");
+  EXPECT_EQ(store.share("p"), nullptr);
+
+  Pod pod;
+  pod.meta.name = "p";
+  store.create(pod);
+  sim.run();
+  const std::shared_ptr<const Pod> held = store.share("p");
+  ASSERT_EQ(held.get(), store.get("p"));
+  store.update("p", [](Pod& p) { p.status.ready = true; });
+  sim.run();
+  const Pod* current = store.get("p");
+  ASSERT_NE(current, nullptr);
+  EXPECT_NE(held.get(), current);
+  EXPECT_FALSE(held->status.ready);
+  EXPECT_TRUE(current->status.ready);
+}
+
+// ------------------------------------------------------ watch batching ----
+
+// One commit is one delivery event, however many watchers: it calls the
+// watchers registered at commit time, in registration order.  A watcher
+// registered after the commit hears only later commits.
+TEST(StoreWatchBatching, OneDeliveryEventCallsWatchersInOrder) {
+  Simulation sim(1);
+  const ControlPlaneParams params;
+  Store<Pod> store(sim, params, "Pod");
+  std::vector<std::pair<int, WatchEventType>> calls;
+  for (int id = 0; id < 4; ++id) {
+    store.watch([&calls, id](const WatchEvent<Pod>& event) {
+      calls.emplace_back(id, event.type);
+    });
+  }
+
+  Pod pod;
+  pod.meta.name = "p";
+  const std::uint64_t start = sim.processedEvents();
+  store.create(pod);
+  sim.run();
+  // The commit event plus one delivery event.
+  EXPECT_EQ(sim.processedEvents() - start, 2u);
+  const std::vector<std::pair<int, WatchEventType>> added{
+      {0, WatchEventType::kAdded},
+      {1, WatchEventType::kAdded},
+      {2, WatchEventType::kAdded},
+      {3, WatchEventType::kAdded}};
+  EXPECT_EQ(calls, added);
+
+  // Register a fifth watcher between a commit and its delivery.
+  calls.clear();
+  store.update("p", [](Pod& p) { p.status.ready = true; });
+  sim.runUntil(sim.now() + params.apiLatency);
+  store.watch([&calls](const WatchEvent<Pod>& event) {
+    calls.emplace_back(4, event.type);
+  });
+  const std::uint64_t beforeDelivery = sim.processedEvents();
+  sim.run();
+  EXPECT_EQ(sim.processedEvents() - beforeDelivery, 1u);
+  const std::vector<std::pair<int, WatchEventType>> modified{
+      {0, WatchEventType::kModified},
+      {1, WatchEventType::kModified},
+      {2, WatchEventType::kModified},
+      {3, WatchEventType::kModified}};
+  EXPECT_EQ(calls, modified);
+
+  calls.clear();
+  store.remove("p");
+  sim.run();
+  const std::vector<std::pair<int, WatchEventType>> deleted{
+      {0, WatchEventType::kDeleted},
+      {1, WatchEventType::kDeleted},
+      {2, WatchEventType::kDeleted},
+      {3, WatchEventType::kDeleted},
+      {4, WatchEventType::kDeleted}};
+  EXPECT_EQ(calls, deleted);
 }
 
 // ------------------------------------------------- reconcile pipeline ----
